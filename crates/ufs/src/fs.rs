@@ -29,7 +29,7 @@ use crate::layout::{
 };
 use nvmtypes::convert::{u32_from, u64_from_usize, usize_from, usize_from_u32};
 use nvmtypes::{HostRequest, SimError};
-use ssd::{BlockDevice, SECTOR_USIZE};
+use ssd::{BlockDevice, SECTOR_BYTES, SECTOR_USIZE};
 use std::collections::BTreeMap;
 
 /// Device writes issued after the commit mark in one `fsync`
@@ -139,8 +139,7 @@ pub struct Ufs<D: BlockDevice> {
     next_tid: u64,
     next_seq: u64,
     /// Captured device requests (sector I/O merged into extents), when on.
-    log: Vec<HostRequest>,
-    logging: bool,
+    log: RequestLog,
     /// Always-on write-amplification accounting (plain integer adds).
     wa: WriteAmp,
 }
@@ -169,8 +168,7 @@ impl<D: BlockDevice> Ufs<D> {
             staged: BTreeMap::new(),
             next_tid: 1,
             next_seq: 1,
-            log: Vec::new(),
-            logging: false,
+            log: RequestLog::default(),
             wa: WriteAmp::default(),
         };
         fs.wa.apply_bytes += u64_from_usize(SECTOR_USIZE);
@@ -197,8 +195,7 @@ impl<D: BlockDevice> Ufs<D> {
             staged: BTreeMap::new(),
             next_tid: 1,
             next_seq: 1,
-            log: Vec::new(),
-            logging: false,
+            log: RequestLog::default(),
             wa: WriteAmp::default(),
         };
         let mut buf = vec![0u8; SECTOR_USIZE];
@@ -313,12 +310,12 @@ impl<D: BlockDevice> Ufs<D> {
 
     /// Starts capturing the device requests the filesystem issues.
     pub fn enable_request_log(&mut self) {
-        self.logging = true;
+        self.log.on = true;
     }
 
     /// Drains the captured request log.
     pub fn take_request_log(&mut self) -> Vec<HostRequest> {
-        std::mem::take(&mut self.log)
+        std::mem::take(&mut self.log.reqs)
     }
 
     /// Consumes the filesystem, returning the device (e.g. to inspect the
@@ -430,7 +427,9 @@ impl<D: BlockDevice> Ufs<D> {
     }
 
     /// Reads `out.len()` bytes at byte `offset`. Staged writes are
-    /// visible (read-your-writes); reading past EOF is an error.
+    /// visible (read-your-writes); reading past EOF is an error. A
+    /// durable read copies only the sectors the window covers (see
+    /// [`Ufs::read_extents_into`] for what the request log records).
     pub fn read(&mut self, id: FileId, offset: u64, out: &mut [u8]) -> Result<(), SimError> {
         let end = offset + u64_from_usize(out.len());
         if let Some(buf) = self.staged.get(&id.0) {
@@ -440,23 +439,11 @@ impl<D: BlockDevice> Ufs<D> {
             out.copy_from_slice(&buf[usize_from(offset)..usize_from(end)]);
             return Ok(());
         }
-        // Hot-path audit (`hotpath_alloc`, allowlisted): metadata-small
-        // clone (name + <=8 extents) releasing the table borrow before
-        // the mutable device read below.
-        let entry = self.entry(id)?.clone();
-        if end > entry.size {
-            return Err(read_past_eof(end, entry.size));
+        let size = self.entry(id)?.size;
+        if end > size {
+            return Err(read_past_eof(end, size));
         }
-        if offset == 0 && end == entry.size {
-            // Whole-file window (the out-of-core replay's common case):
-            // fill `out` straight from the device, skipping the
-            // content-sized bounce buffer. The logged request stream is
-            // identical — every extent sector is still read in order.
-            return self.read_extents_into(&entry, out);
-        }
-        let content = self.read_extents(&entry)?;
-        out.copy_from_slice(&content[usize_from(offset)..usize_from(end)]);
-        Ok(())
+        self.read_extents_into(id, offset, out)
     }
 
     /// Makes the file's staged content durable via one journaled
@@ -570,56 +557,73 @@ impl<D: BlockDevice> Ufs<D> {
     }
 
     fn entry(&self, id: FileId) -> Result<&FileEntry, SimError> {
-        self.table
-            .get(usize_from_u32(id.0))
-            .and_then(|e| e.as_ref())
-            .ok_or_else(|| {
-                SimError::invalid_config("ufs.file", format!("no file in slot {}", id.0))
-            })
+        entry_in(&self.table, id)
     }
 
     /// Durable (on-device) content of the file, ignoring staged state.
     fn read_all_durable(&mut self, id: FileId) -> Result<Vec<u8>, SimError> {
-        // Hot-path audit (`hotpath_alloc`, allowlisted): metadata-small
-        // clone releasing the table borrow for the device reads.
-        let entry = self.entry(id)?.clone();
-        self.read_extents(&entry)
-    }
-
-    fn read_extents(&mut self, entry: &FileEntry) -> Result<Vec<u8>, SimError> {
         // Hot-path audit (`hotpath_alloc`, allowlisted): one
-        // content-sized buffer filled sector by sector in place — the
-        // owned return is the API (the caller keeps or stages it); the
-        // per-sector images are not materialised separately.
-        let mut content = vec![0u8; usize_from(entry.size)];
-        self.read_extents_into(entry, &mut content)?;
+        // content-sized buffer filled in place — the owned return is the
+        // API (`write` stages it as the file's new content).
+        let mut content = vec![0u8; usize_from(self.entry(id)?.size)];
+        self.read_extents_into(id, 0, &mut content)?;
         Ok(content)
     }
 
-    /// Reads every sector of every extent, in order, into `out`
-    /// (`out.len()` must equal the entry's byte size). Tail sectors past
-    /// the file size are still read whole — the logged request stream is
-    /// exactly [`Ufs::read_extents`]'s — but only the in-bounds prefix
-    /// lands in `out`.
-    fn read_extents_into(&mut self, entry: &FileEntry, out: &mut [u8]) -> Result<(), SimError> {
-        let mut at = 0usize;
+    /// The one sector walk behind every durable read: copies file bytes
+    /// `[offset, offset + out.len())` into `out` (the caller has checked
+    /// the window against the file size). The device is asked only for
+    /// the sectors the window overlaps; whole sectors land in `out`
+    /// directly and the partial edge sectors go through one stack image.
+    ///
+    /// The request log still records a read of *every* sector of the
+    /// file, in extent order, whatever the window: the journaled
+    /// replay's block traces, and every digest pinned on them, model a
+    /// POSIX read as a whole-file sector walk. One record per extent
+    /// yields exactly the per-sector stream, because [`RequestLog::record`]
+    /// merges contiguous reads (extents are never empty).
+    fn read_extents_into(
+        &mut self,
+        id: FileId,
+        offset: u64,
+        out: &mut [u8],
+    ) -> Result<(), SimError> {
+        // Field-level borrows: the entry stays in the table while the
+        // device is read and the log appended to.
+        let entry = entry_in(&self.table, id)?;
+        let end = offset + u64_from_usize(out.len());
         let mut image = [0u8; SECTOR_USIZE];
+        // File byte offset of the current extent's first sector.
+        let mut ext_at = 0u64;
         for ext in &entry.extents {
-            for s in 0..ext.len {
-                let take = SECTOR_USIZE.min(out.len() - at);
-                if take == SECTOR_USIZE {
-                    self.dev
-                        .read_sector(ext.start + s, &mut out[at..at + SECTOR_USIZE])?;
+            self.log.record(HostRequest::read(
+                sector_offset(ext.start),
+                ext.len * SECTOR_BYTES,
+            ));
+            // The extent's sectors that overlap the window (none if the
+            // window is empty or lies wholly outside this extent).
+            let first = offset.saturating_sub(ext_at) / SECTOR_BYTES;
+            let last = if out.is_empty() {
+                0
+            } else {
+                end.saturating_sub(ext_at)
+                    .div_ceil(SECTOR_BYTES)
+                    .min(ext.len)
+            };
+            for s in first..last {
+                let at = ext_at + s * SECTOR_BYTES;
+                let lo = at.max(offset);
+                let hi = (at + SECTOR_BYTES).min(end);
+                let dst = &mut out[usize_from(lo - offset)..usize_from(hi - offset)];
+                if dst.len() == SECTOR_USIZE {
+                    self.dev.read_sector(ext.start + s, dst)?;
                 } else {
                     self.dev.read_sector(ext.start + s, &mut image)?;
-                    out[at..at + take].copy_from_slice(&image[..take]);
+                    let skip = usize_from(lo - at);
+                    dst.copy_from_slice(&image[skip..skip + dst.len()]);
                 }
-                self.log_io(HostRequest::read(
-                    sector_offset(ext.start + s),
-                    u64_from_usize(SECTOR_USIZE),
-                ));
-                at += take;
             }
+            ext_at += ext.len * SECTOR_BYTES;
         }
         Ok(())
     }
@@ -640,7 +644,7 @@ impl<D: BlockDevice> Ufs<D> {
     /// superblock all carry the sync barrier at the device.
     fn write_meta(&mut self, lba: u64, image: &[u8]) -> Result<(), SimError> {
         self.dev.write_sector(lba, image)?;
-        self.log_io(
+        self.log.record(
             HostRequest::write(sector_offset(lba), u64_from_usize(SECTOR_USIZE)).synchronous(),
         );
         Ok(())
@@ -650,33 +654,51 @@ impl<D: BlockDevice> Ufs<D> {
     fn write_data(&mut self, lba: u64, image: &[u8]) -> Result<(), SimError> {
         self.wa.cow_bytes += u64_from_usize(SECTOR_USIZE);
         self.dev.write_sector(lba, image)?;
-        self.log_io(HostRequest::write(
+        self.log.record(HostRequest::write(
             sector_offset(lba),
             u64_from_usize(SECTOR_USIZE),
         ));
         Ok(())
     }
+}
 
-    /// Records one sector request, merging physically contiguous
-    /// asynchronous requests of the same kind — sequential extents
-    /// surface as the large requests the paper's UFS is built to
-    /// preserve. Sync requests never merge: each metadata write is its
-    /// own ordering barrier (journal records are contiguous in the ring
-    /// but must reach the device as separate ordered writes).
-    fn log_io(&mut self, req: HostRequest) {
-        if !self.logging {
+/// The device requests a [`Ufs`] issued, captured only when `on`.
+#[derive(Debug, Default)]
+struct RequestLog {
+    on: bool,
+    reqs: Vec<HostRequest>,
+}
+
+impl RequestLog {
+    /// Records one request, merging physically contiguous asynchronous
+    /// requests of the same kind — sequential extents surface as the
+    /// large requests the paper's UFS is built to preserve. Sync
+    /// requests never merge: each metadata write is its own ordering
+    /// barrier (journal records are contiguous in the ring but must
+    /// reach the device as separate ordered writes).
+    fn record(&mut self, req: HostRequest) {
+        if !self.on {
             return;
         }
         if !req.sync {
-            if let Some(last) = self.log.last_mut() {
+            if let Some(last) = self.reqs.last_mut() {
                 if !last.sync && last.op == req.op && last.end() == req.offset {
                     last.len += req.len;
                     return;
                 }
             }
         }
-        self.log.push(req);
+        self.reqs.push(req);
     }
+}
+
+/// The live entry in `table`'s slot `id` (a free function so callers can
+/// borrow the table beside other [`Ufs`] fields).
+fn entry_in(table: &[Option<FileEntry>], id: FileId) -> Result<&FileEntry, SimError> {
+    table
+        .get(usize_from_u32(id.0))
+        .and_then(|e| e.as_ref())
+        .ok_or_else(|| SimError::invalid_config("ufs.file", format!("no file in slot {}", id.0)))
 }
 
 fn read_past_eof(end: u64, size: u64) -> SimError {
@@ -686,6 +708,7 @@ fn read_past_eof(end: u64, size: u64) -> SimError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use ssd::SimBlockDevice;
 
     fn fresh() -> Ufs<SimBlockDevice> {
@@ -848,5 +871,149 @@ mod tests {
     fn mount_rejects_a_foreign_image() {
         let dev = SimBlockDevice::new(64);
         assert!(matches!(Ufs::mount(dev), Err(SimError::Corruption { .. })));
+    }
+
+    /// Sectors per pad file in the fragmented fixture.
+    const PAD_SECTORS: u64 = 2;
+    /// Pad files in the fragmented fixture; every odd one leaves a hole.
+    const PADS: u64 = 10;
+    /// Byte size of the fragmented file: it fills every hole, ending
+    /// 1000 bytes short of a full last sector.
+    const FRAG_SIZE: u64 = PADS / 2 * PAD_SECTORS * SECTOR_BYTES - 1000;
+
+    /// A durable file spread over five 2-sector extents with a partial
+    /// tail sector. Ten 2-sector pads fill the head of the data region.
+    /// Growing each odd pad by a sector moves it (copy-on-write) into
+    /// the tail and leaves a 2-sector hole, so when the fragmented file
+    /// commits the five holes are all the free space there is.
+    fn fragmented() -> (Ufs<SimBlockDevice>, FileId) {
+        let params = UfsParams {
+            max_files: 16,
+            journal_sectors: 8,
+        };
+        let meta = 1 + u64::from(params.max_files) + u64::from(params.journal_sectors);
+        let data = PADS * PAD_SECTORS + PADS / 2 * (PAD_SECTORS + 1);
+        let mut fs = Ufs::format(SimBlockDevice::new(meta + data), params).expect("formats");
+        let pad = PAD_SECTORS * SECTOR_BYTES;
+        let mut ids = Vec::new();
+        for i in 0..PADS {
+            let id = fs.create(&format!("pad{i}")).expect("creates");
+            fs.write(id, 0, &pattern(usize_from(pad), 0x11))
+                .expect("writes");
+            fs.fsync(id).expect("syncs");
+            ids.push(id);
+        }
+        for &id in ids.iter().skip(1).step_by(2) {
+            fs.write(id, pad, &pattern(SECTOR_USIZE, 0x5A))
+                .expect("grows");
+            fs.fsync(id).expect("syncs");
+        }
+        let id = fs.create("frag").expect("creates");
+        fs.write(id, 0, &pattern(usize_from(FRAG_SIZE), 0x3C))
+            .expect("writes");
+        fs.fsync(id).expect("syncs");
+        let extents = &fs.entry(id).expect("exists").extents;
+        assert_eq!(extents.len(), 5, "fixture is fragmented: {extents:?}");
+        assert!(extents.iter().all(|e| e.len == PAD_SECTORS));
+        assert!(extents.windows(2).all(|w| w[0].end() < w[1].start));
+        (fs, id)
+    }
+
+    /// Independent oracle: the file's bytes and logged request stream
+    /// from reading every extent sector, one at a time, into a
+    /// file-sized image.
+    fn whole_file_oracle(fs: &Ufs<SimBlockDevice>, id: FileId) -> (Vec<u8>, Vec<HostRequest>) {
+        let entry = fs.entry(id).expect("exists");
+        let mut image = Vec::new();
+        let mut log = RequestLog {
+            on: true,
+            reqs: Vec::new(),
+        };
+        let mut sector = [0u8; SECTOR_USIZE];
+        for ext in &entry.extents {
+            for lba in ext.start..ext.end() {
+                fs.dev.read_sector(lba, &mut sector).expect("reads");
+                image.extend_from_slice(&sector);
+                log.record(HostRequest::read(sector_offset(lba), SECTOR_BYTES));
+            }
+        }
+        image.truncate(usize_from(entry.size));
+        (image, log.reqs)
+    }
+
+    /// A `(offset, len)` window inside the fragmented file, mixing
+    /// uniform windows with the shapes a sector walk gets wrong.
+    fn window() -> impl Strategy<Value = (u64, u64)> {
+        // A window reaching up to a sector either side of a multiple of
+        // `step` (a sector or an extent boundary).
+        let around = |step: u64| {
+            (1..=FRAG_SIZE / step, 1..SECTOR_BYTES, 1..SECTOR_BYTES).prop_map(
+                move |(k, before, after)| {
+                    let b = k * step;
+                    let lo = b - before;
+                    let hi = (b + after).min(FRAG_SIZE);
+                    (lo, hi - lo)
+                },
+            )
+        };
+        prop_oneof![
+            // Anywhere.
+            (0..=FRAG_SIZE, 0..=FRAG_SIZE).prop_map(|(a, b)| (a.min(b), a.abs_diff(b))),
+            // Zero-length.
+            (0..=FRAG_SIZE).prop_map(|o| (o, 0)),
+            // Sub-sector: inside a single sector.
+            (0..FRAG_SIZE, 1..SECTOR_BYTES).prop_map(|(o, len)| {
+                let sector_end = ((o / SECTOR_BYTES + 1) * SECTOR_BYTES).min(FRAG_SIZE);
+                (o, len.min(sector_end - o))
+            }),
+            // Straddling a sector boundary.
+            around(SECTOR_BYTES),
+            // Straddling an extent boundary.
+            around(PAD_SECTORS * SECTOR_BYTES),
+            // Tail-partial: through EOF, inside the short last sector.
+            (0..FRAG_SIZE).prop_map(|o| (o, FRAG_SIZE - o)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A ranged read returns the same slice of the file as a
+        /// whole-file read and captures the same request log; the
+        /// whole-file read in turn matches a naive per-sector oracle.
+        #[test]
+        fn ranged_reads_match_the_whole_file_read(
+            windows in prop::collection::vec(window(), 1..12),
+        ) {
+            let (mut fs, id) = fragmented();
+            let (image, oracle_log) = whole_file_oracle(&fs, id);
+            fs.enable_request_log();
+            let mut whole = vec![0u8; usize_from(FRAG_SIZE)];
+            fs.read(id, 0, &mut whole).expect("reads");
+            let whole_log = fs.take_request_log();
+            prop_assert_eq!(&whole, &image);
+            prop_assert_eq!(&whole_log, &oracle_log);
+            for (offset, len) in windows {
+                // Poisoned, so a byte the walk skips cannot pass as zero.
+                let mut out = vec![0xEE; usize_from(len)];
+                fs.read(id, offset, &mut out).expect("reads");
+                prop_assert_eq!(&out[..], &whole[usize_from(offset)..usize_from(offset + len)]);
+                prop_assert_eq!(&fs.take_request_log(), &whole_log);
+            }
+        }
+
+        /// A window reaching past EOF is a typed error, not a short read.
+        #[test]
+        fn ranged_reads_past_eof_are_typed_errors(
+            offset in 0..=FRAG_SIZE,
+            over in 1..2 * SECTOR_BYTES,
+        ) {
+            let (mut fs, id) = fragmented();
+            let mut out = vec![0u8; usize_from(FRAG_SIZE - offset + over)];
+            prop_assert!(matches!(
+                fs.read(id, offset, &mut out),
+                Err(SimError::InvalidConfig { .. })
+            ));
+        }
     }
 }

@@ -255,6 +255,36 @@ mod tests {
     }
 
     #[test]
+    fn a_partial_read_logs_a_device_read_of_every_file_sector() {
+        // Pins the model's read amplification: a 100-byte POSIX read of
+        // a 6-sector file surfaces as a device read of all 6 sectors,
+        // though the filesystem copies only the one sector it covers.
+        // Changing this model means changing this test and the pinned
+        // block-trace digests together.
+        let sector = u64_from_usize(SECTOR_USIZE);
+        let mut posix = PosixTrace::new();
+        posix.push(rec(0, IoOp::Write, 0, 0, 5 * sector + 100));
+        posix.push(rec(1, IoOp::Read, 0, 5000, 100));
+        let block = JournaledUfs::default()
+            .try_transform(&posix)
+            .expect("replays");
+        let data: Vec<_> = block
+            .requests
+            .iter()
+            .filter(|r| !r.op.is_read() && !r.sync)
+            .collect();
+        let reads: Vec<_> = block.requests.iter().filter(|r| r.op.is_read()).collect();
+        assert_eq!(data.len(), 1, "one COW pass of the file");
+        assert_eq!(data[0].len, 6 * sector);
+        assert_eq!(reads.len(), 1);
+        assert_eq!(
+            (reads[0].offset, reads[0].len),
+            (data[0].offset, data[0].len),
+            "the read covers exactly the file's sectors"
+        );
+    }
+
+    #[test]
     fn read_only_trace_materialises_and_still_replays() {
         let mut posix = PosixTrace::new();
         posix.push(rec(0, IoOp::Read, 3, 0, 12_000));

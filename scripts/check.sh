@@ -66,6 +66,13 @@
 #                       versus results/simlint.baseline.json — any new
 #                       per-event allocation on a hot path fails the
 #                       gate (docs/STATIC_ANALYSIS.md)
+#  15. benchmark tests — the standalone benchmark package's own tests
+#                       (`cargo test --manifest-path benchmark/Cargo.toml`):
+#                       the committed digest pins in
+#                       results/benchmark/pins.json pass and a mutated
+#                       pin fails, the per-workload bypass checks, the
+#                       manifest's mirrored lint policy, and the simlint
+#                       scan of the benchmark sources
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -156,6 +163,9 @@ fi
 step "simlint --json --baseline (hot-path allocation inventory ratchet)"
 cargo run --quiet -p simlint -- --json --baseline results/simlint.baseline.json \
     > target/simlint.json
+
+step "benchmark tests (digest pins, bypass checks, simlint scan of benchmark/)"
+cargo test --quiet --manifest-path benchmark/Cargo.toml
 
 echo
 echo "check.sh: all gates passed"
