@@ -11,11 +11,10 @@
 //! Fenwick tree).
 
 use ooctrace::PosixTrace;
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Result of replaying a trace through an LRU block cache.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CacheReplay {
     /// Block accesses replayed.
     pub accesses: u64,
@@ -106,7 +105,7 @@ pub fn replay_lru(trace: &PosixTrace, capacity_bytes: u64, block_size: u64) -> C
 }
 
 /// Reuse-distance profile of a trace at `block_size` granularity.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ReuseStats {
     /// `histogram[i]` counts re-accesses with reuse distance in
     /// `[2^i, 2^(i+1))` distinct blocks (bucket 0 holds distance 0 and 1).

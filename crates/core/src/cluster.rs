@@ -10,10 +10,9 @@ use crate::config::SystemConfig;
 use crate::experiment::ExperimentSpec;
 use nvmtypes::NvmKind;
 use ooctrace::PosixTrace;
-use serde::Serialize;
 
 /// Static description of the cluster (defaults follow Figure 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterSpec {
     /// I/O nodes serving the OoC partition.
     pub ions: u32,
@@ -38,7 +37,7 @@ impl ClusterSpec {
 }
 
 /// Aggregate delivered bandwidth at one node count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalingPoint {
     /// Compute nodes running the OoC application.
     pub nodes: u32,
@@ -49,7 +48,7 @@ pub struct ScalingPoint {
 }
 
 /// Single-node calibration inputs measured by the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeRates {
     /// What one CN extracts from the ION path (network + GPFS + SSD).
     pub per_cn_ion_mb_s: f64,
@@ -108,7 +107,7 @@ pub fn ion_saturation_nodes(spec: &ClusterSpec, rates: &NodeRates) -> u32 {
 
 /// Aggregate compute-local bandwidth with `failed_local` of `nodes` CNs
 /// running in degraded mode.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradedPoint {
     /// Compute nodes in the job.
     pub nodes: u32,

@@ -6,11 +6,10 @@ use interconnect::{
 };
 use nvmtypes::NvmKind;
 use oocfs::FsKind;
-use serde::Serialize;
 use ssd::{FtlMode, SsdConfig, SsdDevice};
 
 /// Where the SSD lives relative to the computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Location {
     /// On the I/O nodes, reached over the cluster fabric (the prior-work
     /// baseline of Figure 2a).
@@ -21,7 +20,7 @@ pub enum Location {
 }
 
 /// SSD internal controller architecture (Figure 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Controller {
     /// SATA-era NAND controllers behind a PCIe endpoint: every request
     /// crosses a SATA-6G hop with 8b/10b framing (Figure 5a).
@@ -44,7 +43,7 @@ pub enum Controller {
 /// let cnl = ExperimentSpec::new(&SystemConfig::cnl_ufs(), NvmKind::Slc).run(&trace);
 /// assert!(cnl.bandwidth_mb_s > ion.bandwidth_mb_s);
 /// ```
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SystemConfig {
     /// Row label as the figures print it (e.g. `"CNL-NATIVE-16"`).
     pub label: &'static str,

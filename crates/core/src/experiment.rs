@@ -4,11 +4,10 @@ use crate::config::SystemConfig;
 use nvmtypes::NvmKind;
 use ooctrace::PosixTrace;
 use rayon::prelude::*;
-use serde::Serialize;
 use ssd::RunReport;
 
 /// Result of running one workload on one configuration with one medium.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentReport {
     /// Configuration label (Figure x-axis).
     pub label: &'static str,
@@ -33,9 +32,8 @@ pub struct ExperimentReport {
 /// One experiment, fully specified: a system configuration, an NVM
 /// medium, an optional fault plan, and an optional tracer.
 ///
-/// This is the single entry point the old
-/// `run_experiment` / `run_experiment_with_faults` /
-/// `run_experiment_observed` triplet collapsed into:
+/// This is the single entry point for a run, traced or not, with or
+/// without faults:
 ///
 /// ```
 /// use oocnvm_core::config::SystemConfig;
@@ -160,51 +158,6 @@ pub(crate) fn report_from_run(
     }
 }
 
-/// Runs `config` with `kind` media against the application's POSIX
-/// trace. Thin wrapper over [`ExperimentSpec`], kept so out-of-tree
-/// call sites keep compiling; everything in-tree uses the builder.
-#[deprecated(note = "use ExperimentSpec::new(config, kind).run(posix)")]
-pub fn run_experiment(
-    config: &SystemConfig,
-    kind: NvmKind,
-    posix: &PosixTrace,
-) -> ExperimentReport {
-    ExperimentSpec::new(config, kind).run(posix)
-}
-
-/// Like [`run_experiment`], but injecting deterministic faults from
-/// `plan`. `FaultPlan::none()` reproduces [`run_experiment`] exactly,
-/// byte for byte. Thin wrapper over [`ExperimentSpec`].
-#[deprecated(note = "use ExperimentSpec::new(config, kind).faults(plan).run(posix)")]
-pub fn run_experiment_with_faults(
-    config: &SystemConfig,
-    kind: NvmKind,
-    posix: &PosixTrace,
-    plan: nvmtypes::FaultPlan,
-) -> ExperimentReport {
-    ExperimentSpec::new(config, kind).faults(plan).run(posix)
-}
-
-/// The fully observed experiment pipeline: the file-system transform,
-/// every device layer and the run summary report through one tracer.
-/// With [`simobs::Tracer::off`] this *is* [`run_experiment_with_faults`]
-/// — the tracer only reads values each layer has already computed, so
-/// the report is byte-identical whichever sink is attached. Thin wrapper
-/// over [`ExperimentSpec`].
-#[deprecated(note = "use ExperimentSpec::new(config, kind).faults(plan).tracer(obs).run(posix)")]
-pub fn run_experiment_observed(
-    config: &SystemConfig,
-    kind: NvmKind,
-    posix: &PosixTrace,
-    plan: nvmtypes::FaultPlan,
-    obs: &mut simobs::Tracer,
-) -> ExperimentReport {
-    ExperimentSpec::new(config, kind)
-        .faults(plan)
-        .tracer(obs)
-        .run(posix)
-}
-
 /// Runs a batch of experiment specs against one POSIX trace on the
 /// thread pool, returning reports in the specs' input order — the batch
 /// is byte-identical at any thread count because every experiment is an
@@ -226,22 +179,6 @@ pub fn run_batch(specs: Vec<ExperimentSpec<'static>>, posix: &PosixTrace) -> Vec
                 .run(posix)
         })
         .collect()
-}
-
-/// Runs every `(config, kind)` pair in parallel on the thread pool;
-/// results are in `configs`-major order regardless of thread count.
-/// Thin wrapper over [`run_batch`], kept for out-of-tree callers.
-#[deprecated(note = "build the ExperimentSpec list and call run_batch(specs, posix)")]
-pub fn run_sweep(
-    configs: &[SystemConfig],
-    kinds: &[NvmKind],
-    posix: &PosixTrace,
-) -> Vec<ExperimentReport> {
-    let specs: Vec<ExperimentSpec<'static>> = configs
-        .iter()
-        .flat_map(|c| kinds.iter().map(|&k| ExperimentSpec::new(c, k)))
-        .collect();
-    run_batch(specs, posix)
 }
 
 /// Looks a report up by label and medium.
@@ -267,34 +204,6 @@ mod tests {
         assert!(rep.channel_util > 0.0 && rep.channel_util <= 1.0);
         assert!((rep.breakdown_pct.iter().sum::<f64>() - 100.0).abs() < 1e-6);
         assert!((rep.pal_pct.iter().sum::<f64>() - 100.0).abs() < 1e-6);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_reproduce_the_builder() {
-        let trace = synthetic_ooc_trace(8 * MIB, MIB, 3);
-        let cfg = SystemConfig::cnl_ufs();
-        let built = ExperimentSpec::new(&cfg, NvmKind::Tlc).run(&trace);
-        let legacy = run_experiment(&cfg, NvmKind::Tlc, &trace);
-        assert_eq!(
-            built.bandwidth_mb_s.to_bits(),
-            legacy.bandwidth_mb_s.to_bits()
-        );
-        let plan = nvmtypes::FaultPlan::light(42);
-        let built = ExperimentSpec::new(&cfg, NvmKind::Tlc)
-            .faults(plan)
-            .run(&trace);
-        let legacy = run_experiment_with_faults(&cfg, NvmKind::Tlc, &trace, plan);
-        assert_eq!(
-            built.bandwidth_mb_s.to_bits(),
-            legacy.bandwidth_mb_s.to_bits()
-        );
-        let swept = run_sweep(&[cfg], &[NvmKind::Tlc], &trace);
-        let built = ExperimentSpec::new(&cfg, NvmKind::Tlc).run(&trace);
-        assert_eq!(
-            swept[0].bandwidth_mb_s.to_bits(),
-            built.bandwidth_mb_s.to_bits()
-        );
     }
 
     #[test]

@@ -43,8 +43,7 @@ pub mod workload;
 
 pub use cluster::{degraded_curve, degraded_scaling_point, DegradedPoint};
 pub use config::{Controller, Location, SystemConfig};
-#[allow(deprecated)]
-pub use experiment::{run_experiment, run_experiment_with_faults, run_sweep, ExperimentReport};
+pub use experiment::ExperimentReport;
 pub use tenancy::{
     ArrivalProcess, TenancyReport, TenancySpec, TenantProfile, TenantReport, TenantSpec,
 };

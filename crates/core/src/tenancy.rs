@@ -33,7 +33,6 @@ use crate::experiment::{report_from_run, ExperimentReport, ExperimentSpec};
 use crate::workload::{checkpoint_trace, kv_lookup_trace, synthetic_ooc_trace};
 use nvmtypes::{FaultPlan, FaultRng, Nanos, NvmKind};
 use ooctrace::PosixTrace;
-use serde::Serialize;
 use simobs::{HdrHistogram, HdrPercentiles, LatencyAttribution, Tracer};
 use ssd::{QosPolicy, TenantWorkload};
 
@@ -44,7 +43,7 @@ const STREAM_ARRIVAL: u64 = 5;
 
 /// What one tenant does: a workload family and its size knobs. Each
 /// profile expands to a POSIX trace via [`TenantProfile::posix_trace`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TenantProfile {
     /// An out-of-core eigensolver replay: large, mostly-sequential
     /// panel reads ([`synthetic_ooc_trace`]).
@@ -170,7 +169,7 @@ impl TenantSpec {
 /// otherwise it is uniform in `[0, 2 * mean_gap_ns]`, so gaps average
 /// `mean_gap_ns`. All draws come from [`FaultRng`] (SplitMix64) on its
 /// own stream: deterministic, and independent of every fault stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrivalProcess {
     /// Mean inter-arrival gap, simulated ns.
     pub mean_gap_ns: Nanos,
@@ -408,7 +407,7 @@ pub fn run_tenancy_batch(specs: Vec<TenancySpec<'static>>) -> Vec<TenancyReport>
 }
 
 /// Per-tenant results of a [`TenancySpec::run`].
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TenantReport {
     /// Tenant index in the spec's input order.
     pub tenant: u32,
@@ -446,7 +445,7 @@ pub struct TenantReport {
 /// Results of a multi-tenant run: the fleet-level rollup (same shape as
 /// a single-job [`ExperimentReport`], over the union of the traffic)
 /// plus the per-tenant blocks.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct TenancyReport {
     /// Fleet-level report over all tenants' traffic.
     pub fleet: ExperimentReport,

@@ -7,10 +7,8 @@
 //! reproduction is the *shape*: NVM bandwidth grows much faster than
 //! point-to-point network bandwidth and overtakes it around 2012.
 
-use serde::Serialize;
-
 /// Which technology family a data point belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrendSeries {
     /// InfiniBand generations (per-link).
     InfiniBand,
@@ -23,7 +21,7 @@ pub enum TrendSeries {
 }
 
 /// One Figure-1 data point.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TrendPoint {
     /// Device / generation name.
     pub name: &'static str,

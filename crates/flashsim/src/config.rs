@@ -1,11 +1,10 @@
 //! Media-side configuration of the simulated device.
 
 use nvmtypes::{BusTiming, MediaTiming, NvmKind, SsdGeometry};
-use serde::Serialize;
 
 /// Complete description of the media side of a simulated SSD: structure,
 /// Table-1 timing, and channel-bus speed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MediaConfig {
     /// Structural geometry (channels / packages / dies / planes).
     pub geometry: SsdGeometry,

@@ -6,10 +6,9 @@ use crate::config::MediaConfig;
 use crate::stats::RawStats;
 use nvmtypes::convert::approx_f64;
 use nvmtypes::{MediaEnergy, Nanos};
-use serde::Serialize;
 
 /// Energy totals for one run, all in millijoules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyReport {
     /// Sensing energy.
     pub read_mj: f64,

@@ -2,10 +2,9 @@
 
 use nvmtypes::convert::u64_from_usize;
 use nvmtypes::{DieIndex, MediaTiming, Nanos};
-use serde::{Deserialize, Serialize};
 
 /// Kind of a die-level operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Sense pages and stream them out over the channel.
     Read,
@@ -22,7 +21,7 @@ pub enum OpKind {
 /// physically contiguous in the die's plane-interleaved address order, so
 /// up to `planes` of them are serviced per cell activation (multi-plane
 /// mode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DieOp {
     /// Target die.
     pub die: DieIndex,

@@ -5,14 +5,13 @@ use crate::config::MediaConfig;
 use crate::intervals::{merge, union_len, Interval};
 use nvmtypes::convert::{approx_f64, usize_from_u32};
 use nvmtypes::Nanos;
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Per-arbitration-tag accounting: how much die time, how many die-ops
 /// and how many payload bytes one tag (one tenant, in the QoS layer's
 /// vocabulary) consumed on the media. Purely additive — the engine's
 /// schedule never reads it back.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TagStats {
     /// Die busy time (op start to completion) attributed to the tag, ns.
     pub busy_ns: Nanos,
@@ -29,7 +28,7 @@ pub struct TagStats {
 /// * **PAL2** — die (bank) interleaving on top of PAL1,
 /// * **PAL3** — multi-plane mode operation on top of PAL1,
 /// * **PAL4** — all of the above.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PalLevel {
     /// Channel striping / pipelining only.
     Pal1,
@@ -72,7 +71,7 @@ impl PalLevel {
 }
 
 /// Distribution of requests over the four PAL levels (Figures 10b/10d).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PalHistogram {
     /// Request counts per level (index via [`PalLevel::index`]).
     pub counts: [u64; 4],
@@ -102,7 +101,7 @@ impl PalHistogram {
 
 /// The six execution-state buckets of Figures 10a/10c, in ns of resource
 /// time attributed to each state.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecBreakdown {
     /// Data movement between the SSD and the host (thin interface, PCIe
     /// bus, network) not overlapped with any media activity.
@@ -202,7 +201,7 @@ impl RawStats {
 }
 
 /// Finished media-side report for one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MediaReport {
     /// End-to-end simulated time (ns) — set by the caller (SSD layer),
     /// since completion includes host DMA.
@@ -238,7 +237,6 @@ pub struct MediaReport {
     /// Execution-state breakdown (Figure 10a/10c).
     pub breakdown: ExecBreakdown,
     /// Merged media busy intervals (for host-DMA overlap accounting).
-    #[serde(skip)]
     pub busy: Vec<Interval>,
 }
 

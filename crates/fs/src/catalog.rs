@@ -5,7 +5,6 @@ use crate::model::{FsModel, UfsModel};
 use crate::params::FsParams;
 use crate::FileSystemModel;
 use ooctrace::{BlockTrace, PosixTrace};
-use serde::Serialize;
 
 /// Every file system the paper evaluates, in Figure 7's x-axis order.
 ///
@@ -26,7 +25,7 @@ use serde::Serialize;
 /// assert!(gpfs.len() > 4 * 8);
 /// assert_eq!(gpfs.total_bytes(), posix.total_bytes());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FsKind {
     /// GPFS on the I/O nodes (the ION-local baseline).
     IonGpfs,

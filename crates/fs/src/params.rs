@@ -1,7 +1,6 @@
 //! Tunable description of one local file system's request mutation.
 
 use nvmtypes::SimError;
-use serde::Serialize;
 
 /// How a local file system reshapes application I/O on its way to the
 /// device. Every effect the paper calls out in §3.2 has a knob here:
@@ -19,7 +18,7 @@ use serde::Serialize;
 ///   [`FsParams::journal_commit_interval`], both synchronous;
 /// * how well the stack keeps the device's queue fed —
 ///   [`FsParams::queue_depth`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FsParams {
     /// Display name.
     pub name: &'static str,

@@ -17,14 +17,13 @@
 
 use nvmtypes::fault::{FaultRng, LinkFaultProfile};
 use nvmtypes::Nanos;
-use serde::Serialize;
 
 /// Cap on the exponential-backoff shift so pathological `max_replays`
 /// configs cannot overflow the shift.
 const MAX_BACKOFF_SHIFT: u32 = 16;
 
 /// Accumulated link-fault accounting for one run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkFaultStats {
     /// CRC errors detected (each forces one replay).
     pub crc_errors: u64,

@@ -1,7 +1,6 @@
 //! Generic link model and end-to-end composition.
 
 use nvmtypes::{transfer_time, Nanos};
-use serde::Serialize;
 
 /// A point-to-point data link with an effective payload bandwidth and a
 /// fixed per-request cost.
@@ -9,7 +8,7 @@ use serde::Serialize;
 /// `bytes_per_ns` is the *post-encoding* payload rate: constructors fold
 /// line-encoding overheads (8b/10b, 128b/130b) and protocol framing
 /// efficiency into it, so the simulator never needs to know about encodings.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// Human-readable name, e.g. `"PCIe2.0x8"`.
     pub name: &'static str,
@@ -44,7 +43,7 @@ impl Link {
 
 /// A path composed of several links crossed in sequence (e.g. device DMA,
 /// then a cluster fabric hop for ION-remote storage).
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LinkChain {
     /// Links in traversal order.
     pub links: Vec<Link>,

@@ -7,11 +7,10 @@
 //! (1600 MB/s per channel).
 
 use nvmtypes::BusTiming;
-use serde::{Deserialize, Serialize};
 
 /// The two NVM bus speeds the paper evaluates (Table 2's
 /// "Interface/Bus Speed" column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NvmBusSpeed {
     /// ONFi-3: 400 MHz SDR, 8-bit — 400 MB/s per channel.
     Sdr400,

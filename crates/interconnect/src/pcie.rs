@@ -7,10 +7,9 @@
 //! of the 16 available lanes.
 
 use crate::link::Link;
-use serde::{Deserialize, Serialize};
 
 /// PCIe generation (encoding + per-lane signalling rate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PcieGen {
     /// PCIe 2.0: 5 GT/s per lane, 8b/10b encoding.
     Gen2,

@@ -2,10 +2,8 @@
 //! channel). Constructors for concrete standards (ONFi-3 SDR-400, future
 //! DDR-800) live in the `interconnect` crate; this is just the data.
 
-use serde::Serialize;
-
 /// Transfer-rate description of one NVM channel bus.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BusTiming {
     /// Human-readable standard name (e.g. `"ONFi3-SDR-400"`).
     pub name: &'static str,

@@ -9,10 +9,9 @@
 //! results are comparative, not absolute).
 
 use crate::kind::NvmKind;
-use serde::Serialize;
 
 /// Energy characteristics of one NVM medium.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MediaEnergy {
     /// Which medium.
     pub kind: NvmKind,

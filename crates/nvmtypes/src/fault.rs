@@ -21,7 +21,6 @@
 use crate::convert::approx_f64;
 use crate::kind::NvmKind;
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// 2⁵³ as `f64`: the denominator turning a 53-bit integer into a
 /// uniform sample in `[0, 1)`.
@@ -114,7 +113,7 @@ impl FaultRng {
 }
 
 /// Media-level error processes (flashsim layer).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MediaFaultProfile {
     /// Base probability that a page read at zero wear on SLC needs ECC
     /// beyond the inline (free) tier. Scaled per medium by
@@ -190,7 +189,7 @@ impl MediaFaultProfile {
 }
 
 /// Interconnect-level error processes (PCIe/SATA host links).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFaultProfile {
     /// Probability a host-link transfer is hit by a CRC error and must
     /// be replayed.
@@ -234,7 +233,7 @@ impl LinkFaultProfile {
 /// deterministic position, not a probability. The only probabilistic
 /// part is whether the in-flight sector write tears (persists a partial
 /// prefix) or vanishes entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrashFaultProfile {
     /// Power fails *during* the Nth device sector write (1-based):
     /// writes `1..N-1` persist fully, write `N` is torn or dropped, and
@@ -359,7 +358,7 @@ impl CrashPoint {
 }
 
 /// Node/cluster-level error processes (solver layer).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeFaultProfile {
     /// Probability the node is lost during any one solver iteration.
     pub crash_prob_per_iter: f64,
@@ -396,7 +395,7 @@ impl NodeFaultProfile {
 /// A plan is plain data: embed it in a device config, print it, parse
 /// it from the TOML-ish text format ([`FaultPlan::parse`]). The default
 /// plan is [`FaultPlan::none`] — all tier-1 paper figures run under it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Master seed; each fault process derives its own stream from it.
     pub seed: u64,

@@ -6,10 +6,9 @@
 //! channel and 2 dies per package. NAND dies additionally carry 2 planes.
 
 use crate::kind::NvmKind;
-use serde::{Deserialize, Serialize};
 
 /// Structural geometry of a simulated SSD.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SsdGeometry {
     /// Number of independent channels (shared buses).
     pub channels: u32,
@@ -144,7 +143,7 @@ impl SsdGeometry {
 /// Dies are numbered channel-major: die `i` lives on channel
 /// `i % channels`, package `(i / channels) % packages_per_channel`,
 /// die-in-package `i / (channels * packages_per_channel)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DieIndex(pub u32);
 
 impl DieIndex {
@@ -168,7 +167,7 @@ impl DieIndex {
 }
 
 /// A fully resolved physical location inside the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PhysLoc {
     /// Channel index.
     pub channel: u32,

@@ -1,9 +1,7 @@
 //! NVM media kinds and page program classes.
 
-use serde::{Deserialize, Serialize};
-
 /// The four NVM media evaluated by the paper (§2.3, Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NvmKind {
     /// Single-level-cell NAND flash: one bit per cell, 2 KiB pages,
     /// fast and uniform program latency, highest endurance.
@@ -64,7 +62,7 @@ impl std::fmt::Display for NvmKind {
 /// CSB) pages require successively finer charge placement and are much
 /// slower. This is the "intrinsic latency variation" NANDFlashSim models
 /// (§4.1, [21]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PageClass {
     /// Least-significant-bit page (fast program).
     Lsb,

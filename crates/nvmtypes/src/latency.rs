@@ -14,12 +14,11 @@
 
 use crate::kind::{NvmKind, PageClass};
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
 
 const US: Nanos = 1_000;
 
 /// Latency and page-size description of one NVM medium (one Table-1 row).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MediaTiming {
     /// Which medium this timing describes.
     pub kind: NvmKind,

@@ -1,9 +1,7 @@
 //! Byte-addressed I/O requests as seen at the host interface.
 
-use serde::{Deserialize, Serialize};
-
 /// Direction of an I/O operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoOp {
     /// Data flows device -> host.
     Read,
@@ -20,7 +18,7 @@ impl IoOp {
 
 /// One request arriving at the storage device (post-file-system): a
 /// contiguous byte extent in the device's logical address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostRequest {
     /// Read or write.
     pub op: IoOp,

@@ -6,18 +6,17 @@
 //! channels and runs each filter on its own thread, so a slow stage
 //! applies backpressure instead of buffering unboundedly.
 
-use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use nvmtypes::SimError;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, sync_channel};
 
 /// A stage in a dataflow: consumes chunks, emits chunks.
 pub trait Filter: Send {
     /// Handles one incoming chunk, emitting any number of chunks.
-    fn process(&mut self, chunk: Bytes, emit: &mut dyn FnMut(Bytes));
+    fn process(&mut self, chunk: Vec<u8>, emit: &mut dyn FnMut(Vec<u8>));
     /// Called once after the input stream ends; may flush buffered state.
-    fn finish(&mut self, _emit: &mut dyn FnMut(Bytes)) {}
+    fn finish(&mut self, _emit: &mut dyn FnMut(Vec<u8>)) {}
 }
 
 /// A linear chain of filters connected by bounded streams.
@@ -60,9 +59,9 @@ impl Pipeline {
     /// panics, and [`SimError::ChannelClosed`] when a stage's downstream
     /// hangs up while it still has chunks to emit. A healthy run drains
     /// every stream, so neither can occur without a real fault.
-    pub fn run<I>(self, source: I) -> Result<Vec<Bytes>, SimError>
+    pub fn run<I>(self, source: I) -> Result<Vec<Vec<u8>>, SimError>
     where
-        I: IntoIterator<Item = Bytes> + Send + 'static,
+        I: IntoIterator<Item = Vec<u8>> + Send + 'static,
         I::IntoIter: Send,
     {
         let depth = self.stream_depth.max(1);
@@ -75,11 +74,11 @@ impl Pipeline {
         // Stage outcomes come back over a channel (pool jobs have no join
         // handle): `Err(())` records a caught panic in that stage.
         type Outcome = Result<Result<(), SimError>, ()>;
-        let (res_tx, res_rx) = unbounded::<(usize, Outcome)>();
+        let (res_tx, res_rx) = channel::<(usize, Outcome)>();
 
-        let (first_tx, mut prev_rx): (Sender<Bytes>, Receiver<Bytes>) = bounded(depth);
+        let (first_tx, mut prev_rx) = sync_channel::<Vec<u8>>(depth);
         for (i, mut f) in self.filters.into_iter().enumerate() {
-            let (tx, rx): (Sender<Bytes>, Receiver<Bytes>) = bounded(depth);
+            let (tx, rx) = sync_channel::<Vec<u8>>(depth);
             let input = prev_rx;
             let res_tx = res_tx.clone();
             worker_pool.spawn(move || {
@@ -88,7 +87,7 @@ impl Pipeline {
                     // record it so the stage can stop and report instead of
                     // silently dropping the rest of the flow.
                     let disconnected = Cell::new(false);
-                    let mut emit = |chunk: Bytes| {
+                    let mut emit = |chunk: Vec<u8>| {
                         if tx.send(chunk).is_err() {
                             disconnected.set(true);
                         }
@@ -127,7 +126,7 @@ impl Pipeline {
             }));
             let _pipeline_gone = res_tx.send((stages, outcome.map(Ok).map_err(|_| ())));
         });
-        let out: Vec<Bytes> = prev_rx.iter().collect();
+        let out: Vec<Vec<u8>> = prev_rx.iter().collect();
 
         let mut outcomes: Vec<Option<Outcome>> = (0..=stages).map(|_| None).collect();
         for _ in 0..=stages {
@@ -175,24 +174,23 @@ impl Default for Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::{Receiver, Sender};
+    use std::sync::Arc;
+    use std::time::Duration;
 
     /// Doubles every byte value.
     struct Doubler;
     impl Filter for Doubler {
-        fn process(&mut self, chunk: Bytes, emit: &mut dyn FnMut(Bytes)) {
-            emit(Bytes::from(
-                chunk
-                    .iter()
-                    .map(|&b| b.wrapping_mul(2))
-                    .collect::<Vec<u8>>(),
-            ));
+        fn process(&mut self, chunk: Vec<u8>, emit: &mut dyn FnMut(Vec<u8>)) {
+            emit(chunk.iter().map(|&b| b.wrapping_mul(2)).collect());
         }
     }
 
     /// Drops chunks whose first byte is odd.
     struct EvenOnly;
     impl Filter for EvenOnly {
-        fn process(&mut self, chunk: Bytes, emit: &mut dyn FnMut(Bytes)) {
+        fn process(&mut self, chunk: Vec<u8>, emit: &mut dyn FnMut(Vec<u8>)) {
             if chunk.first().is_some_and(|b| b % 2 == 0) {
                 emit(chunk);
             }
@@ -202,11 +200,29 @@ mod tests {
     /// Counts chunks, emitting the total at end-of-stream.
     struct Counter(u64);
     impl Filter for Counter {
-        fn process(&mut self, _chunk: Bytes, _emit: &mut dyn FnMut(Bytes)) {
+        fn process(&mut self, _chunk: Vec<u8>, _emit: &mut dyn FnMut(Vec<u8>)) {
             self.0 += 1;
         }
-        fn finish(&mut self, emit: &mut dyn FnMut(Bytes)) {
-            emit(Bytes::from(self.0.to_le_bytes().to_vec()));
+        fn finish(&mut self, emit: &mut dyn FnMut(Vec<u8>)) {
+            emit(self.0.to_le_bytes().to_vec());
+        }
+    }
+
+    /// Passes chunks through, but holds the first one until released:
+    /// announces it on `entered`, then waits for `release` to hang up.
+    struct Gate {
+        entered: Option<Sender<()>>,
+        release: Option<Receiver<()>>,
+    }
+    impl Filter for Gate {
+        fn process(&mut self, chunk: Vec<u8>, emit: &mut dyn FnMut(Vec<u8>)) {
+            if let Some(entered) = self.entered.take() {
+                let _ = entered.send(());
+            }
+            if let Some(release) = self.release.take() {
+                let _ = release.recv();
+            }
+            emit(chunk);
         }
     }
 
@@ -214,12 +230,9 @@ mod tests {
     fn single_stage_transforms() {
         let out = Pipeline::new()
             .then(Doubler)
-            .run(vec![Bytes::from_static(&[1, 2]), Bytes::from_static(&[3])])
+            .run(vec![vec![1, 2], vec![3]])
             .unwrap();
-        assert_eq!(
-            out,
-            vec![Bytes::from_static(&[2, 4]), Bytes::from_static(&[6])]
-        );
+        assert_eq!(out, vec![vec![2, 4], vec![6]]);
     }
 
     #[test]
@@ -229,7 +242,7 @@ mod tests {
         let out = Pipeline::new()
             .then(Doubler)
             .then(EvenOnly)
-            .run((1u8..=3).map(|b| Bytes::from(vec![b])))
+            .run((1u8..=3).map(|b| vec![b]))
             .unwrap();
         assert_eq!(out.len(), 3);
     }
@@ -238,7 +251,7 @@ mod tests {
     fn finish_flushes_aggregates() {
         let out = Pipeline::new()
             .then(Counter(0))
-            .run((0..100u8).map(|b| Bytes::from(vec![b])))
+            .run((0..100u8).map(|b| vec![b]))
             .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(u64::from_le_bytes(out[0][..8].try_into().unwrap()), 100);
@@ -246,18 +259,52 @@ mod tests {
 
     #[test]
     fn bounded_streams_apply_backpressure_without_deadlock() {
-        // Many more chunks than the stream depth.
-        let mut p = Pipeline::new().then(Doubler).then(Doubler);
-        p.stream_depth = 2;
-        let out = p
-            .run((0..1000u32).map(|i| Bytes::from(vec![(i % 251) as u8])))
-            .unwrap();
+        // The last stage holds its first chunk, so nothing downstream is
+        // consumed. Upstream of it every stream fills to `depth`, and the
+        // producer and each stage hold at most one chunk in hand.
+        let (entered_tx, entered_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        let mut p = Pipeline::new().then(Doubler).then(Doubler).then(Gate {
+            entered: Some(entered_tx),
+            release: Some(release_rx),
+        });
+        p.stream_depth = 4;
+        let bound = p.len() * (p.stream_depth + 1) + 1;
+        let pulled = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&pulled);
+        let source = (0..1000u32).map(move |i| {
+            counter.fetch_add(1, Ordering::SeqCst);
+            vec![(i % 251) as u8]
+        });
+        let run = std::thread::spawn(move || p.run(source));
+
+        entered_rx.recv().unwrap();
+        // Bounded streams can never let the count pass `bound`, however
+        // the threads are scheduled; waiting until the count settles only
+        // gives an unbounded stream the time to overshoot it.
+        let mut seen = pulled.load(Ordering::SeqCst);
+        loop {
+            std::thread::sleep(Duration::from_millis(20));
+            let now = pulled.load(Ordering::SeqCst);
+            if now == seen {
+                break;
+            }
+            seen = now;
+        }
+        assert!(
+            seen <= bound,
+            "producer pulled {seen} chunks ahead of a blocked consumer (bound {bound})"
+        );
+
+        drop(release_tx);
+        let out = run.join().unwrap().unwrap();
         assert_eq!(out.len(), 1000);
+        assert_eq!(out[1], vec![4]);
     }
 
     #[test]
     fn empty_pipeline_is_identity() {
-        let chunks = vec![Bytes::from_static(b"abc")];
+        let chunks = vec![b"abc".to_vec()];
         let out = Pipeline::new().run(chunks.clone()).unwrap();
         assert_eq!(out, chunks);
     }
@@ -265,7 +312,7 @@ mod tests {
     /// Panics on the first chunk it sees.
     struct Exploder;
     impl Filter for Exploder {
-        fn process(&mut self, _chunk: Bytes, _emit: &mut dyn FnMut(Bytes)) {
+        fn process(&mut self, _chunk: Vec<u8>, _emit: &mut dyn FnMut(Vec<u8>)) {
             panic!("injected stage failure");
         }
     }
@@ -275,7 +322,7 @@ mod tests {
         let err = Pipeline::new()
             .then(Doubler)
             .then(Exploder)
-            .run((0..100u8).map(|b| Bytes::from(vec![b])))
+            .run((0..100u8).map(|b| vec![b]))
             .unwrap_err();
         assert!(
             matches!(err, SimError::WorkerPanic { .. }),
@@ -289,7 +336,7 @@ mod tests {
             .then(Doubler)
             .run((0..10u8).map(|b| {
                 assert!(b < 5, "injected producer failure");
-                Bytes::from(vec![b])
+                vec![b]
             }))
             .unwrap_err();
         assert_eq!(

@@ -9,11 +9,10 @@
 
 use crate::dooc::pool::DataPool;
 use rayon::prelude::*;
-use serde::Serialize;
 use std::sync::Arc;
 
 /// Outcome of one migration.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MigrationReport {
     /// Keys copied into the destination.
     pub moved: u64,

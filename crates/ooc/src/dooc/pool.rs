@@ -1,10 +1,9 @@
 //! The immutable keyed data pool with memory management and prefetching.
 
 use nvmtypes::SimError;
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Hit/miss/eviction counters.
 #[derive(Debug, Default)]
@@ -75,17 +74,24 @@ impl DataPool {
 
     /// Bytes currently resident.
     pub fn used(&self) -> u64 {
-        self.inner.lock().used
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .used
     }
 
     /// Whether `key` is resident (does not count as a hit/miss).
     pub fn contains(&self, key: &str) -> bool {
-        self.inner.lock().map.contains_key(key)
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .map
+            .contains_key(key)
     }
 
     /// Looks a key up, refreshing its recency.
     pub fn get(&self, key: &str) -> Option<Arc<Vec<u8>>> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.clock += 1;
         let clock = inner.clock;
         match inner.map.get_mut(key) {
@@ -104,7 +110,7 @@ impl DataPool {
     /// Inserts an immutable value. Re-inserting an existing key keeps the
     /// original bytes (immutability) and returns the resident value.
     pub fn insert(&self, key: &str, data: Vec<u8>) -> Arc<Vec<u8>> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.clock += 1;
         let clock = inner.clock;
         if let Some(e) = inner.map.get_mut(key) {
@@ -180,7 +186,7 @@ impl Prefetcher {
     /// (and surfaced by `shutdown`) rather than panicking.
     pub fn prefetch<F: FnOnce() -> Vec<u8> + Send + 'static>(&self, key: &str, loader: F) {
         let (lock, _) = &*self.outstanding;
-        *lock.lock() += 1;
+        *lock.lock().unwrap_or_else(PoisonError::into_inner) += 1;
         let Some(workers) = self.workers.as_ref() else {
             // Shut down (only reachable mid-drop): the load can never
             // happen, so record the failure and release any waiter.
@@ -206,7 +212,7 @@ impl Prefetcher {
                 }
             }
             let (lock, cv) = &*outstanding;
-            let mut n = lock.lock();
+            let mut n = lock.lock().unwrap_or_else(PoisonError::into_inner);
             *n -= 1;
             cv.notify_all();
         });
@@ -216,7 +222,7 @@ impl Prefetcher {
     fn record_failed_load(&self) {
         self.failed_loads.fetch_add(1, Ordering::Relaxed);
         let (lock, cv) = &*self.outstanding;
-        let mut n = lock.lock();
+        let mut n = lock.lock().unwrap_or_else(PoisonError::into_inner);
         *n -= 1;
         cv.notify_all();
     }
@@ -224,10 +230,10 @@ impl Prefetcher {
     /// Blocks until every queued prefetch has landed (or failed).
     pub fn drain(&self) {
         let (lock, cv) = &*self.outstanding;
-        let mut n = lock.lock();
-        while *n > 0 {
-            cv.wait(&mut n);
-        }
+        let n = lock.lock().unwrap_or_else(PoisonError::into_inner);
+        let _idle = cv
+            .wait_while(n, |n| *n > 0)
+            .unwrap_or_else(PoisonError::into_inner);
     }
 
     /// Loaders that panicked so far (their keys were not inserted).

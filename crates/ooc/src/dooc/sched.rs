@@ -4,7 +4,7 @@ use crate::dooc::pool::DataPool;
 use nvmtypes::SimError;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 /// Identifier of a task within a [`TaskGraph`].
 pub type TaskId = usize;
@@ -126,7 +126,7 @@ impl TaskGraph {
             .map(|(i, t)| (i, t.run))
             .collect();
 
-        let (done_tx, done_rx) = crossbeam::channel::unbounded::<(TaskId, bool)>();
+        let (done_tx, done_rx) = mpsc::channel::<(TaskId, bool)>();
         let worker_pool = rayon::ThreadPoolBuilder::new().num_threads(workers).build();
 
         let mut ready: Vec<TaskId> = (0..deps_left.len())

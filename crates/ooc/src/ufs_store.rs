@@ -16,8 +16,8 @@ use crate::store::{decode_panel, serialize_panels, CsrPanel, PanelMeta};
 use nvmtypes::convert::usize_from;
 use nvmtypes::{IoOp, SimError};
 use ooctrace::TraceSink;
-use parking_lot::Mutex;
 use ssd::SimBlockDevice;
+use std::sync::{Mutex, PoisonError};
 use ufs::{FileId, Ufs, UfsParams};
 
 /// Name of the panel file inside the filesystem.
@@ -93,7 +93,10 @@ impl UfsMatrix {
         let meta = self.panels[idx];
         sink.record(IoOp::Read, self.file_id, meta.offset, meta.len);
         let mut buf = vec![0u8; usize_from(meta.len)];
-        self.fs.lock().read(self.file, meta.offset, &mut buf)?;
+        self.fs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .read(self.file, meta.offset, &mut buf)?;
         Ok(decode_panel(&buf, meta.row_start))
     }
 
@@ -112,7 +115,11 @@ impl UfsMatrix {
     /// Tears the store down to its raw device image (consuming it) — the
     /// hook crash tooling uses to remount and verify durability.
     pub fn into_media(self) -> Vec<u8> {
-        self.fs.into_inner().into_device().into_media()
+        self.fs
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .into_device()
+            .into_media()
     }
 }
 

@@ -602,6 +602,19 @@ fn callee_path(expr: &Expr, file: &FileAst, index: &Index) -> Option<String> {
     index.lookup(&resolved).map(|sig| sig.path.clone())
 }
 
+/// Sees through std's poison adapters: `m.lock().unwrap_or_else(..)`,
+/// `.unwrap()` and `.expect(..)` bind the same guard as `m.lock()`.
+fn guard_init(init: &Expr) -> &Expr {
+    match &init.kind {
+        ExprKind::MethodCall { recv, method, .. }
+            if matches!(method.as_str(), "unwrap_or_else" | "unwrap" | "expect") =>
+        {
+            guard_init(recv)
+        }
+        _ => init,
+    }
+}
+
 /// Statement walker tracking which locks are held, drawing an edge for
 /// every acquisition (direct or via callee summary) under a held lock.
 struct LockWalker<'a> {
@@ -624,7 +637,7 @@ impl LockWalker<'_> {
                     init: Some(init),
                     ..
                 } => {
-                    if let ExprKind::MethodCall { recv, method, args } = &init.kind {
+                    if let ExprKind::MethodCall { recv, method, args } = &guard_init(init).kind {
                         if method == "lock" && args.is_empty() {
                             // `let guard = place.lock();` — held until the
                             // end of this block or an explicit `drop`.
@@ -801,6 +814,29 @@ mod tests {
         assert!(locks[0].finding.message.contains("cycle"));
         // `c` never participates in a cycle (drop released `a` first).
         assert!(locks.iter().all(|l| !l.finding.message.contains("`c`")));
+    }
+
+    #[test]
+    fn std_poison_adapters_still_hold_the_guard() {
+        let found = scan(
+            "pub fn fwd(a: &Mutex<u32>, b: &Mutex<u32>) {\n\
+             let ga = a.lock().unwrap_or_else(PoisonError::into_inner);\n\
+             let gb = b.lock().unwrap();\n\
+             drop(gb);\n\
+             drop(ga);\n\
+             }\n\
+             pub fn bwd(a: &Mutex<u32>, b: &Mutex<u32>) {\n\
+             let gb = b.lock().unwrap_or_else(PoisonError::into_inner);\n\
+             let ga = a.lock().unwrap_or_else(PoisonError::into_inner);\n\
+             drop(ga);\n\
+             drop(gb);\n\
+             }\n",
+        );
+        let locks: Vec<_> = found
+            .iter()
+            .filter(|l| l.finding.rule == Rule::LockOrder)
+            .collect();
+        assert_eq!(locks.len(), 2, "one per edge on the cycle: {locks:?}");
     }
 
     #[test]

@@ -604,6 +604,29 @@ mod tests {
         assert!(diff.improvements[0].contains("down to 0 per-event / 0 per-run"));
     }
 
+    /// The export is a valid baseline for the scan it came from: diffed
+    /// against that same scan it reports nothing, and one extra
+    /// per-event hot site is exactly one regression.
+    #[test]
+    fn export_round_trips_through_its_own_baseline_diff() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/ws");
+        let mut report = simlint::scan_workspace(&root).expect("fixture corpus scans");
+        let allow = Allowlist::from_counts(&report.counts);
+        assert!(!report.counts.is_empty() && !report.hot_sites.is_empty());
+        let doc = export(&report, &allow);
+        let diff = diff_baseline(&doc, &report, &allow).expect("export parses as a baseline");
+        assert!(diff.regressions.is_empty(), "{:?}", diff.regressions);
+        assert!(diff.improvements.is_empty(), "{:?}", diff.improvements);
+
+        let mut extra = report.hot_sites[0].clone();
+        extra.severity = Severity::PerEvent;
+        report.hot_sites.push(extra);
+        let diff = diff_baseline(&doc, &report, &allow).expect("export parses as a baseline");
+        assert_eq!(diff.regressions.len(), 1, "{:?}", diff.regressions);
+        assert!(diff.regressions[0].contains("hot-path allocation inventory grew"));
+        assert!(diff.improvements.is_empty(), "{:?}", diff.improvements);
+    }
+
     /// Unknown schemas are rejected, naming every accepted tag.
     #[test]
     fn unknown_baseline_schemas_are_rejected() {

@@ -1,8 +1,7 @@
 //! A tiny deterministic JSON tree: build, render, parse.
 //!
-//! The workspace builds offline against std-only shims — the vendored
-//! `serde` is a marker-trait stub — so machine-readable output is
-//! rendered by hand. This module keeps that honest: one value tree with
+//! The workspace has no serialisation crate, so machine-readable output
+//! is rendered by hand. This module keeps that honest: one value tree with
 //! a canonical renderer (object keys stay in insertion order, numbers
 //! are pre-rendered strings, so equal trees render byte-identically)
 //! and a recursive-descent parser used by `obsreport` and the check

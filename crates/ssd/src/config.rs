@@ -4,10 +4,9 @@ use crate::mapping::{Dim, DEFAULT_ORDER};
 use flashsim::MediaConfig;
 use interconnect::LinkChain;
 use nvmtypes::{FaultPlan, Nanos};
-use serde::Serialize;
 
 /// How logical requests are translated to NVM transactions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FtlMode {
     /// A conventional in-device flash translation layer (Figure 4a):
     /// firmware latency per request, internal transaction-size splitting,
@@ -63,7 +62,7 @@ impl FtlMode {
 }
 
 /// Full configuration of a simulated SSD and its host attachment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SsdConfig {
     /// Media side (geometry, Table-1 timing, channel bus).
     pub media: MediaConfig,

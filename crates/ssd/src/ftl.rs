@@ -23,11 +23,10 @@
 use crate::config::FtlMode;
 use nvmtypes::convert::{approx_f64, u32_from, u64_from_usize, usize_from};
 use nvmtypes::SsdGeometry;
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Wear-levelling and garbage-collection statistics.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WearStats {
     /// Total block erases performed.
     pub erases: u64,

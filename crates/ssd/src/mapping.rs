@@ -14,10 +14,9 @@
 
 use nvmtypes::convert::{u32_from, u64_from_usize, usize_from_u32};
 use nvmtypes::{DieIndex, SsdGeometry};
-use serde::{Deserialize, Serialize};
 
 /// A parallelism dimension of the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dim {
     /// Channel (shared bus) index.
     Channel,
@@ -80,7 +79,7 @@ impl DecomposeScratch {
 }
 
 /// Deterministic logical-page → physical-slot mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StripeMap {
     geometry: SsdGeometry,
     order: [Dim; 4],

@@ -4,11 +4,10 @@ use crate::ftl::WearStats;
 use flashsim::{EnergyReport, MediaReport, PalHistogram};
 use interconnect::LinkFaultStats;
 use nvmtypes::Nanos;
-use serde::Serialize;
 
 /// Fault and recovery accounting for one run. All-zero (the `Default`)
 /// when the run's [`nvmtypes::FaultPlan`] is `none()`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReliabilityStats {
     /// Pages whose read needed help beyond the inline ECC tier.
     pub read_errors: u64,
@@ -54,7 +53,7 @@ impl ReliabilityStats {
 }
 
 /// Request-latency distribution summary.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencyStats {
     /// Median request latency, ns.
     pub p50: Nanos,
@@ -89,7 +88,7 @@ impl LatencyStats {
 /// Results of replaying one block trace through one device configuration.
 /// `PartialEq` compares every field (the bench's observer-effect check
 /// relies on this being exhaustive — a new field is compared by default).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// End-to-end simulated time, ns.
     pub makespan: Nanos,

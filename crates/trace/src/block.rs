@@ -2,11 +2,10 @@
 //! simulator consumes.
 
 use nvmtypes::HostRequest;
-use serde::{Deserialize, Serialize};
 
 /// An ordered sequence of device-level requests, together with the issue
 /// discipline the emitting layer sustains.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockTrace {
     /// Requests in issue order.
     pub requests: Vec<HostRequest>,

@@ -7,8 +7,8 @@
 
 use crate::record::{PosixTrace, TraceRecord};
 use nvmtypes::{IoOp, Nanos};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Anything that can observe POSIX-level I/O calls.
 pub trait TraceSink: Send + Sync {
@@ -65,7 +65,10 @@ impl TraceCapture {
 
     /// Number of events captured so far.
     pub fn len(&self) -> usize {
-        self.records.lock().len()
+        self.records
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// `true` when nothing has been captured.
@@ -76,14 +79,21 @@ impl TraceCapture {
     /// Consumes the capture, returning the trace sorted by timestamp
     /// (stable, so same-timestamp events keep capture order).
     pub fn into_trace(self) -> PosixTrace {
-        let mut tr = self.records.into_inner();
+        let mut tr = self
+            .records
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         tr.records.sort_by_key(|r| r.t);
         tr
     }
 
     /// Clones the current contents without consuming the capture.
     pub fn snapshot(&self) -> PosixTrace {
-        let mut tr = self.records.lock().clone();
+        let mut tr = self
+            .records
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
         tr.records.sort_by_key(|r| r.t);
         tr
     }
@@ -92,7 +102,7 @@ impl TraceCapture {
 impl TraceSink for TraceCapture {
     fn record(&self, op: IoOp, file: u32, offset: u64, len: u64) {
         let t: Nanos = self.clock.fetch_add(self.ns_per_call, Ordering::Relaxed);
-        let mut guard = self.records.lock();
+        let mut guard = self.records.lock().unwrap_or_else(PoisonError::into_inner);
         guard.records.push(TraceRecord {
             t,
             op,

@@ -1,10 +1,9 @@
 //! POSIX-level trace records.
 
 use nvmtypes::{IoOp, Nanos, SimError};
-use serde::{Deserialize, Serialize};
 
 /// One POSIX-level I/O event captured directly under the application.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Timestamp of the call (ns since trace start).
     pub t: Nanos,
@@ -26,7 +25,7 @@ impl TraceRecord {
 }
 
 /// An ordered POSIX-level trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PosixTrace {
     /// Events in capture order.
     pub records: Vec<TraceRecord>,

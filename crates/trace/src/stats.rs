@@ -2,11 +2,10 @@
 
 use crate::block::BlockTrace;
 use crate::record::PosixTrace;
-use serde::{Deserialize, Serialize};
 
 /// One point of the Figure-6 style access-pattern scatter:
 /// the `seq`-th request in the trace touched byte address `addr`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScatterPoint {
     /// Position of the access in issue order.
     pub seq: u64,
@@ -17,7 +16,7 @@ pub struct ScatterPoint {
 }
 
 /// Power-of-two request-size histogram.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SizeHistogram {
     /// `buckets[i]` counts requests with `2^i <= len < 2^(i+1)`
     /// (bucket 0 also holds zero-length requests).
@@ -66,7 +65,7 @@ impl SizeHistogram {
 }
 
 /// Aggregate shape statistics of a trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccessStats {
     /// Number of requests.
     pub count: u64,

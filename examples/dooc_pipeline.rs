@@ -98,30 +98,28 @@ fn main() {
     //    producer -> checksum filter -> threshold filter.
     struct Checksum;
     impl Filter for Checksum {
-        fn process(&mut self, chunk: bytes::Bytes, emit: &mut dyn FnMut(bytes::Bytes)) {
+        fn process(&mut self, chunk: Vec<u8>, emit: &mut dyn FnMut(Vec<u8>)) {
             let s = summarise(&chunk);
-            emit(bytes::Bytes::from(s.to_le_bytes().to_vec()));
+            emit(s.to_le_bytes().to_vec());
         }
     }
     struct Threshold(f64);
     impl Filter for Threshold {
-        fn process(&mut self, chunk: bytes::Bytes, emit: &mut dyn FnMut(bytes::Bytes)) {
+        fn process(&mut self, chunk: Vec<u8>, emit: &mut dyn FnMut(Vec<u8>)) {
             let v = f64::from_le_bytes(chunk[..8].try_into().unwrap());
             if v > self.0 {
                 emit(chunk);
             }
         }
     }
-    let source: Vec<bytes::Bytes> = (0..n_panels)
+    let source: Vec<Vec<u8>> = (0..n_panels)
         .map(|idx| {
-            let data = pool
-                .get(&format!("panel/{idx}"))
+            pool.get(&format!("panel/{idx}"))
                 .map(|a| a.to_vec())
                 .unwrap_or_else(|| {
                     let p = ooc.read_panel(idx, &*capture);
                     p.values.iter().flat_map(|v| v.to_le_bytes()).collect()
-                });
-            bytes::Bytes::from(data)
+                })
         })
         .collect();
     let heavy = Pipeline::new()

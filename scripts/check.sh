@@ -8,10 +8,16 @@
 #   1. rustfmt        — formatting is canonical (`cargo fmt --check`)
 #   2. clippy         — workspace lint policy ([workspace.lints]: the
 #                       unwrap/expect/panic deny set, unsafe_code)
-#   3. simlint        — simulator invariants (determinism, unit-safety,
-#                       no-panic, exhaustive matches, atomic-ordering
-#                       and lock-order concurrency passes;
-#                       docs/INVARIANTS.md, docs/CONCURRENCY.md)
+#   3. simlint        — `simlint --baseline`: simulator invariants
+#                       (determinism, unit-safety, no-panic, exhaustive
+#                       matches, atomic-ordering and lock-order
+#                       concurrency passes) checked against the burn-
+#                       down allowlist, then the findings diffed against
+#                       the committed results/simlint.baseline.json: any
+#                       new (rule, path) finding, allowlist growth or
+#                       new hot-path allocation site fails the gate
+#                       (docs/INVARIANTS.md, docs/CONCURRENCY.md,
+#                       docs/STATIC_ANALYSIS.md)
 #   4. tests          — the whole workspace test suite
 #   5. release build  — tier-1 artifact (skipped with --fast)
 #   6. reliability    — fault-injection smoke: the seeded fault sweep
@@ -29,44 +35,30 @@
 #                       identical: the thread count is invisible in
 #                       every output (docs/PARALLELISM.md; skipped
 #                       with --fast)
-#   9. simlint baseline — the versioned `simlint --json` findings are
-#                       diffed against the committed
-#                       results/simlint.baseline.json: any new
-#                       (rule, path) finding or allowlist growth fails
-#                       the gate, including under the concurrency
-#                       passes (docs/STATIC_ANALYSIS.md)
-#  10. simcheck       — model-checking smoke: exhaustively explores the
+#   9. simcheck       — model-checking smoke: exhaustively explores the
 #                       vendored pool's claim/poison protocol at 2-3
 #                       threads on shadow atomics (zero violations) and
 #                       re-detects every planted fixture bug at its
 #                       pinned execution count (docs/CONCURRENCY.md)
-#  11. ufs            — crash-consistency smoke: the journaled UFS must
+#  10. ufs            — crash-consistency smoke: the journaled UFS must
 #                       recover to the committed prefix from power loss
 #                       (dropped and torn) at every device write of the
 #                       smoke workload, and the study must be byte-
 #                       identical on a same-seed re-run (docs/UFS.md;
 #                       skipped with --fast)
-#  12. bench          — perf-regression smoke: the pinned scenario's
+#  11. bench          — perf-regression smoke: the pinned scenario's
 #                       simulated results must match the committed
 #                       results/BENCH_core.json byte-for-byte, host
 #                       wall time must stay inside the tolerance band,
 #                       and profiling on vs off must not change a
 #                       result byte (docs/PROFILING.md; skipped with
 #                       --fast)
-#  13. tenants        — multi-tenant QoS smoke: the tenant-density
+#  12. tenants        — multi-tenant QoS smoke: the tenant-density
 #                       sweep must be byte-identical run-to-run and
 #                       match the committed results/BENCH_tenants.json
 #                       byte-for-byte (docs/TENANCY.md; skipped with
 #                       --fast)
-#  14. hotpath ratchet — `simlint --json --baseline`: the versioned
-#                       oocnvm.simlint/3 document (including the
-#                       hot-path allocation inventory: per-crate
-#                       per_event/per_run site counts from the
-#                       interprocedural hotpath pass) must not grow
-#                       versus results/simlint.baseline.json — any new
-#                       per-event allocation on a hot path fails the
-#                       gate (docs/STATIC_ANALYSIS.md)
-#  15. benchmark tests — the standalone benchmark package's own tests
+#  13. benchmark tests — the standalone benchmark package's own tests
 #                       (`cargo test --manifest-path benchmark/Cargo.toml`):
 #                       the committed digest pins in
 #                       results/benchmark/pins.json pass and a mutated
@@ -99,8 +91,8 @@ cargo fmt --check
 step "cargo clippy --workspace"
 cargo clippy --workspace --quiet
 
-step "simlint (simulator invariants + burn-down allowlist)"
-cargo run --quiet -p simlint
+step "simlint --baseline (invariants, allowlist, findings + hot-path ratchet)"
+cargo run --quiet -p simlint -- --baseline results/simlint.baseline.json
 
 step "cargo test --workspace"
 cargo test --workspace --quiet
@@ -143,9 +135,6 @@ if [ "$fast" -eq 0 ]; then
     }
 fi
 
-step "simlint --baseline (findings ratchet vs committed baseline)"
-cargo run --quiet -p simlint -- --baseline results/simlint.baseline.json
-
 step "simcheck --smoke (pool-protocol model check + planted fixtures)"
 cargo run --quiet -p simcheck -- --smoke
 
@@ -159,10 +148,6 @@ if [ "$fast" -eq 0 ]; then
     step "tenants --smoke (multi-tenant QoS baseline, byte-identical)"
     cargo run --release --quiet --bin tenants -- --smoke
 fi
-
-step "simlint --json --baseline (hot-path allocation inventory ratchet)"
-cargo run --quiet -p simlint -- --json --baseline results/simlint.baseline.json \
-    > target/simlint.json
 
 step "benchmark tests (digest pins, bypass checks, simlint scan of benchmark/)"
 cargo test --quiet --manifest-path benchmark/Cargo.toml

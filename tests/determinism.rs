@@ -168,7 +168,7 @@ fn reports_are_stable_across_interleaved_device_lifetimes() {
 // byte-identical at 1, 2 and 8 workers, and pin the pool primitives the
 // contract rests on: ordered `collect` and panic propagation.
 
-/// Serializes `RAYON_NUM_THREADS` mutation: tests in one binary run on
+/// Makes `RAYON_NUM_THREADS` mutation exclusive: tests in one binary run on
 /// concurrent threads, and the environment is process-global.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 

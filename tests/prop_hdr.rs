@@ -106,7 +106,7 @@ proptest! {
     }
 }
 
-/// Serializes `RAYON_NUM_THREADS` mutation — the environment is
+/// Makes `RAYON_NUM_THREADS` mutation exclusive — the environment is
 /// process-global and tests in one binary run concurrently.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 

@@ -2,7 +2,7 @@
 
 use nvmtypes::{BusTiming, HostRequest, IoOp, MediaTiming, NvmKind, SsdGeometry};
 use ooc::dense::{cholesky, jacobi_eigh, mgs_orthonormalize, DMatrix};
-use ooc::{CsrMatrix, HamiltonianSpec, OocMatrix};
+use ooc::{HamiltonianSpec, OocMatrix};
 use oocfs::FsKind;
 use ooctrace::{BlockTrace, PosixTrace, TraceCapture, TraceRecord};
 use proptest::prelude::*;
