@@ -250,11 +250,16 @@ impl MediaSim {
             }
         };
 
+        // The die re-arms strictly after this op started, so its next op
+        // starts strictly later: the invariant that lets the stats keep
+        // each die's busy spans sorted without a sort.
+        debug_assert!(
+            self.die_free[die] > t_start,
+            "die {die} re-armed at {}, not after op start {t_start}",
+            self.die_free[die]
+        );
         self.die_last_busy[die] = outcome.end - outcome.start;
-        self.stats.die_busy[die] += outcome.end - outcome.start;
-        self.stats
-            .die_intervals
-            .push((op.die.0, outcome.start, outcome.end));
+        self.stats.record_busy(die, outcome.start, outcome.end);
         self.stats.ops += 1;
         if let Some(tag) = self.arb_tag {
             let t = self.stats.tag_busy.entry(tag).or_default();
@@ -419,14 +424,16 @@ mod tests {
     }
 
     #[test]
-    fn die_busy_equals_interval_sum() {
+    fn die_busy_equals_span_sum() {
+        // Covers `cache_registers = false` only: a die's ops then never
+        // overlap, so coalescing its spans loses no busy time.
         let mut sim = tlc_sim();
         for i in 0..10u64 {
             let die = DieIndex((i % 8) as u32);
             sim.execute(i * 1000, &DieOp::read(die, 2, 4, 0));
         }
         let st = sim.stats();
-        let by_interval: u64 = st.die_intervals.iter().map(|&(_, s, e)| e - s).sum();
+        let by_interval: u64 = st.die_spans.iter().flatten().map(|&(s, e)| e - s).sum();
         let by_counter: u64 = st.die_busy.iter().sum();
         assert_eq!(by_interval, by_counter);
         assert_eq!(st.ops, 10);

@@ -1,32 +1,13 @@
-//! Half-open time-interval utilities used by the utilization accounting.
+//! Half-open time intervals, as the utilization and host-DMA accounting
+//! use them.
 
 use nvmtypes::Nanos;
 
 /// A half-open busy interval `[start, end)`.
 pub type Interval = (Nanos, Nanos);
 
-/// Sorts and merges overlapping/adjacent intervals in place, returning the
-/// merged set (ascending, disjoint).
-pub fn merge(mut intervals: Vec<Interval>) -> Vec<Interval> {
-    intervals.retain(|&(s, e)| e > s);
-    intervals.sort_unstable();
-    let mut out: Vec<Interval> = Vec::with_capacity(intervals.len());
-    for (s, e) in intervals {
-        match out.last_mut() {
-            Some(last) if s <= last.1 => last.1 = last.1.max(e),
-            _ => out.push((s, e)),
-        }
-    }
-    out
-}
-
-/// Total covered length of a set of (not necessarily disjoint) intervals.
-pub fn union_len(intervals: Vec<Interval>) -> Nanos {
-    merge(intervals).iter().map(|&(s, e)| e - s).sum()
-}
-
 /// Length of `[s, e)` that is *not* covered by the merged set `cover`
-/// (which must be sorted and disjoint, as returned by [`merge`]).
+/// (which must be sorted and disjoint, like [`crate::MediaReport::busy`]).
 pub fn uncovered_len(s: Nanos, e: Nanos, cover: &[Interval]) -> Nanos {
     if e <= s {
         return 0;
@@ -56,26 +37,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_overlapping() {
-        let m = merge(vec![(5, 10), (0, 6), (20, 30), (10, 12)]);
-        assert_eq!(m, vec![(0, 12), (20, 30)]);
-    }
-
-    #[test]
-    fn merge_drops_empty() {
-        let m = merge(vec![(5, 5), (1, 2)]);
-        assert_eq!(m, vec![(1, 2)]);
-    }
-
-    #[test]
-    fn union_len_counts_overlap_once() {
-        assert_eq!(union_len(vec![(0, 10), (5, 15)]), 15);
-        assert_eq!(union_len(vec![]), 0);
-    }
-
-    #[test]
     fn uncovered_basic() {
-        let cover = merge(vec![(10, 20), (30, 40)]);
+        let cover = [(10, 20), (30, 40)];
         // [0, 50): covered 10..20 and 30..40 => 20 covered, 30 uncovered.
         assert_eq!(uncovered_len(0, 50, &cover), 30);
         // Fully covered span.
@@ -88,7 +51,7 @@ mod tests {
 
     #[test]
     fn uncovered_partial_edges() {
-        let cover = merge(vec![(10, 20)]);
+        let cover = [(10, 20)];
         assert_eq!(uncovered_len(5, 15, &cover), 5);
         assert_eq!(uncovered_len(15, 25, &cover), 5);
     }

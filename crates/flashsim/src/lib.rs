@@ -35,9 +35,10 @@
 //! * channel contention (waiting on a busy bus),
 //! * cell activation (the read/program/erase itself),
 //!
-//! and records per-die busy intervals from which channel-level and
-//! package-level utilization (Figure 9) and the "bandwidth remaining"
-//! headroom metric (Figures 7b/8b) are computed.
+//! and records each die's busy time as coalesced spans, from which
+//! channel-level and package-level utilization (Figure 9) are computed
+//! (see [`stats`]), alongside the "bandwidth remaining" headroom metric
+//! (Figures 7b/8b).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,8 +1,18 @@
 //! Execution-state accounting (Figure 10), utilization (Figure 9), and the
 //! PAL parallelism taxonomy of the paper's §4.5.
+//!
+//! Utilization is computed without sorting. A die serves one op at a
+//! time, so each op starts strictly after the previous op on its die
+//! started; the engine therefore keeps each die's busy time as a list
+//! of coalesced spans that is sorted and disjoint by construction (a
+//! new op either extends the die's last span or opens a new one).
+//! [`RawStats::finalize`] then builds the unions bottom-up — die →
+//! package → channel → device — each level a linear merge of the
+//! already-coalesced level below, because dies nest in packages and
+//! packages nest in channels.
 
 use crate::config::MediaConfig;
-use crate::intervals::{merge, union_len, Interval};
+use crate::intervals::Interval;
 use nvmtypes::convert::{approx_f64, usize_from_u32};
 use nvmtypes::Nanos;
 use std::collections::BTreeMap;
@@ -167,8 +177,9 @@ pub struct RawStats {
     pub chan_busy: Vec<Nanos>,
     /// Per-die busy totals (die holds from op start to completion).
     pub die_busy: Vec<Nanos>,
-    /// Every die busy interval, tagged with its global die index.
-    pub die_intervals: Vec<(u32, Nanos, Nanos)>,
+    /// Per-die busy time as coalesced spans, indexed by global die:
+    /// each list is sorted and disjoint.
+    pub die_spans: Vec<Vec<Interval>>,
     /// Payload bytes read from the media.
     pub bytes_read: u64,
     /// Payload bytes written to the media.
@@ -190,7 +201,21 @@ impl RawStats {
         RawStats {
             chan_busy: vec![0; channels],
             die_busy: vec![0; dies],
+            die_spans: vec![Vec::new(); dies],
             ..RawStats::default()
+        }
+    }
+
+    /// Records that `die` was busy over `[start, end)`. The caller
+    /// guarantees `start` is strictly later than the start of the die's
+    /// previous op, so the op either extends the die's last span
+    /// (overlapping or adjacent) or opens a new one after it.
+    pub(crate) fn record_busy(&mut self, die: usize, start: Nanos, end: Nanos) {
+        self.die_busy[die] += end - start;
+        let spans = &mut self.die_spans[die];
+        match spans.last_mut() {
+            Some(last) if start <= last.1 => last.1 = last.1.max(end),
+            _ => spans.push((start, end)),
         }
     }
 
@@ -236,7 +261,8 @@ pub struct MediaReport {
     pub remaining_mb_s: f64,
     /// Execution-state breakdown (Figure 10a/10c).
     pub breakdown: ExecBreakdown,
-    /// Merged media busy intervals (for host-DMA overlap accounting).
+    /// Device-wide media busy spans, sorted and disjoint (for host-DMA
+    /// overlap accounting).
     pub busy: Vec<Interval>,
 }
 
@@ -253,23 +279,20 @@ impl RawStats {
         non_overlapped_dma: Nanos,
     ) -> MediaReport {
         let g = &cfg.geometry;
-        let all: Vec<Interval> = self.die_intervals.iter().map(|&(_, s, e)| (s, e)).collect();
-        let busy = merge(all);
-        let active_span: Nanos = busy.iter().map(|&(s, e)| e - s).sum();
-
         // "Kept busy" utilizations (Figure 9): a package is busy while any
-        // of its dies serves a request; a channel is busy while any die on
-        // it serves a request.
+        // of its dies serves a request; a channel is busy while any of its
+        // packages does. Die `d` sits in package `d % packages` and
+        // package `p` on channel `p % channels` (channels divide
+        // packages), so each level is the union of the level below.
+        let n_dies = self.die_spans.len();
         let n_pkg = usize_from_u32(g.total_packages());
         let n_chan = usize_from_u32(g.channels);
-        let mut per_pkg: Vec<Vec<Interval>> = vec![Vec::new(); n_pkg];
-        let mut per_chan: Vec<Vec<Interval>> = vec![Vec::new(); n_chan];
-        for &(die, s, e) in &self.die_intervals {
-            per_pkg[usize_from_u32(die % g.total_packages())].push((s, e));
-            per_chan[usize_from_u32(die % g.channels)].push((s, e));
-        }
-        let pkg_busy_total: Nanos = per_pkg.into_iter().map(union_len).sum();
-        let chan_busy_total: Nanos = per_chan.into_iter().map(union_len).sum();
+        let pkgs = Level::union_of(n_dies, |d| &self.die_spans[d], n_pkg);
+        let chans = Level::union_of(n_pkg, |p| pkgs.group(p), n_chan);
+        let device = Level::union_of(n_chan, |c| chans.group(c), 1);
+        let pkg_busy_total = pkgs.covered;
+        let chan_busy_total = chans.covered;
+        let active_span = device.covered;
 
         let channel_util = if active_span == 0 {
             0.0
@@ -315,8 +338,73 @@ impl RawStats {
                 channel_contention: self.channel_contention,
                 cell_activation: self.cell_activation,
             },
-            busy,
+            busy: device.spans,
         }
+    }
+}
+
+/// One level of the utilization hierarchy (packages, channels or the
+/// whole device): each group's busy spans, sorted and disjoint, stored
+/// back to back.
+struct Level {
+    /// Every group's spans, group `i` at `spans[off[i]..off[i + 1]]`.
+    spans: Vec<Interval>,
+    off: Vec<usize>,
+    /// Summed covered length over all groups, ns.
+    covered: Nanos,
+}
+
+impl Level {
+    /// Unions `n_lower` sorted, disjoint span lists into `groups`
+    /// groups, group `i` taking lower lists `i, i + groups, …` — the
+    /// dies of a package, the packages of a channel, the channels of the
+    /// device. Each group is a k-way merge that always takes the
+    /// earliest-starting span and coalesces it into the previous one
+    /// when they overlap or touch; nothing is sorted. The lower level's
+    /// span count bounds the output, so the three buffers are allocated
+    /// once, outside the group loop.
+    fn union_of<'a>(
+        n_lower: usize,
+        lower: impl Fn(usize) -> &'a [Interval],
+        groups: usize,
+    ) -> Level {
+        let capacity = (0..n_lower).map(|i| lower(i).len()).sum();
+        let mut spans: Vec<Interval> = Vec::with_capacity(capacity);
+        let mut off = Vec::with_capacity(groups + 1);
+        let mut runs: Vec<&[Interval]> = Vec::with_capacity(n_lower.div_ceil(groups));
+        off.push(0);
+        for group in 0..groups {
+            runs.extend(
+                (group..n_lower)
+                    .step_by(groups)
+                    .map(&lower)
+                    .filter(|r| !r.is_empty()),
+            );
+            let first = spans.len();
+            while let Some(i) = (0..runs.len()).min_by_key(|&i| runs[i][0].0) {
+                let (s, e) = runs[i][0];
+                runs[i] = &runs[i][1..];
+                if runs[i].is_empty() {
+                    runs.swap_remove(i);
+                }
+                match spans[first..].last_mut() {
+                    Some(last) if s <= last.1 => last.1 = last.1.max(e),
+                    _ => spans.push((s, e)),
+                }
+            }
+            off.push(spans.len());
+        }
+        let covered = spans.iter().map(|&(s, e)| e - s).sum();
+        Level {
+            spans,
+            off,
+            covered,
+        }
+    }
+
+    /// Group `i`'s spans.
+    fn group(&self, i: usize) -> &[Interval] {
+        &self.spans[self.off[i]..self.off[i + 1]]
     }
 }
 

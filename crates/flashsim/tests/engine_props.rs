@@ -31,6 +31,9 @@ fn arb_op(dies: u32, planes: u32) -> impl Strategy<Value = DieOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// Covers `cache_registers = false` only, where a die's ops never
+    /// overlap; `cache_register_starts_strictly_increase_per_die` covers
+    /// the overlapping case.
     #[test]
     fn schedules_are_causal_and_accounted(
         ops in prop::collection::vec((0u64..1_000_000, arb_op(8, 2)), 1..60),
@@ -62,12 +65,12 @@ proptest! {
             .map(|(_, o)| o.pages * cfg.timing.page_size as u64)
             .sum();
         prop_assert_eq!(st.bytes_read, want_read);
-        // Die busy time is consistent between counters and intervals, and
-        // every interval ends within the run.
-        let by_intervals: u64 = st.die_intervals.iter().map(|&(_, s, e)| e - s).sum();
+        // Die busy time is consistent between counters and spans, and
+        // every span ends within the run.
+        let by_spans: u64 = st.die_spans.iter().flatten().map(|&(s, e)| e - s).sum();
         let by_counters: u64 = st.die_busy.iter().sum();
-        prop_assert_eq!(by_intervals, by_counters);
-        prop_assert!(st.die_intervals.iter().all(|&(_, _, e)| e <= max_end));
+        prop_assert_eq!(by_spans, by_counters);
+        prop_assert!(st.die_spans.iter().flatten().all(|&(_, e)| e <= max_end));
         // Finalised report invariants.
         let rep = st.finalize(&cfg, max_end, 0);
         prop_assert!(rep.active_span <= max_end);
@@ -75,6 +78,39 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&rep.package_util));
         prop_assert!((0.0..=1.0).contains(&rep.cell_util));
         prop_assert!(rep.remaining_mb_s >= 0.0);
+    }
+
+    /// With cache registers a die re-arms before its transfer drains, so
+    /// its ops may overlap. Starts must still strictly increase per die
+    /// (the invariant the coalesced spans rest on), the spans stay
+    /// sorted and disjoint, and their union never exceeds the busy sum.
+    #[test]
+    fn cache_register_starts_strictly_increase_per_die(
+        ops in prop::collection::vec((0u64..1_000_000, arb_op(8, 2)), 1..60),
+        kind in prop_oneof![
+            Just(NvmKind::Slc), Just(NvmKind::Mlc), Just(NvmKind::Tlc), Just(NvmKind::Pcm)
+        ],
+    ) {
+        let mut cfg = MediaConfig::tiny(kind, sdr400());
+        cfg.cache_registers = true;
+        let mut sim = MediaSim::new(cfg);
+        let mut per_die_last_start: Vec<Option<u64>> =
+            vec![None; cfg.geometry.total_dies() as usize];
+        for (arrival, op) in &ops {
+            let out = sim.execute(*arrival, op);
+            let d = op.die.0 as usize;
+            if let Some(prev) = per_die_last_start[d] {
+                prop_assert!(out.start > prev, "die {} start {} not after {}", d, out.start, prev);
+            }
+            per_die_last_start[d] = Some(out.start);
+        }
+        let st = sim.stats();
+        for (die, spans) in st.die_spans.iter().enumerate() {
+            prop_assert!(spans.iter().all(|&(s, e)| s < e));
+            prop_assert!(spans.windows(2).all(|w| w[0].1 < w[1].0));
+            let union: u64 = spans.iter().map(|&(s, e)| e - s).sum();
+            prop_assert!(union <= st.die_busy[die]);
+        }
     }
 
     #[test]

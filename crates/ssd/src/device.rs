@@ -6,7 +6,7 @@ use crate::ftl::Ftl;
 use crate::mapping::{DecomposeScratch, StripeMap};
 use crate::recovery::{erase_with_recovery, read_with_recovery, write_with_recovery};
 use crate::report::{LatencyStats, ReliabilityStats, RunReport};
-use flashsim::intervals::{merge, uncovered_len, Interval};
+use flashsim::intervals::{uncovered_len, Interval};
 use flashsim::stats::RawStats;
 use flashsim::{DieOp, MediaFaultState, MediaSim, PalHistogram, PalLevel};
 use interconnect::LinkFaultSim;
@@ -456,22 +456,14 @@ impl EngineState {
         let mut rel = self.rel;
         let makespan = self.makespan;
         let stats = self.media.into_stats();
-        let busy = merge(
-            stats
-                .die_intervals
-                .iter()
-                .map(|&(_, s, e)| (s, e))
-                .collect(),
-        );
-        let dma_media_idle: Nanos = self
-            .dma_intervals
-            .iter()
-            .map(|&(s, e)| uncovered_len(s, e, &busy))
-            .sum();
-
         rel.spare_blocks_left = self.ftl.spare_blocks_left();
         let energy = flashsim::energy::assess(&stats, &cfg.media, makespan);
         let media_report = stats.finalize(&cfg.media, makespan, self.host_busy);
+        let dma_media_idle: Nanos = self
+            .dma_intervals
+            .iter()
+            .map(|&(s, e)| uncovered_len(s, e, &media_report.busy))
+            .sum();
         if obs.enabled() {
             obs.span(
                 Layer::Run,

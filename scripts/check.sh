@@ -7,7 +7,9 @@
 # Stages, in dependency order:
 #   1. rustfmt        — formatting is canonical (`cargo fmt --check`)
 #   2. clippy         — workspace lint policy ([workspace.lints]: the
-#                       unwrap/expect/panic deny set, unsafe_code)
+#                       unwrap/expect/panic deny set, unsafe_code), then
+#                       the standalone benchmark package, whose manifest
+#                       mirrors that deny set
 #   3. simlint        — `simlint --baseline`: simulator invariants
 #                       (determinism, unit-safety, no-panic, exhaustive
 #                       matches, atomic-ordering and lock-order
@@ -88,8 +90,9 @@ step() {
 step "cargo fmt --check"
 cargo fmt --check
 
-step "cargo clippy --workspace"
+step "cargo clippy --workspace, then the benchmark package"
 cargo clippy --workspace --quiet
+cargo clippy --quiet --manifest-path benchmark/Cargo.toml
 
 step "simlint --baseline (invariants, allowlist, findings + hot-path ratchet)"
 cargo run --quiet -p simlint -- --baseline results/simlint.baseline.json

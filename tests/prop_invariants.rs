@@ -8,6 +8,97 @@ use ooctrace::{BlockTrace, PosixTrace, TraceCapture, TraceRecord};
 use proptest::prelude::*;
 use ssd::StripeMap;
 
+/// The sort-based interval merge `RawStats::finalize` used before the
+/// engine kept coalesced per-die spans: drop empty intervals, sort, and
+/// join overlapping or touching neighbours. The reference the
+/// incremental utilization accounting is checked against.
+fn oracle_merge(mut intervals: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    intervals.retain(|&(s, e)| e > s);
+    intervals.sort_unstable();
+    let mut out: Vec<(u64, u64)> = Vec::with_capacity(intervals.len());
+    for (s, e) in intervals {
+        match out.last_mut() {
+            Some(last) if s <= last.1 => last.1 = last.1.max(e),
+            _ => out.push((s, e)),
+        }
+    }
+    out
+}
+
+fn covered_len(spans: &[(u64, u64)]) -> u64 {
+    spans.iter().map(|&(s, e)| e - s).sum()
+}
+
+/// What the sort-based accounting reported for a die-op log of
+/// `(die, start, end)` entries.
+struct OracleUtil {
+    busy: Vec<(u64, u64)>,
+    active_span: u64,
+    channel_util: f64,
+    package_util: f64,
+    die_util: f64,
+}
+
+/// Recomputes Figure 9's utilizations from the raw die-op log the way
+/// the sort-based `finalize` did: one global merge, then one merge per
+/// package (`die % packages`) and per channel (`die % channels`).
+fn oracle_util(g: &SsdGeometry, ops: &[(u32, u64, u64)], makespan: u64) -> OracleUtil {
+    let union_where = |keep: &dyn Fn(u32) -> bool| {
+        covered_len(&oracle_merge(
+            ops.iter()
+                .filter(|o| keep(o.0))
+                .map(|&(_, s, e)| (s, e))
+                .collect(),
+        ))
+    };
+    let busy = oracle_merge(ops.iter().map(|&(_, s, e)| (s, e)).collect());
+    let active_span = covered_len(&busy);
+    let pkg_total: u64 = (0..g.total_packages())
+        .map(|p| union_where(&|d| d % g.total_packages() == p))
+        .sum();
+    let chan_total: u64 = (0..g.channels)
+        .map(|c| union_where(&|d| d % g.channels == c))
+        .sum();
+    let ratio = |busy: u64, units: u32, span: u64| {
+        if span == 0 {
+            0.0
+        } else {
+            (busy as f64 / (u64::from(units) * span) as f64).min(1.0)
+        }
+    };
+    let die_total: u64 = ops.iter().map(|&(_, s, e)| e - s).sum();
+    OracleUtil {
+        channel_util: ratio(chan_total, g.channels, active_span),
+        package_util: ratio(pkg_total, g.total_packages(), active_span),
+        die_util: ratio(die_total, g.total_dies(), makespan),
+        busy,
+        active_span,
+    }
+}
+
+fn media_config(kind: NvmKind, paper: bool, cache_registers: bool) -> flashsim::MediaConfig {
+    let bus = BusTiming {
+        name: "t",
+        bytes_per_ns: 0.4,
+    };
+    let mut cfg = if paper {
+        flashsim::MediaConfig::paper(kind, bus)
+    } else {
+        flashsim::MediaConfig::tiny(kind, bus)
+    };
+    cfg.cache_registers = cache_registers;
+    cfg
+}
+
+fn arb_kind() -> impl Strategy<Value = NvmKind> {
+    prop_oneof![
+        Just(NvmKind::Slc),
+        Just(NvmKind::Mlc),
+        Just(NvmKind::Tlc),
+        Just(NvmKind::Pcm)
+    ]
+}
+
 fn arb_posix_trace() -> impl Strategy<Value = PosixTrace> {
     // Records with block-aligned offsets/lengths so byte conservation is
     // exact through every local file system.
@@ -263,16 +354,125 @@ proptest! {
     fn interval_union_bounds(
         iv in prop::collection::vec((0u64..1000, 1u64..100), 0..30),
     ) {
-        use flashsim::intervals::{merge, union_len};
+        // Sanity of the oracle the utilization tests below rely on.
         let intervals: Vec<(u64, u64)> = iv.iter().map(|&(s, l)| (s, s + l)).collect();
         let sum: u64 = intervals.iter().map(|&(s, e)| e - s).sum();
-        let union = union_len(intervals.clone());
-        prop_assert!(union <= sum);
-        let merged = merge(intervals);
+        let merged = oracle_merge(intervals);
+        prop_assert!(covered_len(&merged) <= sum);
         // Merged intervals are sorted and disjoint.
         for w in merged.windows(2) {
             prop_assert!(w[0].1 < w[1].0);
         }
+    }
+
+    /// The coalesced per-die spans and the die → package → channel →
+    /// device unions equal the sort-based oracle exactly, with cache
+    /// registers off (a die's ops never overlap) and on (they may).
+    /// An op flagged `chained` arrives when the previous op ended, so
+    /// spans that touch across dies are common.
+    #[test]
+    fn finalize_matches_the_sort_based_oracle(
+        ops in prop::collection::vec(
+            (0u64..400_000, prop::bool::ANY, 0u32..128, 1u32..=2, 1u64..16, 0u8..3),
+            1..120,
+        ),
+        kind in arb_kind(),
+        paper in prop::bool::ANY,
+        cache_registers in prop::bool::ANY,
+    ) {
+        use flashsim::{DieOp, MediaSim};
+        use nvmtypes::DieIndex;
+        let cfg = media_config(kind, paper, cache_registers);
+        let g = cfg.geometry;
+        let mut sim = MediaSim::new(cfg);
+        let mut log: Vec<(u32, u64, u64)> = Vec::with_capacity(ops.len());
+        for &(at, chained, die, planes, pages, op_kind) in &ops {
+            let arrival = match log.last() {
+                Some(&(_, _, end)) if chained => end,
+                _ => at,
+            };
+            let die = DieIndex(die % g.total_dies());
+            let op = match op_kind {
+                0 => DieOp::read(die, planes, pages, 0),
+                1 => DieOp::write(die, planes, pages, at % 7),
+                _ => DieOp::erase(die, pages),
+            };
+            let out = sim.execute(arrival, &op);
+            log.push((die.0, out.start, out.end));
+        }
+        let makespan = log.iter().map(|o| o.2).max().unwrap_or(0);
+        let st = sim.stats();
+        for (die, spans) in st.die_spans.iter().enumerate() {
+            let want = oracle_merge(
+                log.iter()
+                    .filter(|o| o.0 as usize == die)
+                    .map(|&(_, s, e)| (s, e))
+                    .collect(),
+            );
+            prop_assert_eq!(spans, &want, "die {}", die);
+        }
+        let rep = st.finalize(&cfg, makespan, 0);
+        let want = oracle_util(&g, &log, makespan);
+        prop_assert_eq!(&rep.busy, &want.busy);
+        prop_assert_eq!(rep.active_span, want.active_span);
+        prop_assert_eq!(rep.channel_util.to_bits(), want.channel_util.to_bits());
+        prop_assert_eq!(rep.package_util.to_bits(), want.package_util.to_bits());
+        prop_assert_eq!(rep.die_util.to_bits(), want.die_util.to_bits());
+    }
+
+    /// Through `SsdDevice::run`: the traced die-op and host-DMA spans,
+    /// fed to the oracle, reproduce the report's busy spans,
+    /// utilizations and `dma_media_idle` exactly.
+    #[test]
+    fn device_run_utilization_matches_the_sort_based_oracle(
+        reqs in prop::collection::vec((0u64..4096, 1u64..64, prop::bool::ANY), 1..40),
+        qd in 1u32..32,
+        kind in arb_kind(),
+        paper in prop::bool::ANY,
+        cache_registers in prop::bool::ANY,
+    ) {
+        use flashsim::intervals::uncovered_len;
+        use interconnect::{pcie, LinkChain, PcieGen};
+        use simobs::{EventKind, Layer, Tracer};
+        use ssd::{SsdConfig, SsdDevice};
+        let requests: Vec<HostRequest> = reqs
+            .into_iter()
+            .map(|(off, kib, read)| {
+                if read {
+                    HostRequest::read(off * 4096, kib * 1024)
+                } else {
+                    HostRequest::write(off * 4096, kib * 1024)
+                }
+            })
+            .collect();
+        let trace = BlockTrace::from_requests(requests, qd);
+        let cfg = media_config(kind, paper, cache_registers);
+        let dev = SsdDevice::new(SsdConfig::new(cfg, LinkChain::single(pcie(PcieGen::Gen2, 8))));
+        let mut obs = Tracer::ring(1 << 20);
+        let rep = dev.run_observed(&trace, &mut obs);
+        let log = obs.finish();
+        prop_assert_eq!(log.dropped, 0);
+        let die_ops: Vec<(u32, u64, u64)> = log
+            .events
+            .iter()
+            .filter(|e| e.layer == Layer::Media && e.kind == EventKind::Span)
+            .map(|e| (e.args[0].1 as u32, e.ts, e.ts + e.dur))
+            .collect();
+        let dma: Vec<(u64, u64)> = log
+            .events
+            .iter()
+            .filter(|e| e.layer == Layer::Link && e.name == "host_dma")
+            .map(|e| (e.ts, e.ts + e.dur))
+            .collect();
+        prop_assert_eq!(dma.len(), trace.len());
+        let want = oracle_util(&cfg.geometry, &die_ops, rep.makespan);
+        prop_assert_eq!(&rep.media.busy, &want.busy);
+        prop_assert_eq!(rep.media.active_span, want.active_span);
+        prop_assert_eq!(rep.media.channel_util.to_bits(), want.channel_util.to_bits());
+        prop_assert_eq!(rep.media.package_util.to_bits(), want.package_util.to_bits());
+        prop_assert_eq!(rep.media.die_util.to_bits(), want.die_util.to_bits());
+        let idle: u64 = dma.iter().map(|&(s, e)| uncovered_len(s, e, &want.busy)).sum();
+        prop_assert_eq!(rep.dma_media_idle, idle);
     }
 }
 
