@@ -63,11 +63,6 @@ pub struct MediaSim {
     die_last_busy: Vec<Nanos>,
     /// Most recent bus occupancy per channel, for the same reason.
     chan_last_xfer: Vec<Nanos>,
-    /// Current arbitration tag: when set, every executed die-op is also
-    /// attributed to this tag in [`RawStats::tag_busy`]. Pure accounting —
-    /// the schedule itself is tag-blind, so tagged and untagged runs of
-    /// the same op stream are byte-identical.
-    arb_tag: Option<u32>,
     stats: RawStats,
 }
 
@@ -87,22 +82,8 @@ impl MediaSim {
             die_free: vec![0; dies],
             die_last_busy: vec![0; dies],
             chan_last_xfer: vec![0; channels],
-            arb_tag: None,
             stats: RawStats::new(channels, dies),
         }
-    }
-
-    /// Sets (or clears) the arbitration tag attributed to subsequent
-    /// die-ops. The QoS layer brackets each tenant's media dispatch with
-    /// `set_arbitration_tag(Some(tenant))` / `set_arbitration_tag(None)`;
-    /// the engine only records the tag, never schedules by it.
-    pub fn set_arbitration_tag(&mut self, tag: Option<u32>) {
-        self.arb_tag = tag;
-    }
-
-    /// The currently set arbitration tag, if any.
-    pub fn arbitration_tag(&self) -> Option<u32> {
-        self.arb_tag
     }
 
     /// The configuration this simulator runs.
@@ -261,15 +242,6 @@ impl MediaSim {
         self.die_last_busy[die] = outcome.end - outcome.start;
         self.stats.record_busy(die, outcome.start, outcome.end);
         self.stats.ops += 1;
-        if let Some(tag) = self.arb_tag {
-            let t = self.stats.tag_busy.entry(tag).or_default();
-            t.busy_ns += outcome.end - outcome.start;
-            t.ops += 1;
-            t.bytes += match op.kind {
-                OpKind::Read | OpKind::Write => payload,
-                OpKind::Erase => 0,
-            };
-        }
         outcome
     }
 
@@ -505,42 +477,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn arbitration_tags_attribute_without_changing_the_schedule() {
-        let mut plain = tlc_sim();
-        let mut tagged = tlc_sim();
-        let ops = [
-            DieOp::read(DieIndex(0), 1, 1, 0),
-            DieOp::write(DieIndex(1), 1, 2, 0),
-            DieOp::read(DieIndex(2), 2, 4, 0),
-            DieOp::erase(DieIndex(3), 1),
-        ];
-        assert_eq!(tagged.arbitration_tag(), None);
-        for (i, op) in ops.iter().enumerate() {
-            tagged.set_arbitration_tag(Some((i % 2) as u32));
-            let a = plain.execute(0, op);
-            let b = tagged.execute(0, op);
-            // The schedule is tag-blind.
-            assert_eq!(a, b);
-        }
-        tagged.set_arbitration_tag(None);
-        tagged.execute(0, &DieOp::read(DieIndex(4), 1, 1, 0));
-
-        let st = tagged.stats();
-        let t0 = st.tag_busy[&0];
-        let t1 = st.tag_busy[&1];
-        // Four tagged ops split 2/2; the untagged fifth is in neither.
-        assert_eq!(t0.ops + t1.ops, 4);
-        assert_eq!(st.ops, 5);
-        // Tagged busy time never exceeds the total, and the erase moved
-        // no payload bytes.
-        let die_total: u64 = st.die_busy.iter().sum();
-        assert!(t0.busy_ns + t1.busy_ns <= die_total);
-        assert_eq!(t0.bytes + t1.bytes, st.bytes() - 8192);
-        // An untagged run records nothing at all.
-        assert!(plain.stats().tag_busy.is_empty());
     }
 
     #[test]

@@ -15,21 +15,6 @@ use crate::config::MediaConfig;
 use crate::intervals::Interval;
 use nvmtypes::convert::{approx_f64, usize_from_u32};
 use nvmtypes::Nanos;
-use std::collections::BTreeMap;
-
-/// Per-arbitration-tag accounting: how much die time, how many die-ops
-/// and how many payload bytes one tag (one tenant, in the QoS layer's
-/// vocabulary) consumed on the media. Purely additive — the engine's
-/// schedule never reads it back.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TagStats {
-    /// Die busy time (op start to completion) attributed to the tag, ns.
-    pub busy_ns: Nanos,
-    /// Die-ops executed under the tag.
-    pub ops: u64,
-    /// Payload bytes moved (reads + writes; erases move none).
-    pub bytes: u64,
-}
 
 /// The paper's four parallelism levels (§4.5):
 ///
@@ -177,6 +162,9 @@ pub struct RawStats {
     pub chan_busy: Vec<Nanos>,
     /// Per-die busy totals (die holds from op start to completion).
     pub die_busy: Vec<Nanos>,
+    /// Sum of `die_busy` over every die, kept as ops execute so callers
+    /// can read the running total without summing the dies.
+    pub busy_total: Nanos,
     /// Per-die busy time as coalesced spans, indexed by global die:
     /// each list is sorted and disjoint.
     pub die_spans: Vec<Vec<Interval>>,
@@ -188,11 +176,6 @@ pub struct RawStats {
     pub blocks_erased: u64,
     /// Number of die-ops executed.
     pub ops: u64,
-    /// Per-tag attribution for ops executed while an arbitration tag was
-    /// set ([`crate::MediaSim::set_arbitration_tag`]). Empty — and free —
-    /// when no tag is ever set; a `BTreeMap` so iteration order (and any
-    /// report derived from it) is deterministic.
-    pub tag_busy: BTreeMap<u32, TagStats>,
 }
 
 impl RawStats {
@@ -212,6 +195,7 @@ impl RawStats {
     /// (overlapping or adjacent) or opens a new one after it.
     pub(crate) fn record_busy(&mut self, die: usize, start: Nanos, end: Nanos) {
         self.die_busy[die] += end - start;
+        self.busy_total += end - start;
         let spans = &mut self.die_spans[die];
         match spans.last_mut() {
             Some(last) if start <= last.1 => last.1 = last.1.max(end),
@@ -308,8 +292,8 @@ impl RawStats {
         let die_util = if makespan == 0 {
             0.0
         } else {
-            let total: Nanos = self.die_busy.iter().sum();
-            (approx_f64(total) / approx_f64(u64::from(g.total_dies()) * makespan)).min(1.0)
+            (approx_f64(self.busy_total) / approx_f64(u64::from(g.total_dies()) * makespan))
+                .min(1.0)
         };
         let cell_util = if makespan == 0 {
             0.0

@@ -70,6 +70,7 @@ proptest! {
         let by_spans: u64 = st.die_spans.iter().flatten().map(|&(s, e)| e - s).sum();
         let by_counters: u64 = st.die_busy.iter().sum();
         prop_assert_eq!(by_spans, by_counters);
+        prop_assert_eq!(st.busy_total, by_counters);
         prop_assert!(st.die_spans.iter().flatten().all(|&(_, e)| e <= max_end));
         // Finalised report invariants.
         let rep = st.finalize(&cfg, max_end, 0);

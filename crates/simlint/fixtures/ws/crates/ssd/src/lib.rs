@@ -57,17 +57,18 @@ pub fn safe_nest(gamma: &Mutex<u32>, delta: &Mutex<u32>) {
     drop(gg);
 }
 
-// Hot-path fixture: `SsdDevice::run_observed` is a declared hot root, so
-// the `vec![]` inside its loop is a per-event `hotpath_alloc` finding
-// (exactly one). The hoisted `scratch` reuse via `clear`/`push` must NOT
-// fire — amortized growth of a pre-existing buffer is the clean idiom.
-pub mod device {
+// Hot-path fixture: `SsdDevice::serve` (the request loop) is a declared
+// hot root, so the `vec![]` inside its loop is a per-event
+// `hotpath_alloc` finding (exactly one). The hoisted `scratch` reuse via
+// `clear`/`push` must NOT fire — amortized growth of a pre-existing
+// buffer is the clean idiom.
+pub mod qos {
     pub struct SsdDevice {
         pub scratch: Vec<u8>,
     }
 
     impl SsdDevice {
-        pub fn run_observed(&mut self) -> usize {
+        pub fn serve(&mut self) -> usize {
             let mut total = 0;
             for i in 0..4usize {
                 let frame = vec![0u8; 16];

@@ -41,15 +41,14 @@ use std::collections::BTreeMap;
 /// Canonical paths of the declared hot roots. A root is the entry of a
 /// code region that runs once per *event stream*: everything it calls
 /// from inside a loop runs once per event.
-pub const HOT_ROOTS: [&str; 7] = [
+pub const HOT_ROOTS: [&str; 6] = [
     // The media service loop: every die-op goes through here.
     "flashsim::engine::MediaSim::execute",
     "flashsim::engine::MediaSim::execute_traced",
-    // The device request path (single-trace closed loop + shared code).
-    "ssd::device::SsdDevice::run_observed",
+    // The device request loop (single-job and multi-tenant runs alike)
+    // and the per-request servicing it drives.
+    "ssd::qos::SsdDevice::serve",
     "ssd::device::EngineState::service_one",
-    // The multi-tenant shared-fleet loop.
-    "ssd::qos::SsdDevice::run_shared",
     // The body the vendored pool's chunk loop executes per experiment
     // (`vendor/` itself is outside the scanned scope).
     "core::experiment::ExperimentSpec::run",

@@ -210,7 +210,7 @@ fn fixture_corpus_triggers_every_rule_exactly() {
     );
     assert_eq!(report.total(Rule::AtomicOrdering), 2);
     assert_eq!(report.total(Rule::LockOrder), 3);
-    // Hotpath pass (ssd fixture): `run_observed` is a declared hot
+    // Hotpath pass (ssd fixture): `serve` is a declared hot
     // root, so the `vec![]` in its loop is per-event; the hoisted
     // `scratch` reuse (`clear`/`push`) must NOT fire.
     assert_eq!(

@@ -1,22 +1,21 @@
-//! The closed-loop device engine: queueing, translation, media dispatch,
-//! host DMA, and run accounting.
+//! The device engine: translation, media dispatch, host DMA and run
+//! accounting, one request at a time. The request loop that decides
+//! when each request issues lives in [`crate::qos`].
 
 use crate::config::SsdConfig;
 use crate::ftl::Ftl;
 use crate::mapping::{DecomposeScratch, StripeMap};
+use crate::qos::{QosPolicy, Tenant};
 use crate::recovery::{erase_with_recovery, read_with_recovery, write_with_recovery};
 use crate::report::{LatencyStats, ReliabilityStats, RunReport};
 use flashsim::intervals::{uncovered_len, Interval};
-use flashsim::stats::RawStats;
-use flashsim::{DieOp, MediaFaultState, MediaSim, PalHistogram, PalLevel};
+use flashsim::{DieOp, DieOpOutcome, MediaFaultState, MediaSim, OpKind, PalHistogram, PalLevel};
 use interconnect::LinkFaultSim;
 use nvmtypes::convert::{u32_from, u64_from_usize, usize_from_u32};
 use nvmtypes::fault::{STREAM_LINK, STREAM_MEDIA};
 use nvmtypes::{HostRequest, IoOp, Nanos};
 use ooctrace::BlockTrace;
 use simobs::{LatencyAttribution, Layer, RequestBreakdown, Tracer};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A simulated SSD (or network-attached SSD) ready to replay block traces.
 ///
@@ -67,6 +66,29 @@ struct MediaPhase {
     end: Nanos,
 }
 
+/// Media activity evidence and recovery time at one instant. The deltas
+/// across a request's media phase drive its die/channel split and its
+/// recovery carve-out.
+#[derive(Debug, Clone, Copy)]
+struct MediaMark {
+    /// Die-side activity: cell activation plus cell contention.
+    die_w: u64,
+    /// Channel-side activity: transfers, bus overhead, bus contention.
+    chan_w: u64,
+    recovery_ns: Nanos,
+}
+
+/// One request's host-link transfer, as scheduled.
+#[derive(Debug, Clone, Copy)]
+struct HostDma {
+    start: Nanos,
+    /// Transfer time without link faults.
+    base: Nanos,
+    /// Replay time added by link faults.
+    penalty: Nanos,
+    end: Nanos,
+}
+
 /// Per-request PAL tracking state, reused across requests.
 pub(crate) struct PalTracker {
     /// Bitmask of dies-in-channel touched, per channel.
@@ -112,15 +134,14 @@ impl PalTracker {
 }
 
 /// The mutable per-run engine: device media, translation state, fault
-/// processes aside, and every piece of run accounting — extracted from
-/// the request-servicing loop so the single-trace closed loop
-/// ([`SsdDevice::run_observed`]) and the multi-tenant shared-fleet loop
-/// ([`crate::qos`]) push requests through the *same* servicing code.
-/// One tenant through the QoS path and the legacy path therefore
-/// produce byte-identical reports by construction.
+/// processes aside, and every piece of run accounting. The request loop
+/// in [`crate::qos`] owns the issue discipline and pushes each request
+/// through [`EngineState::service_one`]; a single-job run is that loop
+/// with one tenant.
 pub(crate) struct EngineState {
-    /// The media simulator; `pub(crate)` so the QoS layer can bracket
-    /// each tenant's dispatch with an arbitration tag.
+    /// The media simulator; `pub(crate)` so the request loop can read
+    /// the running media totals around each request and charge the
+    /// difference to the tenant that issued it.
     pub(crate) media: MediaSim,
     map: StripeMap,
     ftl: Ftl,
@@ -129,7 +150,7 @@ pub(crate) struct EngineState {
     firmware: Nanos,
     split_bytes: u64,
     page_size: u64,
-    /// Fleet-level reliability accounting; the QoS layer folds
+    /// Fleet-level reliability accounting; the request loop folds
     /// per-tenant link-fault stats in before [`EngineState::finish`].
     pub(crate) rel: ReliabilityStats,
     host_free: Nanos,
@@ -180,56 +201,24 @@ impl SsdDevice {
     /// reads values the engine has already computed and feeds nothing
     /// back, so any sink produces a byte-identical [`RunReport`] to
     /// [`Tracer::off`] (pinned by `tests/determinism.rs`).
+    ///
+    /// The run is the one-tenant case of [`SsdDevice::run_shared`]'s
+    /// request loop: weight 1, arrival 0, the device's own fault plan.
     pub fn run_observed(&self, trace: &BlockTrace, obs: &mut Tracer) -> RunReport {
-        let cfg = &self.cfg;
-        let qd = usize_from_u32(cfg.ncq_depth.min(trace.queue_depth).max(1));
-        let mut state = EngineState::new(self, trace.len());
-
-        // Fault-injection state: absent entirely under a zero-rate plan,
-        // so the fault-free path is byte-identical to the pre-fault code.
-        let (mut media_faults, mut link_faults) = fault_states(&cfg.fault_plan, &cfg.media);
-
-        let mut inflight: BinaryHeap<Reverse<Nanos>> = BinaryHeap::with_capacity(qd + 1);
-        let mut prev_issue: Nanos = 0;
-
-        for req in &trace.requests {
-            // Closed-loop arrival.
-            let mut issue = prev_issue;
-            if inflight.len() >= qd {
-                if let Some(Reverse(c)) = inflight.pop() {
-                    issue = issue.max(c);
-                }
-            }
-
-            let (completion, _) =
-                state.service_one(req, issue, &mut media_faults, &mut link_faults, obs);
-            if req.sync {
-                // Dependency barrier: nothing later may issue until this
-                // request (a metadata lookup or journal commit) completes.
-                // Already-inflight requests keep going.
-                prev_issue = completion;
-            } else {
-                inflight.push(Reverse(completion));
-                prev_issue = issue;
-            }
-        }
-
-        if let Some(lf) = &link_faults {
-            state.rel.link = lf.stats();
-        }
-        state.finish(
-            cfg,
-            trace.total_bytes(),
-            trace.data_bytes(),
-            trace.len(),
-            obs,
-        )
+        let tenant = Tenant {
+            trace,
+            weight: 1,
+            arrival_ns: 0,
+            fault_plan: &self.cfg.fault_plan,
+        };
+        self.serve(std::iter::once(tenant), &QosPolicy::unlimited(), obs)
+            .fleet
     }
 }
 
 /// Builds the per-run fault processes for one fault plan against one
 /// media configuration: `None` under a zero-rate plan so the fault-free
-/// path never even constructs them. The QoS layer calls this once per
+/// path never even constructs them. The request loop calls this once per
 /// tenant — each tenant's plan owns an independent root stream.
 pub(crate) fn fault_states(
     plan: &nvmtypes::fault::FaultPlan,
@@ -285,13 +274,16 @@ impl EngineState {
         }
     }
 
-    /// Raw die-side vs channel-side activity evidence at one instant; the
-    /// per-request deltas drive the die/channel attribution split.
-    fn media_weights(stats: &RawStats) -> (u64, u64) {
-        (
-            stats.cell_activation + stats.cell_contention,
-            stats.channel_activation + stats.flash_bus_activation + stats.channel_contention,
-        )
+    /// The [`MediaMark`] at this instant.
+    fn media_mark(&self) -> MediaMark {
+        let stats = self.media.stats();
+        MediaMark {
+            die_w: stats.cell_activation + stats.cell_contention,
+            chan_w: stats.channel_activation
+                + stats.flash_bus_activation
+                + stats.channel_contention,
+            recovery_ns: self.rel.media_recovery_ns,
+        }
     }
 
     /// Services one request issued at `issue` end to end — media
@@ -299,8 +291,8 @@ impl EngineState {
     /// exact attribution — returning its completion time and the
     /// breakdown that was absorbed into the run's attribution (already
     /// collapsed to `fs_meta` for sync requests). The caller owns the
-    /// issue discipline: closed-loop slots, barriers and (in the QoS
-    /// layer) fair-queueing order all happen outside.
+    /// issue discipline: closed-loop slots, barriers and fair-queueing
+    /// order all happen outside.
     pub(crate) fn service_one(
         &mut self,
         req: &HostRequest,
@@ -310,89 +302,30 @@ impl EngineState {
         obs: &mut Tracer,
     ) -> (Nanos, RequestBreakdown) {
         self.pal.reset();
-        // Snapshots bracketing the media phase: the deltas drive the
-        // die/channel split and the recovery carve-out below.
-        let (die_w0, chan_w0) = Self::media_weights(self.media.stats());
-        let recovery0 = self.rel.media_recovery_ns;
+        let before = self.media_mark();
+        // Exact decomposition of completion - issue: everything before
+        // media service and between the media and DMA phases is
+        // queueing.
         let (completion, breakdown) = match req.op {
             IoOp::Read => {
+                // Device buffer -> host DMA after media completes.
                 let phase = self.dispatch_media(req, issue, media_faults, obs);
-                // Device buffer -> host DMA after media completes;
-                // CRC errors replay the transfer (added latency only).
-                let dma_start = phase.end.max(self.host_free);
-                let base_dma = self.host.request_ns(req.len);
-                let penalty = link_faults.as_mut().map_or(0, |lf| {
-                    lf.transfer_penalty_traced(base_dma, dma_start + base_dma, obs)
-                });
-                let dma_end = dma_start + base_dma + penalty;
-                self.host_free = dma_end;
-                self.host_busy += dma_end - dma_start;
-                self.dma_intervals.push((dma_start, dma_end));
-                obs.span(
-                    Layer::Link,
-                    "host_dma",
-                    dma_start,
-                    dma_start + base_dma,
-                    [("bytes", req.len), ("", 0)],
-                );
-                // Exact decomposition of dma_end - issue: everything
-                // before media service and between media completion
-                // and the DMA grant is queueing; the media wall nets
-                // out recovery, then splits die/channel.
-                let (die_w, chan_w) = Self::media_weights(self.media.stats());
-                let service_wall = phase.end - phase.service_start;
-                let recovery_media = (self.rel.media_recovery_ns - recovery0).min(service_wall);
-                let (die_ns, channel_ns) = RequestBreakdown::split_service(
-                    service_wall - recovery_media,
-                    die_w - die_w0,
-                    chan_w - chan_w0,
-                );
+                let dma = self.host_dma(req.len, phase.end, link_faults, obs);
                 let bd = RequestBreakdown {
-                    queue_ns: (phase.service_start - issue) + (dma_start - phase.end),
-                    die_ns,
-                    channel_ns,
-                    link_ns: base_dma,
-                    fs_meta_ns: 0,
-                    recovery_ns: recovery_media + penalty,
-                    total_ns: dma_end - issue,
+                    queue_ns: (phase.service_start - issue) + (dma.start - phase.end),
+                    total_ns: dma.end - issue,
+                    ..self.service_breakdown(phase, before, dma)
                 };
-                (dma_end, bd)
+                (dma.end, bd)
             }
             IoOp::Write => {
                 // Host -> device buffer DMA before media programs.
-                let dma_start = issue.max(self.host_free);
-                let base_dma = self.host.request_ns(req.len);
-                let penalty = link_faults.as_mut().map_or(0, |lf| {
-                    lf.transfer_penalty_traced(base_dma, dma_start + base_dma, obs)
-                });
-                let dma_end = dma_start + base_dma + penalty;
-                self.host_free = dma_end;
-                self.host_busy += dma_end - dma_start;
-                self.dma_intervals.push((dma_start, dma_end));
-                obs.span(
-                    Layer::Link,
-                    "host_dma",
-                    dma_start,
-                    dma_start + base_dma,
-                    [("bytes", req.len), ("", 0)],
-                );
-                let phase = self.dispatch_media(req, dma_end, media_faults, obs);
-                let (die_w, chan_w) = Self::media_weights(self.media.stats());
-                let service_wall = phase.end - phase.service_start;
-                let recovery_media = (self.rel.media_recovery_ns - recovery0).min(service_wall);
-                let (die_ns, channel_ns) = RequestBreakdown::split_service(
-                    service_wall - recovery_media,
-                    die_w - die_w0,
-                    chan_w - chan_w0,
-                );
+                let dma = self.host_dma(req.len, issue, link_faults, obs);
+                let phase = self.dispatch_media(req, dma.end, media_faults, obs);
                 let bd = RequestBreakdown {
-                    queue_ns: (dma_start - issue) + (phase.service_start - dma_end),
-                    die_ns,
-                    channel_ns,
-                    link_ns: base_dma,
-                    fs_meta_ns: 0,
-                    recovery_ns: recovery_media + penalty,
+                    queue_ns: (dma.start - issue) + (phase.service_start - dma.end),
                     total_ns: phase.end - issue,
+                    ..self.service_breakdown(phase, before, dma)
                 };
                 (phase.end, bd)
             }
@@ -436,9 +369,69 @@ impl EngineState {
         (completion, absorbed)
     }
 
+    /// Moves `len` bytes over the host link, starting once both `ready`
+    /// has passed and the link is free. CRC errors replay the transfer
+    /// (added latency only).
+    fn host_dma(
+        &mut self,
+        len: u64,
+        ready: Nanos,
+        link_faults: &mut Option<LinkFaultSim>,
+        obs: &mut Tracer,
+    ) -> HostDma {
+        let start = ready.max(self.host_free);
+        let base = self.host.request_ns(len);
+        let penalty = link_faults
+            .as_mut()
+            .map_or(0, |lf| lf.transfer_penalty_traced(base, start + base, obs));
+        let end = start + base + penalty;
+        self.host_free = end;
+        self.host_busy += end - start;
+        self.dma_intervals.push((start, end));
+        obs.span(
+            Layer::Link,
+            "host_dma",
+            start,
+            start + base,
+            [("bytes", len), ("", 0)],
+        );
+        HostDma {
+            start,
+            base,
+            penalty,
+            end,
+        }
+    }
+
+    /// The service part of a request's breakdown; the caller adds the
+    /// queueing and total that depend on the op's phase order. The media
+    /// wall nets out recovery, then splits die/channel by the activity
+    /// recorded since `before`.
+    fn service_breakdown(
+        &self,
+        phase: MediaPhase,
+        before: MediaMark,
+        dma: HostDma,
+    ) -> RequestBreakdown {
+        let now = self.media_mark();
+        let service_wall = phase.end - phase.service_start;
+        let recovery_media = (now.recovery_ns - before.recovery_ns).min(service_wall);
+        let (die_ns, channel_ns) = RequestBreakdown::split_service(
+            service_wall - recovery_media,
+            now.die_w - before.die_w,
+            now.chan_w - before.chan_w,
+        );
+        RequestBreakdown {
+            die_ns,
+            channel_ns,
+            link_ns: dma.base,
+            recovery_ns: recovery_media + dma.penalty,
+            ..RequestBreakdown::default()
+        }
+    }
+
     /// Rolls the accumulated state up into the [`RunReport`]. The caller
-    /// sets `rel.link` first (one fault process on the legacy path; a
-    /// per-tenant aggregate on the QoS path).
+    /// folds each tenant's link-fault stats into `rel.link` first.
     pub(crate) fn finish(
         self,
         cfg: &SsdConfig,
@@ -558,32 +551,11 @@ impl EngineState {
                 for i in 0..self.dmap.runs.len() {
                     let run = self.dmap.runs[i];
                     let read_op = DieOp::read(run.die, run.planes, run.pages, run.start_row);
-                    let read_out = match faults {
-                        Some(fs) => read_with_recovery(
-                            &mut self.media,
-                            &read_op,
-                            t0,
-                            fs,
-                            &mut self.ftl,
-                            &mut self.rel,
-                            obs,
-                        ),
-                        None => self.media.execute_traced(t0, &read_op, obs),
-                    };
+                    let read_out = self.execute_op(t0, &read_op, faults, obs);
                     first_service = first_service.min(read_out.start);
                     media_end = media_end.max(read_out.end);
                     let write_op = DieOp::write(run.die, run.planes, run.pages, run.start_row);
-                    let write_out = match faults {
-                        Some(fs) => write_with_recovery(
-                            &mut self.media,
-                            &write_op,
-                            read_out.end,
-                            fs,
-                            &mut self.rel,
-                            obs,
-                        ),
-                        None => self.media.execute_traced(read_out.end, &write_op, obs),
-                    };
+                    let write_out = self.execute_op(read_out.end, &write_op, faults, obs);
                     media_end = media_end.max(write_out.end);
                 }
             }
@@ -599,18 +571,7 @@ impl EngineState {
                 for die in 0..geometry.total_dies() {
                     let blocks = erase_rows * planes_per_die;
                     let erase_op = DieOp::erase(nvmtypes::DieIndex(die), blocks);
-                    let erase_out = match faults {
-                        Some(fs) => erase_with_recovery(
-                            &mut self.media,
-                            &erase_op,
-                            t0,
-                            fs,
-                            &mut self.ftl,
-                            &mut self.rel,
-                            obs,
-                        ),
-                        None => self.media.execute_traced(t0, &erase_op, obs),
-                    };
+                    let erase_out = self.execute_op(t0, &erase_op, faults, obs);
                     first_service = first_service.min(erase_out.start);
                     media_end = media_end.max(erase_out.end);
                 }
@@ -619,37 +580,11 @@ impl EngineState {
             self.map.decompose_into(lpn, count, &mut self.dmap);
             for i in 0..self.dmap.runs.len() {
                 let run = self.dmap.runs[i];
-                let out = match req.op {
-                    IoOp::Read => {
-                        let op = DieOp::read(run.die, run.planes, run.pages, run.start_row);
-                        match faults {
-                            Some(fs) => read_with_recovery(
-                                &mut self.media,
-                                &op,
-                                t0,
-                                fs,
-                                &mut self.ftl,
-                                &mut self.rel,
-                                obs,
-                            ),
-                            None => self.media.execute_traced(t0, &op, obs),
-                        }
-                    }
-                    IoOp::Write => {
-                        let op = DieOp::write(run.die, run.planes, run.pages, run.start_row);
-                        match faults {
-                            Some(fs) => write_with_recovery(
-                                &mut self.media,
-                                &op,
-                                t0,
-                                fs,
-                                &mut self.rel,
-                                obs,
-                            ),
-                            None => self.media.execute_traced(t0, &op, obs),
-                        }
-                    }
+                let op = match req.op {
+                    IoOp::Read => DieOp::read(run.die, run.planes, run.pages, run.start_row),
+                    IoOp::Write => DieOp::write(run.die, run.planes, run.pages, run.start_row),
                 };
+                let out = self.execute_op(t0, &op, faults, obs);
                 first_service = first_service.min(out.start);
                 media_end = media_end.max(out.end);
                 self.pal
@@ -667,6 +602,34 @@ impl EngineState {
                 first_service
             },
             end: media_end,
+        }
+    }
+
+    /// Executes one die-op arriving at `at`: through the controller's
+    /// recovery path for its kind when the run injects media faults,
+    /// directly otherwise.
+    // Runs once per die-op; left out of line it measurably slows the
+    // paper sweep's service path.
+    #[inline]
+    fn execute_op(
+        &mut self,
+        at: Nanos,
+        op: &DieOp,
+        faults: &mut Option<MediaFaultState>,
+        obs: &mut Tracer,
+    ) -> DieOpOutcome {
+        let media = &mut self.media;
+        match faults {
+            None => media.execute_traced(at, op, obs),
+            Some(fs) => match op.kind {
+                OpKind::Read => {
+                    read_with_recovery(media, op, at, fs, &mut self.ftl, &mut self.rel, obs)
+                }
+                OpKind::Write => write_with_recovery(media, op, at, fs, &mut self.rel, obs),
+                OpKind::Erase => {
+                    erase_with_recovery(media, op, at, fs, &mut self.ftl, &mut self.rel, obs)
+                }
+            },
         }
     }
 }

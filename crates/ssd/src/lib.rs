@@ -11,16 +11,18 @@
 //!   allocation with erase-before-write and wear accounting) and the
 //!   paper's **UFS direct mode**, which elevates the FTL into the host and
 //!   passes application requests straight through as NVM transactions;
-//! * [`device`] — the closed-loop request engine: an NCQ-style queue,
-//!   PAQ-style out-of-order die service, host-side DMA over a
-//!   [`interconnect::LinkChain`], sync/barrier semantics for metadata and
-//!   journal traffic, and non-overlapped-DMA accounting;
+//! * [`device`] — per-request servicing: translation, PAQ-style
+//!   out-of-order die service, host-side DMA over a
+//!   [`interconnect::LinkChain`], and the run accounting (latency,
+//!   attribution, PAL, non-overlapped DMA) every report is built from;
 //! * [`report`] — the per-run results every figure of the paper is
 //!   computed from (bandwidth, utilization, execution breakdown, PAL
 //!   histogram, bandwidth remaining);
-//! * [`qos`] — the multi-tenant traffic layer: weighted fair queueing
+//! * [`qos`] — the device's one request loop: closed-loop issue at each
+//!   tenant's queue depth with sync barriers, weighted fair queueing
 //!   across tenants sharing one device, FIFO admission control, and
-//!   exact per-tenant latency/die-time attribution (docs/TENANCY.md);
+//!   exact per-tenant latency and media attribution. A single-job run is
+//!   the one-tenant case (docs/TENANCY.md);
 //! * [`recovery`] — device-side fault recovery: the escalating ECC
 //!   read-retry ladder, program/erase retries and bad-block retirement,
 //!   driven by the deterministic fault plan in `nvmtypes::fault` (see

@@ -1,5 +1,6 @@
 //! Multi-tenant QoS: weighted fair queueing and admission control over
-//! one shared device, with exact per-tenant latency attribution.
+//! one shared device, with exact per-tenant latency attribution — and
+//! the device's one request loop.
 //!
 //! The paper's studies replay one job at a time; a compute-local NVM
 //! deployment actually multiplexes *many* jobs — eigensolver replays,
@@ -10,31 +11,31 @@
 //! * **Fair queueing** — dispatch order across tenants follows
 //!   start-time fair queueing (SFQ) over integer virtual time: each
 //!   dispatched request advances its tenant's virtual finish tag by
-//!   `bytes * SCALE / weight`, and the backlogged tenant with the
-//!   smallest start tag dispatches next. Doubling a tenant's weight
-//!   halves its virtual cost, so it wins dispatch slots — and therefore
-//!   die service — twice as often under contention.
+//!   `bytes * SCALE / weight`, and the ready tenant with the smallest
+//!   start tag dispatches next. Doubling a tenant's weight halves its
+//!   virtual cost, so it wins dispatch order — and therefore die
+//!   service — twice as often under contention.
 //! * **Admission control** — at most `max_active` tenants run
 //!   concurrently; later arrivals queue FIFO (by arrival time, then
 //!   tenant index) and are admitted when a running tenant's last
 //!   request completes.
-//! * **Attribution** — every request is serviced by the same
-//!   [`EngineState::service_one`] code as the single-tenant engine, so
-//!   the per-request breakdowns stay exact; the per-tenant rollups sum
-//!   to the fleet totals, and the media engine's arbitration tags
-//!   ([`flashsim::MediaSim::set_arbitration_tag`]) attribute die time
-//!   tenant by tenant.
+//! * **Attribution** — every request goes through
+//!   [`EngineState::service_one`], so the per-request breakdowns stay
+//!   exact and the per-tenant rollups sum to the fleet totals. A
+//!   tenant's die time, die-ops and media bytes ([`TagStats`]) are the
+//!   change in the media engine's running totals across its own
+//!   requests: every die-op runs inside exactly one request's service,
+//!   so the tenants' shares sum to the fleet's.
 //!
 //! Everything is integer/deterministic: no wall clock, no hash-order
-//! iteration, ties broken by tenant index. A single tenant admitted at
-//! time zero reproduces [`SsdDevice::run`] byte-for-byte (pinned by a
-//! test below), because both paths are the same servicing code under
-//! the same closed-loop issue discipline.
+//! iteration, ties broken by tenant index. [`SsdDevice::run_observed`]
+//! is this module's loop with one tenant admitted at time zero, so a
+//! one-tenant shared run and a single-job run are the same computation.
 
 use crate::device::{fault_states, EngineState};
 use crate::report::RunReport;
 use crate::SsdDevice;
-use flashsim::stats::TagStats;
+use flashsim::stats::RawStats;
 use flashsim::MediaFaultState;
 use interconnect::LinkFaultSim;
 use nvmtypes::convert::usize_from_u32;
@@ -84,6 +85,15 @@ impl TenantWorkload {
     }
 }
 
+/// A tenant as the request loop reads it, with its trace and fault plan
+/// borrowed so a single-job run never copies its trace.
+pub(crate) struct Tenant<'a> {
+    pub(crate) trace: &'a BlockTrace,
+    pub(crate) weight: u64,
+    pub(crate) arrival_ns: Nanos,
+    pub(crate) fault_plan: &'a FaultPlan,
+}
+
 /// Admission-control policy for a shared run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QosPolicy {
@@ -111,6 +121,36 @@ impl Default for QosPolicy {
     }
 }
 
+/// Die time, die-ops and payload bytes one tenant's requests consumed
+/// on the media.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TagStats {
+    /// Die busy time (op start to completion) of the tenant's die-ops, ns.
+    pub busy_ns: Nanos,
+    /// Die-ops executed for the tenant, recovery retries included.
+    pub ops: u64,
+    /// Payload bytes moved (reads + writes; erases move none).
+    pub bytes: u64,
+}
+
+impl TagStats {
+    /// The media engine's running totals.
+    fn totals(stats: &RawStats) -> TagStats {
+        TagStats {
+            busy_ns: stats.busy_total,
+            ops: stats.ops,
+            bytes: stats.bytes(),
+        }
+    }
+
+    /// Adds the media work done between the totals `before` and `after`.
+    fn add_between(&mut self, before: TagStats, after: TagStats) {
+        self.busy_ns += after.busy_ns - before.busy_ns;
+        self.ops += after.ops - before.ops;
+        self.bytes += after.bytes - before.bytes;
+    }
+}
+
 /// Per-tenant results of a shared run.
 #[derive(Debug, Clone)]
 pub struct TenantRunStats {
@@ -130,8 +170,8 @@ pub struct TenantRunStats {
     /// Exact per-layer latency attribution for this tenant alone; the
     /// tenants' `total_ns` values sum to the fleet's.
     pub attribution: LatencyAttribution,
-    /// Die time / die-ops / media bytes the tenant consumed, from the
-    /// media engine's arbitration-tag accounting.
+    /// Media work the tenant's requests caused; the tenants' values sum
+    /// to the fleet's.
     pub media: TagStats,
 }
 
@@ -147,7 +187,9 @@ pub struct SharedRunReport {
 }
 
 /// Mutable scheduler state for one tenant.
-struct TenantState {
+struct TenantState<'a> {
+    trace: &'a BlockTrace,
+    arrival_ns: Nanos,
     weight: u64,
     /// `Some(t)` once admitted at `t`; `None` while waiting.
     admitted: Option<Nanos>,
@@ -164,10 +206,12 @@ struct TenantState {
     stats: TenantRunStats,
 }
 
-impl TenantState {
-    /// Earliest time the tenant's next request could issue, mirroring
-    /// the closed-loop arrival rule of `run_observed` (peek only; the
-    /// pop happens at dispatch).
+impl TenantState<'_> {
+    /// Earliest time the tenant's next request could issue under the
+    /// closed-loop rule: after the previous issue (or the last sync
+    /// barrier's completion), and, with all `qd` slots taken, after the
+    /// earliest outstanding completion (peek only; the pop happens at
+    /// dispatch).
     fn ready(&self) -> Nanos {
         let mut ready = self.prev_issue;
         if self.inflight.len() >= self.qd {
@@ -176,6 +220,33 @@ impl TenantState {
             }
         }
         ready
+    }
+}
+
+/// Admits waiting tenants while fewer than `max_active` run, none
+/// before `at`. An admitted tenant with an empty trace finishes
+/// instantly and frees its slot for the next waiter.
+fn admit(
+    waiting: &mut VecDeque<usize>,
+    ts: &mut [TenantState<'_>],
+    active: &mut usize,
+    max_active: usize,
+    at: Nanos,
+) {
+    while *active < max_active {
+        let Some(i) = waiting.pop_front() else { break };
+        let t = &mut ts[i];
+        let admitted_at = t.arrival_ns.max(at);
+        t.admitted = Some(admitted_at);
+        t.prev_issue = admitted_at;
+        t.stats.admitted_ns = admitted_at;
+        if t.trace.requests.is_empty() {
+            t.done = true;
+            t.finish = admitted_at;
+            t.stats.finish_ns = admitted_at;
+        } else {
+            *active += 1;
+        }
     }
 }
 
@@ -198,22 +269,39 @@ impl SsdDevice {
         obs: &mut Tracer,
     ) -> SharedRunReport {
         assert!(!tenants.is_empty(), "run_shared needs at least one tenant");
-        let cfg = self.config();
-        let total_requests: usize = tenants.iter().map(|t| t.trace.len()).sum();
-        let mut state = EngineState::new(self, total_requests);
-        let max_active = if policy.max_active == 0 {
-            tenants.len()
-        } else {
-            policy.max_active
-        };
+        let tenants = tenants.iter().map(|t| Tenant {
+            trace: &t.trace,
+            weight: t.weight,
+            arrival_ns: t.arrival_ns,
+            fault_plan: &t.fault_plan,
+        });
+        self.serve(tenants, policy, obs)
+    }
 
-        let mut ts: Vec<TenantState> = tenants
-            .iter()
+    /// The device's request loop, shared by [`SsdDevice::run_observed`]
+    /// (one tenant) and [`SsdDevice::run_shared`].
+    ///
+    /// Each tenant issues closed-loop: a request issues once the
+    /// tenant's previous request has issued, its last sync barrier has
+    /// completed, and one of its `qd` slots is free. Those rules alone
+    /// set issue times. Across tenants, a dispatch clock orders the
+    /// service: each step dispatches, among the admitted tenants ready
+    /// by the clock, the one with the smallest SFQ start tag.
+    pub(crate) fn serve<'a>(
+        &self,
+        tenants: impl Iterator<Item = Tenant<'a>>,
+        policy: &QosPolicy,
+        obs: &mut Tracer,
+    ) -> SharedRunReport {
+        let cfg = self.config();
+        let mut ts: Vec<TenantState<'a>> = tenants
             .enumerate()
             .map(|(i, t)| {
-                let (media_faults, link_faults) = fault_states(&t.fault_plan, &cfg.media);
+                let (media_faults, link_faults) = fault_states(t.fault_plan, &cfg.media);
                 let qd = usize_from_u32(cfg.ncq_depth.min(t.trace.queue_depth).max(1));
                 TenantState {
+                    trace: t.trace,
+                    arrival_ns: t.arrival_ns,
                     weight: t.weight.max(1),
                     admitted: None,
                     next: 0,
@@ -238,45 +326,22 @@ impl SsdDevice {
                 }
             })
             .collect();
+        let total_requests: usize = ts.iter().map(|t| t.trace.len()).sum();
+        let mut state = EngineState::new(self, total_requests);
+        let max_active = if policy.max_active == 0 {
+            ts.len()
+        } else {
+            policy.max_active
+        };
 
         // FIFO admission queue: arrival order, ties by index.
         let mut waiting: VecDeque<usize> = {
-            let mut order: Vec<usize> = (0..tenants.len()).collect();
-            order.sort_by_key(|&i| (tenants[i].arrival_ns, i));
+            let mut order: Vec<usize> = (0..ts.len()).collect();
+            order.sort_by_key(|&i| (ts[i].arrival_ns, i));
             order.into()
         };
         let mut active: usize = 0;
-
-        // Admits waiting tenants while slots are free at `at`. An
-        // admitted tenant with an empty trace finishes instantly and
-        // frees its slot for the next waiter.
-        fn admit(
-            waiting: &mut VecDeque<usize>,
-            ts: &mut [TenantState],
-            tenants: &[TenantWorkload],
-            active: &mut usize,
-            max_active: usize,
-            at: Nanos,
-        ) {
-            while *active < max_active {
-                let Some(&i) = waiting.front() else { break };
-                let admitted_at = tenants[i].arrival_ns.max(at);
-                waiting.pop_front();
-                let t = &mut ts[i];
-                t.admitted = Some(admitted_at);
-                t.prev_issue = admitted_at;
-                t.stats.admitted_ns = admitted_at;
-                if tenants[i].trace.requests.is_empty() {
-                    t.done = true;
-                    t.finish = admitted_at;
-                    t.stats.finish_ns = admitted_at;
-                } else {
-                    *active += 1;
-                }
-            }
-        }
-
-        admit(&mut waiting, &mut ts, tenants, &mut active, max_active, 0);
+        admit(&mut waiting, &mut ts, &mut active, max_active, 0);
 
         // SFQ virtual time: the start tag of the last dispatched request.
         let mut vtime: u64 = 0;
@@ -285,13 +350,12 @@ impl SsdDevice {
         // issue times beyond `now`, so a late-arriving tenant cannot
         // push media resources into its future and starve earlier work.
         let mut now: Nanos = 0;
-        // The shared NCQ: the device serves at most `device_slots`
-        // outstanding requests across ALL tenants. This is what makes
-        // the fair queueing bite — when every slot is taken, the next
-        // dispatch waits for the earliest fleet-wide completion, and the
-        // scheduler hands the freed slot to the backlogged tenant with
-        // the smallest start tag. (Sync barriers don't occupy slots,
-        // mirroring the single-trace engine.)
+        // Fleet-wide outstanding completions, used only to advance the
+        // clock: once `device_slots` non-sync requests are outstanding,
+        // `now` moves to the earliest of their completions. No issue
+        // time waits for a device slot — each tenant's own closed loop
+        // sets its issue times — so up to the sum of the tenants'
+        // queue depths can be in flight at once, not `ncq_depth`.
         let device_slots = usize_from_u32(cfg.ncq_depth.max(1));
         let mut device_inflight: BinaryHeap<Reverse<Nanos>> =
             BinaryHeap::with_capacity(device_slots + 1);
@@ -330,7 +394,7 @@ impl SsdDevice {
             };
 
             let t = &mut ts[i];
-            let req: HostRequest = tenants[i].trace.requests[t.next];
+            let req: HostRequest = t.trace.requests[t.next];
             t.next += 1;
             let mut issue = t.prev_issue;
             if t.inflight.len() >= t.qd {
@@ -339,10 +403,12 @@ impl SsdDevice {
                 }
             }
 
-            state.media.set_arbitration_tag(Some(t.stats.tenant));
+            let media_before = TagStats::totals(state.media.stats());
             let (completion, breakdown) =
                 state.service_one(&req, issue, &mut t.media_faults, &mut t.link_faults, obs);
-            state.media.set_arbitration_tag(None);
+            t.stats
+                .media
+                .add_between(media_before, TagStats::totals(state.media.stats()));
 
             vtime = start_tag;
             t.vfinish = start_tag + req.len.max(MIN_COST_BYTES) * SCALE / t.weight;
@@ -352,6 +418,9 @@ impl SsdDevice {
             t.stats.latency_hdr.record(completion.saturating_sub(issue));
             t.stats.attribution.absorb(breakdown);
             if req.sync {
+                // Dependency barrier: nothing later from this tenant may
+                // issue until this request (a metadata lookup or journal
+                // commit) completes. Already-inflight requests keep going.
                 t.prev_issue = completion;
             } else {
                 t.inflight.push(Reverse(completion));
@@ -359,19 +428,12 @@ impl SsdDevice {
                 device_inflight.push(Reverse(completion));
             }
 
-            if t.next == tenants[i].trace.requests.len() {
+            if t.next == t.trace.requests.len() {
                 t.done = true;
                 t.stats.finish_ns = t.finish;
                 let freed_at = t.finish;
                 active -= 1;
-                admit(
-                    &mut waiting,
-                    &mut ts,
-                    tenants,
-                    &mut active,
-                    max_active,
-                    freed_at,
-                );
+                admit(&mut waiting, &mut ts, &mut active, max_active, freed_at);
             }
         }
 
@@ -387,26 +449,12 @@ impl SsdDevice {
             }
         }
 
-        // Pull the arbitration-tag attribution out before the engine
-        // consumes the media simulator.
-        let tag_busy = state.media.stats().tag_busy.clone();
-        let total_bytes: u64 = tenants.iter().map(|t| t.trace.total_bytes()).sum();
-        let data_bytes: u64 = tenants.iter().map(|t| t.trace.data_bytes()).sum();
+        let total_bytes: u64 = ts.iter().map(|t| t.trace.total_bytes()).sum();
+        let data_bytes: u64 = ts.iter().map(|t| t.trace.data_bytes()).sum();
         let fleet = state.finish(cfg, total_bytes, data_bytes, total_requests, obs);
-
-        let tenant_stats = ts
-            .into_iter()
-            .map(|mut t| {
-                if let Some(&m) = tag_busy.get(&t.stats.tenant) {
-                    t.stats.media = m;
-                }
-                t.stats
-            })
-            .collect();
-
         SharedRunReport {
             fleet,
-            tenants: tenant_stats,
+            tenants: ts.into_iter().map(|t| t.stats).collect(),
         }
     }
 }
@@ -441,23 +489,26 @@ mod tests {
     }
 
     #[test]
-    fn one_tenant_matches_the_legacy_path_exactly() {
-        let dev = device();
-        let trace = read_trace(16 * MIB, MIB, 8);
-        let legacy = dev.run(&trace);
-        let shared = dev.run_shared(
-            &[TenantWorkload::new(trace)],
-            &QosPolicy::unlimited(),
-            &mut Tracer::off(),
-        );
-        assert_eq!(shared.fleet.makespan, legacy.makespan);
-        assert_eq!(shared.fleet.total_bytes, legacy.total_bytes);
-        assert_eq!(shared.fleet.latency_hdr, legacy.latency_hdr);
-        assert_eq!(shared.fleet.pal, legacy.pal);
-        assert_eq!(shared.fleet.attribution, legacy.attribution);
-        assert_eq!(shared.fleet.media.breakdown, legacy.media.breakdown);
-        assert_eq!(shared.tenants.len(), 1);
-        assert_eq!(shared.tenants[0].requests, legacy.requests);
+    fn one_tenant_shared_run_is_the_single_job_run() {
+        // Reads, a sync barrier and writes, so every recovery path and
+        // the link retrain cadence are exercised under the fault plan.
+        let mut reqs: Vec<HostRequest> = (0..48)
+            .map(|i| HostRequest::read(i * 256 * 1024, 256 * 1024))
+            .collect();
+        reqs.push(HostRequest::read(0, 4096).synchronous());
+        reqs.extend((0..16).map(|i| HostRequest::write(i * 256 * 1024, 256 * 1024)));
+        let trace = BlockTrace::from_requests(reqs, 8);
+        for plan in [FaultPlan::none(), FaultPlan::moderate(42)] {
+            let dev = SsdDevice::new(device().config().clone().with_fault_plan(plan));
+            let single = dev.run(&trace);
+            assert_eq!(single.reliability.any(), plan != FaultPlan::none());
+            let mut tenant = TenantWorkload::new(trace.clone());
+            tenant.fault_plan = plan;
+            let shared = dev.run_shared(&[tenant], &QosPolicy::unlimited(), &mut Tracer::off());
+            assert_eq!(format!("{:?}", shared.fleet), format!("{single:?}"));
+            assert_eq!(shared.tenants.len(), 1);
+            assert_eq!(shared.tenants[0].requests, single.requests);
+        }
     }
 
     #[test]
@@ -476,9 +527,11 @@ mod tests {
         assert_eq!(tenant_total, shared.fleet.attribution.total_ns);
         let tenant_reqs: u64 = shared.tenants.iter().map(|t| t.requests).sum();
         assert_eq!(tenant_reqs, shared.fleet.requests);
+        let tenant_media: u64 = shared.tenants.iter().map(|t| t.media.bytes).sum();
+        assert_eq!(tenant_media, shared.fleet.media.bytes);
         for t in &shared.tenants {
             assert!(t.attribution.is_exact());
-            assert!(t.media.ops > 0, "tag accounting missing");
+            assert!(t.media.ops > 0, "tenant {} has no die-ops", t.tenant);
         }
     }
 

@@ -329,7 +329,8 @@ proptest! {
 
     /// Per-tenant latency attribution is exact, not sampled: across any
     /// tenant mix, seed and QoS weight, the tenants' attributed
-    /// nanoseconds and request counts sum to the fleet totals.
+    /// nanoseconds, request counts, host bytes and media bytes sum to
+    /// the fleet totals, and every tenant is charged die-ops.
     #[test]
     fn tenant_attribution_sums_to_the_fleet_total(
         seed in prop::num::u64::ANY,
@@ -374,5 +375,8 @@ proptest! {
         prop_assert_eq!(requests, report.fleet.run.requests);
         let bytes: u64 = report.tenants.iter().map(|t| t.bytes).sum();
         prop_assert_eq!(bytes, report.fleet.run.total_bytes);
+        let media_bytes: u64 = report.tenants.iter().map(|t| t.media_bytes).sum();
+        prop_assert_eq!(media_bytes, report.fleet.run.media.bytes);
+        prop_assert!(report.tenants.iter().all(|t| t.media_ops > 0));
     }
 }

@@ -1,0 +1,162 @@
+//! Robustness of the two parsers the gates read their own inputs back
+//! through: `simobs::json::parse` (committed baselines and exports) and
+//! `nvmtypes::fault::FaultPlan::parse` (fault-plan files).
+//!
+//! Truncated, byte-mutated and random input must come back as a typed
+//! error, never a panic. Damaged text that is still well-formed may
+//! parse; a JSON value that does must then be a real document, one that
+//! renders and reparses to itself.
+
+use nvmtypes::fault::FaultPlan;
+use nvmtypes::SimError;
+use proptest::prelude::*;
+use simobs::json::{self, Json};
+
+/// A document with every value kind, nesting, escapes and non-ASCII text.
+fn json_doc() -> String {
+    json::report(
+        "oocnvm.robustness/1",
+        Json::obj()
+            .field("seed", Json::u64(42))
+            .field("ratio", Json::f64_3(-1.25e-3))
+            .field("label", Json::str("CNL-UFS \"tlc\"\t\\ µs → done"))
+            .field(
+                "runs",
+                Json::Arr(vec![
+                    Json::obj()
+                        .field("ok", Json::Bool(true))
+                        .field("none", Json::Null),
+                    Json::Arr(vec![Json::u64(0), Json::Bool(false), Json::Arr(vec![])]),
+                ]),
+            ),
+    )
+    .trim_end()
+    .to_string()
+}
+
+/// A plan that sets a key in every section, with comments and blanks.
+const PLAN: &str = "# worn device on a flaky fabric
+seed = 42
+
+[media]
+page_error_prob = 2e-3   # per page read
+ecc_tiers = 3
+read_disturb_limit = 10000
+[link]
+crc_error_prob = 5e-4
+retrain_every = 32
+[node]
+crash_prob_per_iter = 0.01
+checkpoint_every = 8
+[crash]
+power_loss_at_write = 17
+torn_write_prob = 0.5
+";
+
+/// Overwrites the byte at each `(position mod len, value)` and repairs
+/// the result to valid UTF-8.
+fn mutate(text: &str, edits: &[(usize, u8)]) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    for &(at, value) in edits {
+        let len = bytes.len();
+        bytes[at % len] = value;
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Bytes JSON and the plan format are made of, so random input reaches
+/// past the first token.
+const ALPHABET: &[u8] = b"{}[]\",:#=\\/ \n\t-+.eE0123456789truefalsn[]mediaseed_prob";
+
+fn from_alphabet(picks: &[usize]) -> String {
+    picks.iter().map(|&i| char::from(ALPHABET[i])).collect()
+}
+
+/// Parses `text` as JSON and reports whether it parsed. A success must
+/// round-trip through `render`; a failure must point inside the input.
+fn json_parses(text: &str) -> bool {
+    match json::parse(text) {
+        Ok(value) => {
+            let again = json::parse(&value.render());
+            assert_eq!(again.as_ref(), Ok(&value), "{text:?} did not round-trip");
+            true
+        }
+        Err(e) => {
+            assert!(e.at <= text.len(), "error offset {} past the input", e.at);
+            false
+        }
+    }
+}
+
+/// Parses `text` as a fault plan and reports whether it parsed. A
+/// failure must be a parse error whose line lies inside the input.
+fn plan_parses(text: &str) -> bool {
+    match FaultPlan::parse(text) {
+        Ok(_) => true,
+        Err(e) => {
+            let typed = matches!(&e, SimError::Parse { what, line, .. }
+                if what == "fault plan" && (1..=text.lines().count()).contains(line));
+            assert!(typed, "{e:?} is not a fault-plan error inside {text:?}");
+            false
+        }
+    }
+}
+
+#[test]
+fn every_truncated_json_document_is_an_error() {
+    let doc = json_doc();
+    assert!(json_parses(&doc));
+    for cut in (0..doc.len()).filter(|&i| doc.is_char_boundary(i)) {
+        assert!(!json_parses(&doc[..cut]), "prefix of {cut} bytes parsed");
+    }
+}
+
+#[test]
+fn truncated_fault_plans_fail_exactly_where_a_line_is_cut() {
+    let full = FaultPlan::parse(PLAN).ok();
+    assert_eq!(
+        full.map(|p| (p.seed, p.crash.power_loss_at_write)),
+        Some((42, 17))
+    );
+    for cut in (0..PLAN.len()).filter(|&i| PLAN.is_char_boundary(i)) {
+        let prefix = &PLAN[..cut];
+        let parsed = plan_parses(prefix);
+        let last = prefix.rsplit('\n').next().unwrap_or("");
+        let code = last.split('#').next().unwrap_or("").trim();
+        if code.is_empty() || prefix.ends_with('\n') {
+            // Only whole lines (or a comment tail): every one is valid.
+            assert!(parsed, "whole lines {prefix:?} failed");
+        } else if code.starts_with('[') {
+            assert_eq!(parsed, code.ends_with(']'), "header cut {prefix:?}");
+        } else if !code.contains('=') {
+            assert!(!parsed, "bare key {prefix:?} parsed");
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn mutated_json_never_panics(edits in prop::collection::vec((0usize..4096, 0u8..=255), 1..8)) {
+        let doc = json_doc();
+        json_parses(&mutate(&doc, &edits));
+    }
+
+    #[test]
+    fn mutated_fault_plans_never_panic(edits in prop::collection::vec((0usize..4096, 0u8..=255), 1..8)) {
+        plan_parses(&mutate(PLAN, &edits));
+    }
+
+    #[test]
+    fn random_bytes_never_panic(bytes in prop::collection::vec(0u8..=255, 0..96)) {
+        let text = String::from_utf8_lossy(&bytes);
+        json_parses(&text);
+        plan_parses(&text);
+    }
+
+    #[test]
+    fn random_token_soup_never_panics(picks in prop::collection::vec(0usize..ALPHABET.len(), 0..96)) {
+        let text = from_alphabet(&picks);
+        json_parses(&text);
+        plan_parses(&text);
+    }
+}
