@@ -537,7 +537,12 @@ impl FaultPlan {
     ///
     /// Unknown sections or keys are errors (a typo silently reverting
     /// to defaults would fake a healthy device). Omitted keys keep the
-    /// [`FaultPlan::none`] defaults. `#` starts a comment.
+    /// [`FaultPlan::none`] defaults. `#` starts a comment. Every
+    /// `*_prob` value must be a finite number in `[0, 1]` and
+    /// `pe_wear_factor` finite and non-negative; anything else (`nan`,
+    /// `inf`, `-1`, `7`) is a [`SimError::parse`] naming the line.
+    ///
+    /// [`SimError::parse`]: crate::error::SimError::parse
     pub fn parse(text: &str) -> Result<FaultPlan, crate::error::SimError> {
         use crate::error::SimError;
         let mut plan = FaultPlan::none();
@@ -580,6 +585,27 @@ impl FaultPlan {
                     .parse::<f64>()
                     .map_err(|e| fail(format!("bad number `{value}`: {e}")))
             };
+            // `f64::parse` accepts `nan`, `inf` and any sign.
+            let as_prob = || {
+                let v = as_f64()?;
+                if (0.0..=1.0).contains(&v) {
+                    Ok(v)
+                } else {
+                    Err(fail(format!(
+                        "`{key}` = `{value}` is not a probability in [0, 1]"
+                    )))
+                }
+            };
+            let as_factor = || {
+                let v = as_f64()?;
+                if v.is_finite() && v >= 0.0 {
+                    Ok(v)
+                } else {
+                    Err(fail(format!(
+                        "`{key}` = `{value}` is not a finite non-negative factor"
+                    )))
+                }
+            };
             let as_u64 = || {
                 value
                     .parse::<u64>()
@@ -592,24 +618,24 @@ impl FaultPlan {
             };
             match (section.as_str(), key) {
                 ("", "seed") => plan.seed = as_u64()?,
-                ("media", "page_error_prob") => plan.media.page_error_prob = as_f64()?,
-                ("media", "pe_wear_factor") => plan.media.pe_wear_factor = as_f64()?,
-                ("media", "program_fail_prob") => plan.media.program_fail_prob = as_f64()?,
-                ("media", "erase_fail_prob") => plan.media.erase_fail_prob = as_f64()?,
+                ("media", "page_error_prob") => plan.media.page_error_prob = as_prob()?,
+                ("media", "pe_wear_factor") => plan.media.pe_wear_factor = as_factor()?,
+                ("media", "program_fail_prob") => plan.media.program_fail_prob = as_prob()?,
+                ("media", "erase_fail_prob") => plan.media.erase_fail_prob = as_prob()?,
                 ("media", "read_disturb_limit") => plan.media.read_disturb_limit = as_u64()?,
                 ("media", "ecc_tiers") => plan.media.ecc_tiers = as_u32()?,
                 ("media", "tier_extra_ns") => plan.media.tier_extra_ns = as_u64()?,
-                ("link", "crc_error_prob") => plan.link.crc_error_prob = as_f64()?,
+                ("link", "crc_error_prob") => plan.link.crc_error_prob = as_prob()?,
                 ("link", "max_replays") => plan.link.max_replays = as_u32()?,
                 ("link", "replay_backoff_ns") => plan.link.replay_backoff_ns = as_u64()?,
                 ("link", "retrain_every") => plan.link.retrain_every = as_u64()?,
                 ("link", "retrain_ns") => plan.link.retrain_ns = as_u64()?,
-                ("node", "crash_prob_per_iter") => plan.node.crash_prob_per_iter = as_f64()?,
+                ("node", "crash_prob_per_iter") => plan.node.crash_prob_per_iter = as_prob()?,
                 ("node", "checkpoint_every") => plan.node.checkpoint_every = as_u32()?,
                 ("node", "restart_penalty_ns") => plan.node.restart_penalty_ns = as_u64()?,
                 ("node", "max_crashes") => plan.node.max_crashes = as_u32()?,
                 ("crash", "power_loss_at_write") => plan.crash.power_loss_at_write = as_u64()?,
-                ("crash", "torn_write_prob") => plan.crash.torn_write_prob = as_f64()?,
+                ("crash", "torn_write_prob") => plan.crash.torn_write_prob = as_prob()?,
                 (sec, key) => {
                     let place = if sec.is_empty() {
                         "top level".to_string()
@@ -760,6 +786,53 @@ checkpoint_every = 8
         assert!(FaultPlan::parse("[crash]\npower_loss_at_write = -3\n").is_err());
         assert!(FaultPlan::parse("[crash]\ntorn_write_prob = maybe\n").is_err());
         assert!(FaultPlan::parse("[crash]\npower_loss_at_write = 1.5\n").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_probabilities_outside_the_unit_interval() {
+        use crate::error::SimError;
+        let keys = [
+            ("media", "page_error_prob"),
+            ("media", "program_fail_prob"),
+            ("media", "erase_fail_prob"),
+            ("link", "crc_error_prob"),
+            ("node", "crash_prob_per_iter"),
+            ("crash", "torn_write_prob"),
+        ];
+        for (section, key) in keys {
+            for bad in ["nan", "NaN", "inf", "-inf", "-1", "-1e-9", "1.0000001", "7"] {
+                let text = format!("seed = 1\n[{section}]\n{key} = {bad}\n");
+                let err = FaultPlan::parse(&text).expect_err(&text);
+                assert!(
+                    matches!(&err, SimError::Parse { line: 3, reason, .. } if reason.contains(key)),
+                    "{text:?}: {err}"
+                );
+            }
+            // The closed interval's ends and `-0` are probabilities.
+            for good in ["0", "-0", "1", "1.0", "0.5", "1e-300"] {
+                let text = format!("[{section}]\n{key} = {good}\n");
+                assert!(FaultPlan::parse(&text).is_ok(), "{text:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn parse_rejects_a_negative_or_non_finite_wear_factor() {
+        use crate::error::SimError;
+        for bad in ["nan", "inf", "-inf", "-1", "-1e-300"] {
+            let text = format!("[media]\n\npe_wear_factor = {bad}\n");
+            let err = FaultPlan::parse(&text).expect_err(&text);
+            assert!(
+                matches!(&err, SimError::Parse { line: 3, reason, .. }
+                    if reason.contains("pe_wear_factor")),
+                "{text:?}: {err}"
+            );
+        }
+        // A wear factor is not a probability: values above 1 are valid.
+        for good in ["0", "2e-3", "7", "1e300"] {
+            let text = format!("[media]\npe_wear_factor = {good}\n");
+            assert!(FaultPlan::parse(&text).is_ok(), "{text:?}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * [`dense`] — the small dense kernels an eigensolver needs (column-major
 //!   matrices, Cholesky, modified Gram–Schmidt, a cyclic Jacobi symmetric
 //!   eigensolver for the Rayleigh–Ritz step);
-//! * [`sparse`] — CSR sparse matrices with rayon-parallel `SpMM`;
+//! * [`sparse`] — CSR sparse matrices and the one row-major `SpMM` kernel;
 //! * [`hamiltonian`] — a synthetic sparse symmetric "nuclear CI"
 //!   Hamiltonian generator (banded many-body structure plus scattered
 //!   interaction blocks), substituting for the MFDn matrices the paper

@@ -1,7 +1,17 @@
-//! CSR sparse matrices with rayon-parallel sparse × dense-block products.
+//! CSR sparse matrices and the one sparse × dense-block kernel.
+//!
+//! `spmm_rows` is the only SpMM kernel in the crate. It reads the dense
+//! block row-major, so a nonzero `A[i, j]` costs contiguous reads of row
+//! `j` of `X` instead of `m` loads strided by `n` through a column-major
+//! block, and it keeps each output row's running sums in registers
+//! across the row's nonzeros. [`CsrMatrix::spmm`] runs it over the
+//! whole matrix; the out-of-core stores run it panel by panel (see
+//! [`crate::store::CsrPanel`]). Both transpose `X` once per product and
+//! `Y` once back, and every output element keeps the summation order of
+//! a plain row-by-row CSR product.
 
 use crate::dense::DMatrix;
-use rayon::prelude::*;
+use nvmtypes::convert::{usize_from, usize_from_u32};
 
 /// Compressed-sparse-row matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,54 +114,21 @@ impl CsrMatrix {
         true
     }
 
-    /// Sparse × dense block: `Y = A * X`, parallel over rows.
+    /// Sparse × dense block: `Y = A * X`, through the row-major SpMM
+    /// kernel over the whole matrix.
     pub fn spmm(&self, x: &DMatrix) -> DMatrix {
         assert_eq!(x.nrows, self.n, "operand height mismatch");
-        let m = x.ncols;
-        let mut y = DMatrix::zeros(self.n, m);
-        // Split Y into row chunks and process independently: the row-major
-        // scatter into a column-major Y is handled by chunking columns of Y
-        // per thread instead — compute into a row-major buffer then copy.
-        let rows: Vec<Vec<f64>> = (0..self.n)
-            .into_par_iter()
-            .map(|i| {
-                let mut acc = vec![0.0f64; m];
-                let (lo, hi) = (self.row_ptr[i] as usize, self.row_ptr[i + 1] as usize);
-                for k in lo..hi {
-                    let j = self.col_idx[k] as usize;
-                    let v = self.values[k];
-                    for (c, a) in acc.iter_mut().enumerate() {
-                        *a += v * x.col(c)[j];
-                    }
-                }
-                acc
-            })
-            .collect();
-        for (i, row) in rows.into_iter().enumerate() {
-            for (c, v) in row.into_iter().enumerate() {
-                y.col_mut(c)[i] = v;
-            }
-        }
-        y
-    }
-
-    /// Applies only rows `[r0, r1)` of the operator: `Y[r0..r1, :] += A[r0..r1, :] * X`.
-    /// This is the panel kernel the out-of-core SpMM streams with.
-    pub fn spmm_rows_into(&self, r0: usize, r1: usize, x: &DMatrix, y: &mut DMatrix) {
-        assert!(r0 <= r1 && r1 <= self.n);
-        assert_eq!(x.nrows, self.n);
-        assert_eq!(y.nrows, self.n);
-        assert_eq!(x.ncols, y.ncols);
-        for i in r0..r1 {
-            let (lo, hi) = (self.row_ptr[i] as usize, self.row_ptr[i + 1] as usize);
-            for k in lo..hi {
-                let j = self.col_idx[k] as usize;
-                let v = self.values[k];
-                for c in 0..x.ncols {
-                    y.col_mut(c)[i] += v * x.col(c)[j];
-                }
-            }
-        }
+        let x_rows = x.to_row_major();
+        let mut y_rows = vec![0.0; x_rows.len()];
+        spmm_rows(
+            &self.row_ptr,
+            &self.col_idx,
+            &self.values,
+            &x_rows,
+            x.ncols,
+            &mut y_rows,
+        );
+        DMatrix::from_row_major(self.n, x.ncols, &y_rows)
     }
 
     /// Dense copy (tests only; O(n^2) memory).
@@ -165,6 +142,67 @@ impl CsrMatrix {
         }
         d
     }
+}
+
+/// The SpMM kernel: `Y += A * X` over a block of CSR rows, with `X` and
+/// `Y` row-major (`m` contiguous values per row).
+///
+/// `row_ptr` has one entry per row of `y` plus one and indexes `col_idx`
+/// and `values`; column indices name rows of `x`. Each output row is
+/// split into column chunks of 8, then 4, 2 and 1 for the remainder, and
+/// [`spmm_chunk`] runs the row's nonzeros over one chunk at a time. Every
+/// output element sums its nonzeros in storage order onto the value `y`
+/// held, exactly as a plain row-by-row CSR product does.
+pub(crate) fn spmm_rows(
+    row_ptr: &[u64],
+    col_idx: &[u32],
+    values: &[f64],
+    x: &[f64],
+    m: usize,
+    y: &mut [f64],
+) {
+    if m == 0 {
+        return;
+    }
+    for (bounds, y_row) in row_ptr.windows(2).zip(y.chunks_exact_mut(m)) {
+        let (lo, hi) = (usize_from(bounds[0]), usize_from(bounds[1]));
+        let (cols, vals) = (&col_idx[lo..hi], &values[lo..hi]);
+        let mut c0 = 0;
+        while c0 < m {
+            let out = &mut y_row[c0..];
+            c0 += match m - c0 {
+                8.. => spmm_chunk::<8>(cols, vals, x, m, c0, out),
+                4.. => spmm_chunk::<4>(cols, vals, x, m, c0, out),
+                2.. => spmm_chunk::<2>(cols, vals, x, m, c0, out),
+                _ => spmm_chunk::<1>(cols, vals, x, m, c0, out),
+            };
+        }
+    }
+}
+
+/// The one SpMM multiply-add loop: adds `v * X[j, c0..c0 + W]` for every
+/// nonzero `(j, v)` of a row onto the first `W` values of `y`, holding
+/// the `W` sums in registers across the row. Returns `W`.
+#[inline(always)]
+fn spmm_chunk<const W: usize>(
+    cols: &[u32],
+    vals: &[f64],
+    x: &[f64],
+    m: usize,
+    c0: usize,
+    y: &mut [f64],
+) -> usize {
+    let out = &mut y[..W];
+    let mut acc = [0.0f64; W];
+    acc.copy_from_slice(out);
+    for (&j, &v) in cols.iter().zip(vals) {
+        let at = usize_from_u32(j) * m + c0;
+        for (a, &xv) in acc.iter_mut().zip(&x[at..at + W]) {
+            *a += v * xv;
+        }
+    }
+    out.copy_from_slice(&acc);
+    W
 }
 
 #[cfg(test)]
@@ -203,19 +241,6 @@ mod tests {
             for j in 0..2 {
                 assert!((y[(i, j)] - want[(i, j)]).abs() < 1e-12);
             }
-        }
-    }
-
-    #[test]
-    fn panel_kernel_matches_full_spmm() {
-        let a = small();
-        let x = DMatrix::from_rows(&[&[1.0], &[2.0], &[3.0]]);
-        let full = a.spmm(&x);
-        let mut y = DMatrix::zeros(3, 1);
-        a.spmm_rows_into(0, 2, &x, &mut y);
-        a.spmm_rows_into(2, 3, &x, &mut y);
-        for i in 0..3 {
-            assert!((y[(i, 0)] - full[(i, 0)]).abs() < 1e-12);
         }
     }
 

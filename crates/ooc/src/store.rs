@@ -8,9 +8,11 @@
 //! POSIX-level trace the paper captures under its application (§4.2).
 
 use crate::dense::DMatrix;
-use crate::sparse::CsrMatrix;
+use crate::sparse::{spmm_rows, CsrMatrix};
+use nvmtypes::convert::usize_from;
 use nvmtypes::IoOp;
 use ooctrace::TraceSink;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Byte-addressed backing store standing in for the compute node's file;
@@ -79,23 +81,54 @@ impl CsrPanel {
         self.row_ptr.len() - 1
     }
 
-    /// `Y[row_start..row_end, :] += panel * X`.
+    /// `Y[row_start..row_end, :] += panel * X` with both blocks row-major
+    /// (`m` values per row): `x` holds every row of `X`, `y` only this
+    /// panel's rows of `Y`. Runs the crate's one SpMM kernel (see
+    /// [`crate::sparse`]).
+    pub(crate) fn spmm_row_major(&self, x: &[f64], m: usize, y: &mut [f64]) {
+        spmm_rows(&self.row_ptr, &self.col_idx, &self.values, x, m, y);
+    }
+
+    /// `Y[row_start..row_end, :] += panel * X` on column-major blocks: an
+    /// adapter over the row-major panel kernel that transposes `X`,
+    /// gathers this panel's rows of `Y`, runs the kernel and scatters the
+    /// rows back. It pays an `n x m` transpose per panel; a panel sweep
+    /// should transpose once and stream, as
+    /// [`crate::UfsMatrix::spmm_traced`] does.
     pub fn spmm_into(&self, x: &DMatrix, y: &mut DMatrix) {
-        for local in 0..self.rows() {
-            let i = self.row_start + local;
-            let (lo, hi) = (
-                self.row_ptr[local] as usize,
-                self.row_ptr[local + 1] as usize,
-            );
-            for k in lo..hi {
-                let j = self.col_idx[k] as usize;
-                let v = self.values[k];
-                for c in 0..x.ncols {
-                    y.col_mut(c)[i] += v * x.col(c)[j];
-                }
+        let m = x.ncols;
+        let rows = self.row_start..self.row_start + self.rows();
+        let mut y_rows = Vec::with_capacity(rows.len() * m);
+        for i in rows.clone() {
+            y_rows.extend((0..m).map(|c| y[(i, c)]));
+        }
+        self.spmm_row_major(&x.to_row_major(), m, &mut y_rows);
+        for (i, row) in rows.zip(y_rows.chunks_exact(m.max(1))) {
+            for (c, &v) in row.iter().enumerate() {
+                y[(i, c)] = v;
             }
         }
     }
+}
+
+/// The out-of-core SpMM shared by every backing: `Y = A * X` with `A`
+/// supplied as a stream of panels. Transposes `X` to row-major once,
+/// runs each panel through [`CsrPanel::spmm_row_major`] into its rows of
+/// a row-major `Y`, and transposes `Y` back. Stops at the first panel
+/// that fails to load.
+pub(crate) fn spmm_streamed<E>(
+    x: &DMatrix,
+    panels: impl Iterator<Item = Result<CsrPanel, E>>,
+) -> Result<DMatrix, E> {
+    let m = x.ncols;
+    let x_rows = x.to_row_major();
+    let mut y_rows = vec![0.0; x_rows.len()];
+    for panel in panels {
+        let panel = panel?;
+        let own = panel.row_start * m..(panel.row_start + panel.rows()) * m;
+        panel.spmm_row_major(&x_rows, m, &mut y_rows[own]);
+    }
+    Ok(DMatrix::from_row_major(x.nrows, m, &y_rows))
 }
 
 /// An operator stored out-of-core as serialised row panels.
@@ -179,31 +212,43 @@ pub(crate) fn serialize_panels(
 /// Deserialises one panel's bytes; inverse of [`serialize_panels`] for a
 /// single panel. Shared by every backing.
 pub(crate) fn decode_panel(buf: &[u8], row_start: usize) -> CsrPanel {
-    let nrows = read_u64(buf, 0) as usize;
-    let nnz = read_u64(buf, 8) as usize;
-    let mut at = 16;
-    let mut row_ptr = Vec::with_capacity(nrows + 1);
-    for _ in 0..=nrows {
-        row_ptr.push(read_u64(buf, at));
-        at += 8;
-    }
-    let mut col_idx = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        col_idx.push(u32::from_le_bytes(read_le_bytes(buf, at)));
-        at += 4;
-    }
-    at = at.div_ceil(8) * 8;
-    let mut values = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        values.push(f64::from_le_bytes(read_le_bytes(buf, at)));
-        at += 8;
-    }
+    let nrows = usize_from(read_u64(buf, 0));
+    let nnz = usize_from(read_u64(buf, 8));
+    let ptr_at: usize = 16;
+    let col_at = ptr_at.saturating_add(nrows.saturating_add(1).saturating_mul(8));
+    let val_at = col_at.saturating_add(nnz.saturating_mul(4)).div_ceil(8) * 8;
     CsrPanel {
         row_start,
-        row_ptr,
-        col_idx,
-        values,
+        row_ptr: decode_le(buf, ptr_at, nrows.saturating_add(1), u64::from_le_bytes),
+        col_idx: decode_le(buf, col_at, nnz, u32::from_le_bytes),
+        values: decode_le(buf, val_at, nnz, f64::from_le_bytes),
     }
+}
+
+/// Decodes `count` consecutive `N`-byte little-endian values starting at
+/// byte `at`, a whole slice at a time; values past the end of `buf` are
+/// zero-padded like [`read_le_bytes`].
+fn decode_le<T, const N: usize>(
+    buf: &[u8],
+    at: usize,
+    count: usize,
+    from: fn([u8; N]) -> T,
+) -> Vec<T> {
+    let whole = buf.get(at..).unwrap_or_default();
+    let mut out: Vec<T> = whole
+        .chunks_exact(N)
+        .take(count)
+        .map(|c| {
+            let mut raw = [0u8; N];
+            raw.copy_from_slice(c);
+            from(raw)
+        })
+        .collect();
+    while out.len() < count {
+        let offset = at.saturating_add(out.len().saturating_mul(N));
+        out.push(from(read_le_bytes(buf, offset)));
+    }
+    out
 }
 
 impl OocMatrix {
@@ -247,12 +292,8 @@ impl OocMatrix {
     /// sequential read pattern of Figure 6's POSIX panel.
     pub fn spmm_traced(&self, x: &DMatrix, sink: &dyn TraceSink) -> DMatrix {
         assert_eq!(x.nrows, self.n, "operand height mismatch");
-        let mut y = DMatrix::zeros(self.n, x.ncols);
-        for idx in 0..self.panels.len() {
-            let panel = self.read_panel(idx, sink);
-            panel.spmm_into(x, &mut y);
-        }
-        y
+        let panels = (0..self.panels.len()).map(|idx| Ok(self.read_panel(idx, sink)));
+        spmm_streamed(x, panels).unwrap_or_else(|never: Infallible| match never {})
     }
 }
 

@@ -12,7 +12,7 @@
 
 use crate::dense::DMatrix;
 use crate::sparse::CsrMatrix;
-use crate::store::{decode_panel, serialize_panels, CsrPanel, PanelMeta};
+use crate::store::{decode_panel, serialize_panels, spmm_streamed, CsrPanel, PanelMeta};
 use nvmtypes::convert::usize_from;
 use nvmtypes::{IoOp, SimError};
 use ooctrace::TraceSink;
@@ -104,12 +104,10 @@ impl UfsMatrix {
     /// storage order, like [`crate::OocMatrix::spmm_traced`].
     pub fn spmm_traced(&self, x: &DMatrix, sink: &dyn TraceSink) -> Result<DMatrix, SimError> {
         assert_eq!(x.nrows, self.n, "operand height mismatch");
-        let mut y = DMatrix::zeros(self.n, x.ncols);
-        for idx in 0..self.panels.len() {
-            let panel = self.read_panel(idx, sink)?;
-            panel.spmm_into(x, &mut y);
-        }
-        Ok(y)
+        spmm_streamed(
+            x,
+            (0..self.panels.len()).map(|idx| self.read_panel(idx, sink)),
+        )
     }
 
     /// Tears the store down to its raw device image (consuming it) — the

@@ -2,10 +2,12 @@
 
 use nvmtypes::{BusTiming, HostRequest, IoOp, MediaTiming, NvmKind, SsdGeometry};
 use ooc::dense::{cholesky, jacobi_eigh, mgs_orthonormalize, DMatrix};
-use ooc::{HamiltonianSpec, OocMatrix};
+use ooc::store::CsrPanel;
+use ooc::{CsrMatrix, HamiltonianSpec, OocMatrix, UfsMatrix};
 use oocfs::FsKind;
 use ooctrace::{BlockTrace, PosixTrace, TraceCapture, TraceRecord};
 use proptest::prelude::*;
+use rayon::prelude::*;
 use ssd::StripeMap;
 
 /// The sort-based interval merge `RawStats::finalize` used before the
@@ -74,6 +76,163 @@ fn oracle_util(g: &SsdGeometry, ops: &[(u32, u64, u64)], makespan: u64) -> Oracl
         busy,
         active_span,
     }
+}
+
+/// `CsrPanel::spmm_into` as it was before the row-major kernel, verbatim:
+/// `m` strided loads per nonzero into a column-major `Y`. The reference
+/// every SpMM entry point is checked against bit for bit.
+fn oracle_spmm_into(panel: &CsrPanel, x: &DMatrix, y: &mut DMatrix) {
+    for local in 0..panel.rows() {
+        let i = panel.row_start + local;
+        let (lo, hi) = (
+            panel.row_ptr[local] as usize,
+            panel.row_ptr[local + 1] as usize,
+        );
+        for k in lo..hi {
+            let j = panel.col_idx[k] as usize;
+            let v = panel.values[k];
+            for c in 0..x.ncols {
+                y.col_mut(c)[i] += v * x.col(c)[j];
+            }
+        }
+    }
+}
+
+/// `DMatrix::transpose_mul` as it was before the tiled kernel, verbatim:
+/// one `Iterator::sum` over all `n` rows per output entry.
+fn oracle_transpose_mul(this: &DMatrix, other: &DMatrix) -> DMatrix {
+    assert_eq!(this.nrows, other.nrows, "dimension mismatch");
+    let n = this.nrows;
+    let mut out = DMatrix::zeros(this.ncols, other.ncols);
+    let cols: Vec<Vec<f64>> = (0..other.ncols)
+        .into_par_iter()
+        .map(|j| {
+            let b = other.col(j);
+            (0..this.ncols)
+                .map(|i| {
+                    let a = this.col(i);
+                    (0..n).map(|r| a[r] * b[r]).sum()
+                })
+                .collect()
+        })
+        .collect();
+    for (j, col) in cols.into_iter().enumerate() {
+        out.col_mut(j).copy_from_slice(&col);
+    }
+    out
+}
+
+/// `mgs_orthonormalize` as it was before the first-pass lookahead,
+/// verbatim: both passes run column by column.
+fn oracle_mgs(s: &DMatrix, tol: f64) -> (DMatrix, Vec<usize>) {
+    let n = s.nrows;
+    let mut q_cols: Vec<Vec<f64>> = Vec::with_capacity(s.ncols);
+    let mut kept = Vec::with_capacity(s.ncols);
+    for j in 0..s.ncols {
+        let mut v = s.col(j).to_vec();
+        // Two MGS passes for numerical robustness.
+        for _ in 0..2 {
+            for q in &q_cols {
+                let dot: f64 = (0..n).map(|r| q[r] * v[r]).sum();
+                for r in 0..n {
+                    v[r] -= dot * q[r];
+                }
+            }
+        }
+        let norm: f64 = v.iter().map(|x| x * x).sum::<f64>().sqrt();
+        if norm > tol {
+            for x in &mut v {
+                *x /= norm;
+            }
+            q_cols.push(v);
+            kept.push(j);
+        }
+    }
+    let mut q = DMatrix::zeros(n, q_cols.len());
+    for (j, col) in q_cols.into_iter().enumerate() {
+        q.col_mut(j).copy_from_slice(&col);
+    }
+    (q, kept)
+}
+
+/// A deterministic value stream for the kernel oracles: exact zeros of
+/// both signs, small integers (whose products cancel to exact zeros) and
+/// arbitrary reals.
+struct Values(u64);
+
+impl Values {
+    fn next_u32(&mut self) -> u32 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (self.0 >> 32) as u32
+    }
+
+    fn next(&mut self) -> f64 {
+        let r = self.next_u32();
+        let rest = r >> 3;
+        match r & 7 {
+            0 => 0.0,
+            1 => -0.0,
+            2 | 3 => f64::from(rest % 5) - 2.0,
+            _ => f64::from(rest) / f64::from(1u32 << 28) - 1.0,
+        }
+    }
+
+    fn block(&mut self, nrows: usize, ncols: usize) -> DMatrix {
+        let mut m = DMatrix::zeros(nrows, ncols);
+        for v in m.data.iter_mut() {
+            *v = self.next();
+        }
+        m
+    }
+
+    /// A square CSR matrix with up to `per_row` entries per row; some
+    /// rows come out empty.
+    fn csr(&mut self, n: usize, per_row: usize) -> CsrMatrix {
+        let rows = (0..n)
+            .map(|_| {
+                let mut cols: Vec<u32> = (0..per_row).map(|_| self.next_u32() % n as u32).collect();
+                cols.sort_unstable();
+                cols.dedup();
+                cols.into_iter().map(|c| (c, self.next())).collect()
+            })
+            .collect();
+        CsrMatrix::from_rows(n, rows)
+    }
+
+    /// A block whose columns include duplicates, scaled and summed copies,
+    /// near-copies and zero columns of earlier ones, so Gram–Schmidt
+    /// drops some.
+    fn dependent_block(&mut self, nrows: usize, ncols: usize) -> DMatrix {
+        let mut m = self.block(nrows, ncols);
+        for j in 1..ncols {
+            let a = self.next_u32() as usize % j;
+            let b = self.next_u32() as usize % j;
+            let (ca, cb) = (m.col(a).to_vec(), m.col(b).to_vec());
+            let kind = self.next_u32() % 6;
+            for (r, v) in m.col_mut(j).iter_mut().enumerate() {
+                *v = match kind {
+                    0 => ca[r],
+                    1 => -0.5 * ca[r],
+                    2 => ca[r] + cb[r],
+                    3 => ca[r] * (1.0 + 1e-14),
+                    4 => 0.0,
+                    _ => *v,
+                };
+            }
+        }
+        m
+    }
+}
+
+fn bits(m: &DMatrix) -> (usize, usize, Vec<u64>) {
+    (
+        m.nrows,
+        m.ncols,
+        m.data.iter().map(|v| v.to_bits()).collect(),
+    )
 }
 
 fn media_config(kind: NvmKind, paper: bool, cache_registers: bool) -> flashsim::MediaConfig {
@@ -256,6 +415,76 @@ proptest! {
                 prop_assert!((gram[(i, j)] - want).abs() < 1e-8);
             }
         }
+    }
+
+    #[test]
+    fn spmm_entry_points_are_bit_identical_to_the_column_major_oracle(
+        n in 1usize..48,
+        m in 1usize..27,
+        per_row in 0usize..9,
+        rows_per_panel in 1usize..20,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut vals = Values(seed);
+        let a = vals.csr(n, per_row);
+        let x = vals.block(n, m);
+        let whole = CsrPanel {
+            row_start: 0,
+            row_ptr: a.row_ptr.clone(),
+            col_idx: a.col_idx.clone(),
+            values: a.values.clone(),
+        };
+        let mut want = DMatrix::zeros(n, m);
+        oracle_spmm_into(&whole, &x, &mut want);
+        prop_assert_eq!(bits(&a.spmm(&x)), bits(&want));
+
+        let cap = TraceCapture::new();
+        let mem = OocMatrix::build(&a, rows_per_panel, 0, None);
+        prop_assert_eq!(bits(&mem.spmm_traced(&x, &cap)), bits(&want));
+        let fsm = UfsMatrix::build(&a, rows_per_panel, 0, None).expect("builds");
+        let y = fsm.spmm_traced(&x, &cap).expect("sweeps");
+        prop_assert_eq!(bits(&y), bits(&want));
+
+        // The column-major adapter keeps its `+=` contract onto whatever
+        // `Y` holds, zeros of either sign included.
+        let y0 = vals.block(n, m);
+        let (mut got, mut want) = (y0.clone(), y0);
+        for idx in 0..mem.panels.len() {
+            let panel = mem.read_panel(idx, &cap);
+            panel.spmm_into(&x, &mut got);
+            oracle_spmm_into(&panel, &x, &mut want);
+        }
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn transpose_mul_is_bit_identical_to_the_oracle(
+        n in 0usize..40,
+        p in 0usize..11,
+        q in 0usize..11,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut vals = Values(seed);
+        let a = vals.block(n, p);
+        let b = vals.block(n, q);
+        prop_assert_eq!(bits(&a.transpose_mul(&b)), bits(&oracle_transpose_mul(&a, &b)));
+        prop_assert_eq!(bits(&a.transpose_mul(&a)), bits(&oracle_transpose_mul(&a, &a)));
+    }
+
+    #[test]
+    fn mgs_is_bit_identical_to_the_oracle(
+        n in 1usize..40,
+        m in 1usize..14,
+        tol_exp in -14i32..-6,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut vals = Values(seed);
+        let s = vals.dependent_block(n, m);
+        let tol = 10f64.powi(tol_exp);
+        let (q, kept) = mgs_orthonormalize(&s, tol);
+        let (want_q, want_kept) = oracle_mgs(&s, tol);
+        prop_assert_eq!(kept, want_kept);
+        prop_assert_eq!(bits(&q), bits(&want_q));
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! Truncated, byte-mutated and random input must come back as a typed
 //! error, never a panic. Damaged text that is still well-formed may
 //! parse; a JSON value that does must then be a real document, one that
-//! renders and reparses to itself.
+//! renders and reparses to itself. A fault plan's probabilities must
+//! lie in `[0, 1]` and its wear factor be finite and non-negative; any
+//! other number is an error on the line that holds it.
 
 use nvmtypes::fault::FaultPlan;
 use nvmtypes::SimError;
@@ -134,7 +136,58 @@ fn truncated_fault_plans_fail_exactly_where_a_line_is_cut() {
     }
 }
 
+/// Every real-valued key of the plan format, by section, with the range
+/// `FaultPlan::parse` accepts for it.
+const REAL_KEYS: [(&str, &str, fn(f64) -> bool); 7] = [
+    ("media", "page_error_prob", is_probability),
+    ("media", "program_fail_prob", is_probability),
+    ("media", "erase_fail_prob", is_probability),
+    ("link", "crc_error_prob", is_probability),
+    ("node", "crash_prob_per_iter", is_probability),
+    ("crash", "torn_write_prob", is_probability),
+    ("media", "pe_wear_factor", is_wear_factor),
+];
+
+fn is_probability(v: f64) -> bool {
+    (0.0..=1.0).contains(&v)
+}
+
+fn is_wear_factor(v: f64) -> bool {
+    v.is_finite() && v >= 0.0
+}
+
 proptest! {
+    #[test]
+    fn out_of_range_plan_numbers_are_errors_on_their_line(
+        key in 0usize..REAL_KEYS.len(),
+        form in 0usize..8,
+        raw in -3.0f64..3.0,
+        scale in -320i32..320,
+        blank_lines in 0usize..4,
+    ) {
+        let value = match form {
+            0 => "nan".to_string(),
+            1 => "inf".to_string(),
+            2 => "-inf".to_string(),
+            3 => format!("{raw}e{scale}"),
+            4 => "1".to_string(),
+            5 => "-0".to_string(),
+            _ => raw.to_string(),
+        };
+        let number: f64 = value.parse().unwrap_or(f64::NAN);
+        let (section, name, valid) = REAL_KEYS[key];
+        let text = format!("seed = 5\n{}[{section}]\n{name} = {value}\n", "\n".repeat(blank_lines));
+        match FaultPlan::parse(&text) {
+            Ok(_) => prop_assert!(valid(number), "{text:?} parsed"),
+            Err(SimError::Parse { line, reason, .. }) => {
+                prop_assert!(!valid(number), "{text:?} rejected: {reason}");
+                prop_assert_eq!(line, blank_lines + 3, "{}", reason);
+                prop_assert!(reason.contains(name), "{}", reason);
+            }
+            Err(e) => prop_assert!(false, "{e:?} is not a parse error"),
+        }
+    }
+
     #[test]
     fn mutated_json_never_panics(edits in prop::collection::vec((0usize..4096, 0u8..=255), 1..8)) {
         let doc = json_doc();
