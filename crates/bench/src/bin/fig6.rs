@@ -9,6 +9,7 @@ use oocfs::FsKind;
 use oocnvm_bench::banner;
 use ooctrace::stats::{block_scatter, posix_scatter, ScatterPoint};
 use ooctrace::AccessStats;
+use std::process::ExitCode;
 
 /// Renders points as a rows x cols ASCII scatter (sequence on x, address
 /// on y, matching the paper's axes).
@@ -43,7 +44,7 @@ fn ascii_scatter(points: &[ScatterPoint], rows: usize, cols: usize) -> String {
     out
 }
 
-fn main() {
+fn main() -> ExitCode {
     println!(
         "{}",
         banner(
@@ -53,7 +54,13 @@ fn main() {
     );
     // A real eigensolver run: synthetic CI Hamiltonian, LOBPCG, traced
     // panel reads.
-    let (posix, eigs) = oocnvm_core::workload::lobpcg_posix_trace(4000, 8, 6, 125);
+    let (posix, eigs) = match oocnvm_core::workload::lobpcg_posix_trace(4000, 8, 6, 125) {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!("fig6: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     println!(
         "LOBPCG produced {} POSIX records ({} MiB read), lowest Ritz value {:.4}\n",
         posix.len(),
@@ -83,4 +90,5 @@ fn main() {
         ps.sequentiality * 100.0,
         gs.sequentiality * 100.0
     );
+    ExitCode::SUCCESS
 }

@@ -95,8 +95,18 @@ fn main() -> ExitCode {
             ) else {
                 return usage();
             };
-            let (trace, eigs) =
-                lobpcg_posix_trace(n as usize, block as usize, iters as usize, panel as usize);
+            let (trace, eigs) = match lobpcg_posix_trace(
+                n as usize,
+                block as usize,
+                iters as usize,
+                panel as usize,
+            ) {
+                Ok(run) => run,
+                Err(e) => {
+                    eprintln!("tracetool: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
             eprintln!("lowest Ritz values: {:?}", &eigs[..eigs.len().min(4)]);
             if emit(&trace, args.get(5).map(String::as_str)).is_err() {
                 return ExitCode::FAILURE;

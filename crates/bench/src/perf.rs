@@ -20,12 +20,11 @@
 use crate::sweep::Sweep;
 use nvmtypes::convert::{approx_f64, u64_from_usize};
 use nvmtypes::{NvmKind, MIB};
-use ooc::lobpcg::{Lobpcg, LobpcgOptions, TracedOperator};
-use ooc::{HamiltonianSpec, OocMatrix};
+use ooc::lobpcg::{Lobpcg, LobpcgOptions};
+use ooc::HamiltonianSpec;
 use oocnvm_core::config::SystemConfig;
 use oocnvm_core::experiment::ExperimentSpec;
 use oocnvm_core::workload::synthetic_ooc_trace;
-use ooctrace::TraceCapture;
 use simobs::json::Json;
 use simobs::HdrHistogram;
 use simprof::{HostClock, Profiler, SimSpanProfile};
@@ -241,16 +240,17 @@ pub fn render_report(sc: &BenchScenario, clock: Box<dyn HostClock>) -> BenchRepo
     // Phase 4 — the LOBPCG driver at reduced dimension; eigenvalues are
     // pinned through a bit-level digest.
     prof.enter("solver");
+    // The in-core solve: unpreconditioned, it is bit-identical to the
+    // same solve over the out-of-core store.
     let h = HamiltonianSpec::tiny(sc.solver_dim).generate();
-    let mem = OocMatrix::build(&h, 16, 0, None);
-    let cap = TraceCapture::new();
     let res = Lobpcg::new(LobpcgOptions {
         block_size: 3,
         max_iters: 60,
         seed: sc.seed,
+        precondition: false,
         ..LobpcgOptions::default()
     })
-    .solve(&TracedOperator::new(&mem, &cap));
+    .solve(&h);
     let eigen_digest = res
         .eigenvalues
         .iter()

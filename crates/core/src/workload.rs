@@ -1,8 +1,8 @@
 //! Workload builders: synthetic out-of-core sweeps and real LOBPCG traces.
 
-use nvmtypes::IoOp;
-use ooc::lobpcg::{Lobpcg, LobpcgOptions, TracedOperator};
-use ooc::{HamiltonianSpec, OocMatrix};
+use nvmtypes::{IoOp, SimError};
+use ooc::lobpcg::{Lobpcg, LobpcgOptions};
+use ooc::{HamiltonianSpec, UfsMatrix, UfsOperator};
 use ooctrace::{PosixTrace, TraceCapture, TraceRecord};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -47,22 +47,23 @@ pub fn synthetic_ooc_trace(total_bytes: u64, record_size: u64, seed: u64) -> Pos
 }
 
 /// Captures the POSIX-level trace of a *real* LOBPCG run: builds a
-/// synthetic nuclear-CI Hamiltonian, serialises it into an out-of-core
+/// synthetic nuclear-CI Hamiltonian, serialises it into the journaled-UFS
 /// panel store, and records every panel read the eigensolver performs.
 ///
 /// Returns the trace together with the solver's eigenvalues so callers can
-/// assert the computation (not just the I/O) was real.
+/// assert the computation (not just the I/O) was real, or the filesystem
+/// error that kept the store from being built.
 pub fn lobpcg_posix_trace(
     n: usize,
     block_size: usize,
     max_iters: usize,
     rows_per_panel: usize,
-) -> (PosixTrace, Vec<f64>) {
+) -> Result<(PosixTrace, Vec<f64>), SimError> {
     let h = HamiltonianSpec::medium(n).generate();
     let diag: Vec<f64> = (0..h.n).map(|i| h.get(i, i)).collect();
-    let ooc = OocMatrix::build(&h, rows_per_panel, 0, None);
+    let matrix = UfsMatrix::build(&h, rows_per_panel, 0, None)?;
     let cap = TraceCapture::new();
-    let op = TracedOperator::new(&ooc, &cap).with_diagonal(diag);
+    let op = UfsOperator::new(&matrix, &cap).with_diagonal(diag);
     let solver = Lobpcg::new(LobpcgOptions {
         block_size,
         max_iters,
@@ -71,7 +72,7 @@ pub fn lobpcg_posix_trace(
         precondition: true,
     });
     let result = solver.solve(&op);
-    (cap.into_trace(), result.eigenvalues)
+    Ok((cap.into_trace(), result.eigenvalues))
 }
 
 /// An out-of-core graph-analytics workload (the intro's other OoC family:
@@ -299,7 +300,7 @@ mod tests {
 
     #[test]
     fn lobpcg_trace_is_read_only_panel_sweeps() {
-        let (tr, eigs) = lobpcg_posix_trace(600, 4, 8, 100);
+        let (tr, eigs) = lobpcg_posix_trace(600, 4, 8, 100).expect("solves");
         assert!(!tr.is_empty());
         assert!((tr.read_fraction() - 1.0).abs() < 1e-12);
         // 6 panels per sweep; at least the initial apply plus iterations.

@@ -16,7 +16,8 @@
 //!   interaction blocks), substituting for the MFDn matrices the paper
 //!   reads from Carver's storage;
 //! * [`store`] — the out-of-core matrix store: `H` is serialised into row
-//!   panels on a simulated device and every panel read is captured as a
+//!   panels held in one file of a journaled UFS ([`UfsMatrix`]) over a
+//!   simulated block device, and every panel read is captured as a
 //!   POSIX-level trace record (§4.2's tracing methodology);
 //! * [`lobpcg`] — the locally optimal block preconditioned conjugate
 //!   gradient eigensolver [Knyazev '01], reading `H` through the store
@@ -42,7 +43,6 @@ pub mod lobpcg;
 pub mod matrixmarket;
 pub mod sparse;
 pub mod store;
-pub mod ufs_store;
 
 pub use checkpoint::{solve_with_recovery, RecoveredResult, RecoveryStats, SolverCheckpoint};
 pub use dense::DMatrix;
@@ -50,5 +50,4 @@ pub use hamiltonian::HamiltonianSpec;
 pub use lobpcg::{Lobpcg, LobpcgOptions, LobpcgResult, SolverState};
 pub use matrixmarket::{from_matrix_market, to_matrix_market};
 pub use sparse::CsrMatrix;
-pub use store::{OocMatrix, OocStore};
-pub use ufs_store::{UfsMatrix, UfsOperator};
+pub use store::{UfsMatrix, UfsOperator};

@@ -10,8 +10,6 @@
 
 use crate::dense::{jacobi_eigh, mgs_orthonormalize, DMatrix};
 use crate::sparse::CsrMatrix;
-use crate::store::OocMatrix;
-use ooctrace::TraceSink;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -39,47 +37,6 @@ impl Operator for CsrMatrix {
 
     fn diagonal(&self) -> Option<Vec<f64>> {
         Some((0..self.n).map(|i| self.get(i, i)).collect())
-    }
-}
-
-/// An [`OocMatrix`] applied through a trace sink — every operator
-/// application streams the full serialised Hamiltonian and records the
-/// POSIX-level reads.
-pub struct TracedOperator<'a> {
-    matrix: &'a OocMatrix,
-    sink: &'a dyn TraceSink,
-    diag: Option<Vec<f64>>,
-}
-
-impl<'a> TracedOperator<'a> {
-    /// Wraps an out-of-core matrix with a sink.
-    pub fn new(matrix: &'a OocMatrix, sink: &'a dyn TraceSink) -> TracedOperator<'a> {
-        TracedOperator {
-            matrix,
-            sink,
-            diag: None,
-        }
-    }
-
-    /// Supplies a precomputed diagonal (for preconditioning).
-    pub fn with_diagonal(mut self, diag: Vec<f64>) -> TracedOperator<'a> {
-        assert_eq!(diag.len(), self.matrix.n);
-        self.diag = Some(diag);
-        self
-    }
-}
-
-impl Operator for TracedOperator<'_> {
-    fn dim(&self) -> usize {
-        self.matrix.n
-    }
-
-    fn apply(&self, x: &DMatrix) -> DMatrix {
-        self.matrix.spmm_traced(x, self.sink)
-    }
-
-    fn diagonal(&self) -> Option<Vec<f64>> {
-        self.diag.clone()
     }
 }
 

@@ -5,7 +5,7 @@
 //! `j` of `X` instead of `m` loads strided by `n` through a column-major
 //! block, and it keeps each output row's running sums in registers
 //! across the row's nonzeros. [`CsrMatrix::spmm`] runs it over the
-//! whole matrix; the out-of-core stores run it panel by panel (see
+//! whole matrix; the out-of-core store runs it panel by panel (see
 //! [`crate::store::CsrPanel`]). Both transpose `X` once per product and
 //! `Y` once back, and every output element keeps the summation order of
 //! a plain row-by-row CSR product.

@@ -2,51 +2,28 @@
 //!
 //! The paper's pipeline (§2.1): the Hamiltonian is preprocessed once and
 //! stored in a capacity medium, then streamed back panel-by-panel on every
-//! eigensolver iteration. [`OocMatrix`] serialises a [`CsrMatrix`] into
-//! fixed-row-count panels on a byte-addressed backing ([`OocStore`]), and
-//! every panel read goes through a [`TraceSink`] — producing exactly the
-//! POSIX-level trace the paper captures under its application (§4.2).
+//! eigensolver iteration. This module owns the panel encoding, a
+//! [`CsrMatrix`] serialised into fixed-row-count panels plus a
+//! [`PanelMeta`] directory, and its one store, [`UfsMatrix`]: the panel
+//! bytes live in a file of a mounted [`ufs::Ufs`] over an in-memory block
+//! device, written through the journal's commit protocol during
+//! preprocessing and read back through the filesystem on every panel
+//! sweep. Every panel access goes through a [`TraceSink`], producing
+//! exactly the POSIX-level trace the paper captures under its application
+//! (§4.2). The device underneath also carries the journal commits and
+//! survives simulated power loss (see `ufs::harness`).
 
 use crate::dense::DMatrix;
 use crate::sparse::{spmm_rows, CsrMatrix};
 use nvmtypes::convert::usize_from;
-use nvmtypes::IoOp;
+use nvmtypes::{IoOp, SimError};
 use ooctrace::TraceSink;
-use std::convert::Infallible;
-use std::sync::Arc;
+use ssd::SimBlockDevice;
+use std::sync::{Mutex, PoisonError};
+use ufs::{FileId, Ufs, UfsParams};
 
-/// Byte-addressed backing store standing in for the compute node's file;
-/// panel bytes live in memory (the timing of the real device is supplied
-/// later by replaying the captured trace through the SSD simulator).
-#[derive(Debug, Clone)]
-pub struct OocStore {
-    data: Arc<Vec<u8>>,
-}
-
-impl OocStore {
-    /// Wraps serialised bytes.
-    pub fn new(data: Vec<u8>) -> OocStore {
-        OocStore {
-            data: Arc::new(data),
-        }
-    }
-
-    /// Size in bytes.
-    pub fn len(&self) -> u64 {
-        self.data.len() as u64
-    }
-
-    /// `true` if the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Reads `[offset, offset+len)`, recording the access.
-    pub fn read(&self, offset: u64, len: u64, file: u32, sink: &dyn TraceSink) -> &[u8] {
-        sink.record(IoOp::Read, file, offset, len);
-        &self.data[offset as usize..(offset + len) as usize]
-    }
-}
+/// Name of the panel file inside the filesystem.
+const PANEL_FILE: &str = "hamiltonian";
 
 /// Metadata of one serialised row panel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,7 +71,7 @@ impl CsrPanel {
     /// gathers this panel's rows of `Y`, runs the kernel and scatters the
     /// rows back. It pays an `n x m` transpose per panel; a panel sweep
     /// should transpose once and stream, as
-    /// [`crate::UfsMatrix::spmm_traced`] does.
+    /// [`UfsMatrix::spmm_traced`] does.
     pub fn spmm_into(&self, x: &DMatrix, y: &mut DMatrix) {
         let m = x.ncols;
         let rows = self.row_start..self.row_start + self.rows();
@@ -109,38 +86,6 @@ impl CsrPanel {
             }
         }
     }
-}
-
-/// The out-of-core SpMM shared by every backing: `Y = A * X` with `A`
-/// supplied as a stream of panels. Transposes `X` to row-major once,
-/// runs each panel through [`CsrPanel::spmm_row_major`] into its rows of
-/// a row-major `Y`, and transposes `Y` back. Stops at the first panel
-/// that fails to load.
-pub(crate) fn spmm_streamed<E>(
-    x: &DMatrix,
-    panels: impl Iterator<Item = Result<CsrPanel, E>>,
-) -> Result<DMatrix, E> {
-    let m = x.ncols;
-    let x_rows = x.to_row_major();
-    let mut y_rows = vec![0.0; x_rows.len()];
-    for panel in panels {
-        let panel = panel?;
-        let own = panel.row_start * m..(panel.row_start + panel.rows()) * m;
-        panel.spmm_row_major(&x_rows, m, &mut y_rows[own]);
-    }
-    Ok(DMatrix::from_row_major(x.nrows, m, &y_rows))
-}
-
-/// An operator stored out-of-core as serialised row panels.
-#[derive(Debug, Clone)]
-pub struct OocMatrix {
-    /// Operator dimension.
-    pub n: usize,
-    /// Panel directory.
-    pub panels: Vec<PanelMeta>,
-    store: OocStore,
-    /// Trace file id panel reads are recorded under.
-    pub file_id: u32,
 }
 
 fn push_u64(buf: &mut Vec<u8>, v: u64) {
@@ -164,14 +109,8 @@ fn read_u64(buf: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(read_le_bytes(buf, at))
 }
 
-/// Serialises `matrix` into the panel byte stream and its directory —
-/// the single encoding shared by every backing (in-memory [`OocStore`]
-/// and the journaled UFS store), so switching backings never changes a
-/// byte of what is stored or traced.
-pub(crate) fn serialize_panels(
-    matrix: &CsrMatrix,
-    rows_per_panel: usize,
-) -> (Vec<u8>, Vec<PanelMeta>) {
+/// Serialises `matrix` into the panel byte stream and its directory.
+fn serialize_panels(matrix: &CsrMatrix, rows_per_panel: usize) -> (Vec<u8>, Vec<PanelMeta>) {
     assert!(rows_per_panel >= 1);
     let mut data: Vec<u8> = Vec::new();
     let mut panels = Vec::new();
@@ -210,8 +149,8 @@ pub(crate) fn serialize_panels(
 }
 
 /// Deserialises one panel's bytes; inverse of [`serialize_panels`] for a
-/// single panel. Shared by every backing.
-pub(crate) fn decode_panel(buf: &[u8], row_start: usize) -> CsrPanel {
+/// single panel.
+fn decode_panel(buf: &[u8], row_start: usize) -> CsrPanel {
     let nrows = usize_from(read_u64(buf, 0));
     let nnz = usize_from(read_u64(buf, 8));
     let ptr_at: usize = 16;
@@ -251,49 +190,162 @@ fn decode_le<T, const N: usize>(
     out
 }
 
-impl OocMatrix {
-    /// Serialises `matrix` into panels of `rows_per_panel` rows. If `sink`
-    /// is provided, the preprocessing writes are recorded (the paper's
-    /// pre-load phase).
+/// An operator stored out-of-core as serialised row panels in a
+/// journaled UFS file.
+///
+/// Reads lock the mounted filesystem (panel sweeps are sequential, so the
+/// lock is uncontended in practice) and go through `Ufs::read`, i.e.
+/// through real durable extents.
+#[derive(Debug)]
+pub struct UfsMatrix {
+    /// Operator dimension.
+    pub n: usize,
+    /// Panel directory.
+    pub panels: Vec<PanelMeta>,
+    /// Trace file id panel reads are recorded under.
+    pub file_id: u32,
+    fs: Mutex<Ufs<SimBlockDevice>>,
+    file: FileId,
+    bytes: u64,
+}
+
+impl UfsMatrix {
+    /// Serialises `matrix` into panels of `rows_per_panel` rows and makes
+    /// them durable in a freshly formatted filesystem (one fsync — the
+    /// preprocessing phase commits once). If `sink` is provided, the
+    /// preprocessing writes are recorded (the paper's pre-load phase), one
+    /// `Write` per panel in directory order.
     pub fn build(
         matrix: &CsrMatrix,
         rows_per_panel: usize,
         file_id: u32,
         sink: Option<&dyn TraceSink>,
-    ) -> OocMatrix {
+    ) -> Result<UfsMatrix, SimError> {
         let (data, panels) = serialize_panels(matrix, rows_per_panel);
         if let Some(s) = sink {
             for p in &panels {
                 s.record(IoOp::Write, file_id, p.offset, p.len);
             }
         }
-        OocMatrix {
+        let params = UfsParams {
+            max_files: 8,
+            journal_sectors: 16,
+        };
+        // Device sized for the panel bytes with copy-on-write headroom.
+        let data_sectors = (data.len() as u64).div_ceil(ssd::SECTOR_BYTES) + 1;
+        let meta = 1 + u64::from(params.max_files) + u64::from(params.journal_sectors);
+        let total = meta + data_sectors * 2 + 8;
+        let mut fs = Ufs::format(SimBlockDevice::new(total), params)?;
+        let file = fs.create(PANEL_FILE)?;
+        fs.write(file, 0, &data)?;
+        fs.fsync(file)?;
+        Ok(UfsMatrix {
             n: matrix.n,
             panels,
-            store: OocStore::new(data),
             file_id,
-        }
+            fs: Mutex::new(fs),
+            file,
+            bytes: data.len() as u64,
+        })
     }
 
     /// Total serialised size in bytes.
     pub fn bytes(&self) -> u64 {
-        self.store.len()
+        self.bytes
     }
 
-    /// Reads and deserialises panel `idx`, recording the access.
-    pub fn read_panel(&self, idx: usize, sink: &dyn TraceSink) -> CsrPanel {
-        let meta = self.panels[idx];
-        let buf = self.store.read(meta.offset, meta.len, self.file_id, sink);
-        decode_panel(buf, meta.row_start)
+    /// Reads and deserialises panel `idx` through the filesystem,
+    /// recording the access. An index past the directory is an
+    /// [`SimError::InvalidConfig`] and records nothing.
+    pub fn read_panel(&self, idx: usize, sink: &dyn TraceSink) -> Result<CsrPanel, SimError> {
+        let meta = *self.panels.get(idx).ok_or_else(|| {
+            SimError::invalid_config(
+                "panel index",
+                format!("{idx} is out of range for {} panels", self.panels.len()),
+            )
+        })?;
+        sink.record(IoOp::Read, self.file_id, meta.offset, meta.len);
+        let mut buf = vec![0u8; usize_from(meta.len)];
+        self.fs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .read(self.file, meta.offset, &mut buf)?;
+        Ok(decode_panel(&buf, meta.row_start))
     }
 
-    /// Out-of-core SpMM: streams every panel through `sink` and multiplies.
-    /// The panel sweep is sequential in storage order — the large
-    /// sequential read pattern of Figure 6's POSIX panel.
-    pub fn spmm_traced(&self, x: &DMatrix, sink: &dyn TraceSink) -> DMatrix {
+    /// Out-of-core SpMM through the filesystem: `Y = A * X`. Transposes
+    /// `X` to row-major once, streams every panel in storage order (the
+    /// large sequential read pattern of Figure 6's POSIX panel) through
+    /// the row-major panel kernel into its rows of a row-major `Y`, and
+    /// transposes `Y` back. Stops at the first panel that fails to load.
+    pub fn spmm_traced(&self, x: &DMatrix, sink: &dyn TraceSink) -> Result<DMatrix, SimError> {
         assert_eq!(x.nrows, self.n, "operand height mismatch");
-        let panels = (0..self.panels.len()).map(|idx| Ok(self.read_panel(idx, sink)));
-        spmm_streamed(x, panels).unwrap_or_else(|never: Infallible| match never {})
+        let m = x.ncols;
+        let x_rows = x.to_row_major();
+        let mut y_rows = vec![0.0; x_rows.len()];
+        for idx in 0..self.panels.len() {
+            let panel = self.read_panel(idx, sink)?;
+            let own = panel.row_start * m..(panel.row_start + panel.rows()) * m;
+            panel.spmm_row_major(&x_rows, m, &mut y_rows[own]);
+        }
+        Ok(DMatrix::from_row_major(x.nrows, m, &y_rows))
+    }
+
+    /// Tears the store down to its raw device image (consuming it) — the
+    /// hook crash tooling uses to remount and verify durability.
+    pub fn into_media(self) -> Vec<u8> {
+        self.fs
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .into_device()
+            .into_media()
+    }
+}
+
+/// A [`UfsMatrix`] applied through a trace sink, for driving LOBPCG:
+/// every operator application streams the full serialised Hamiltonian
+/// through the filesystem and records the POSIX-level reads. A filesystem
+/// read error inside [`crate::lobpcg::Operator::apply`] (impossible on a
+/// healthy store — the file was written by `build`) yields a zero block
+/// rather than a panic, which a caller observes as a non-converging
+/// solve.
+pub struct UfsOperator<'a> {
+    matrix: &'a UfsMatrix,
+    sink: &'a dyn TraceSink,
+    diag: Option<Vec<f64>>,
+}
+
+impl<'a> UfsOperator<'a> {
+    /// Wraps a UFS-backed matrix with a sink.
+    pub fn new(matrix: &'a UfsMatrix, sink: &'a dyn TraceSink) -> UfsOperator<'a> {
+        UfsOperator {
+            matrix,
+            sink,
+            diag: None,
+        }
+    }
+
+    /// Supplies a precomputed diagonal (for preconditioning).
+    pub fn with_diagonal(mut self, diag: Vec<f64>) -> UfsOperator<'a> {
+        assert_eq!(diag.len(), self.matrix.n);
+        self.diag = Some(diag);
+        self
+    }
+}
+
+impl crate::lobpcg::Operator for UfsOperator<'_> {
+    fn dim(&self) -> usize {
+        self.matrix.n
+    }
+
+    fn apply(&self, x: &DMatrix) -> DMatrix {
+        self.matrix
+            .spmm_traced(x, self.sink)
+            .unwrap_or_else(|_| DMatrix::zeros(self.matrix.n, x.ncols))
+    }
+
+    fn diagonal(&self) -> Option<Vec<f64>> {
+        self.diag.clone()
     }
 }
 
@@ -301,82 +353,94 @@ impl OocMatrix {
 mod tests {
     use super::*;
     use crate::hamiltonian::HamiltonianSpec;
+    use crate::lobpcg::{Lobpcg, LobpcgOptions};
     use ooctrace::TraceCapture;
 
+    /// Rows `[r0, r1)` of `h` as the panel the store should decode.
+    fn rows_of(h: &CsrMatrix, r0: usize, r1: usize) -> CsrPanel {
+        let (lo, hi) = (h.row_ptr[r0] as usize, h.row_ptr[r1] as usize);
+        CsrPanel {
+            row_start: r0,
+            row_ptr: h.row_ptr[r0..=r1]
+                .iter()
+                .map(|p| p - h.row_ptr[r0])
+                .collect(),
+            col_idx: h.col_idx[lo..hi].to_vec(),
+            values: h.values[lo..hi].to_vec(),
+        }
+    }
+
     #[test]
-    fn panel_round_trip() {
+    fn panels_round_trip_through_the_filesystem() {
         let h = HamiltonianSpec::tiny(100).generate();
-        let ooc = OocMatrix::build(&h, 17, 0, None);
+        let fsm = UfsMatrix::build(&h, 17, 0, None).expect("builds");
+        // The file holds exactly the serialised panel bytes.
+        let (data, panels) = serialize_panels(&h, 17);
+        assert_eq!(fsm.panels, panels);
+        assert_eq!(fsm.bytes(), data.len() as u64);
+        let mut stored = vec![0u8; data.len()];
+        fsm.fs
+            .lock()
+            .expect("unpoisoned")
+            .read(fsm.file, 0, &mut stored)
+            .expect("reads");
+        assert_eq!(stored, data);
+        // Every panel decodes to its rows of the in-core matrix.
         let cap = TraceCapture::new();
-        let mut nnz = 0;
-        for idx in 0..ooc.panels.len() {
-            let p = ooc.read_panel(idx, &cap);
-            nnz += p.values.len();
-            // Rows match the directory.
-            assert_eq!(
-                p.rows(),
-                ooc.panels[idx].row_end - ooc.panels[idx].row_start
-            );
-        }
-        assert_eq!(nnz, h.nnz());
-    }
-
-    #[test]
-    fn traced_spmm_matches_in_memory() {
-        let h = HamiltonianSpec::tiny(120).generate();
-        let ooc = OocMatrix::build(&h, 13, 0, None);
-        let mut x = DMatrix::zeros(120, 3);
-        for (i, v) in x.data.iter_mut().enumerate() {
-            *v = (i as f64 * 0.37).sin();
-        }
-        let cap = TraceCapture::new();
-        let y = ooc.spmm_traced(&x, &cap);
-        let want = h.spmm(&x);
-        for i in 0..120 {
-            for j in 0..3 {
-                assert!((y[(i, j)] - want[(i, j)]).abs() < 1e-10);
-            }
+        for (idx, meta) in fsm.panels.iter().enumerate() {
+            let panel = fsm.read_panel(idx, &cap).expect("reads");
+            assert_eq!(panel, rows_of(&h, meta.row_start, meta.row_end));
         }
     }
 
     #[test]
-    fn sweep_trace_is_sequential_and_read_only() {
-        let h = HamiltonianSpec::tiny(200).generate();
-        let ooc = OocMatrix::build(&h, 20, 7, None);
-        let cap = TraceCapture::new();
-        let x = DMatrix::zeros(200, 2);
-        ooc.spmm_traced(&x, &cap);
-        let trace = cap.into_trace();
-        assert_eq!(trace.len(), ooc.panels.len());
-        assert!((trace.read_fraction() - 1.0).abs() < 1e-12);
-        // Panel reads are back-to-back in device order.
-        for w in trace.records.windows(2) {
-            assert_eq!(w[1].offset, w[0].offset + w[0].len);
-            assert_eq!(w[0].file, 7);
-        }
-        assert_eq!(trace.total_bytes(), ooc.bytes());
-    }
-
-    #[test]
-    fn build_can_trace_the_preload_writes() {
+    fn read_panel_rejects_an_out_of_range_index() {
         let h = HamiltonianSpec::tiny(64).generate();
+        let fsm = UfsMatrix::build(&h, 16, 0, None).expect("builds");
         let cap = TraceCapture::new();
-        let ooc = OocMatrix::build(&h, 16, 3, Some(&cap));
-        let trace = cap.into_trace();
-        assert_eq!(trace.len(), ooc.panels.len());
-        assert_eq!(trace.read_fraction(), 0.0);
-        assert_eq!(trace.total_bytes(), ooc.bytes());
+        let err = fsm
+            .read_panel(fsm.panels.len(), &cap)
+            .expect_err("no such panel");
+        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
+        assert!(fsm.read_panel(usize::MAX, &cap).is_err());
+        assert!(cap.into_trace().is_empty());
     }
 
     #[test]
-    fn panel_directory_covers_all_rows_exactly_once() {
-        let h = HamiltonianSpec::tiny(101).generate();
-        let ooc = OocMatrix::build(&h, 25, 0, None);
-        let mut next = 0;
-        for p in &ooc.panels {
-            assert_eq!(p.row_start, next);
-            next = p.row_end;
+    fn lobpcg_over_the_filesystem_matches_the_in_core_solve() {
+        let h = HamiltonianSpec::tiny(80).generate();
+        let fsm = UfsMatrix::build(&h, 16, 0, None).expect("builds");
+        let cap = TraceCapture::new();
+        // Unpreconditioned, so the in-core operator's diagonal is unused.
+        let opts = LobpcgOptions {
+            block_size: 3,
+            max_iters: 60,
+            precondition: false,
+            ..LobpcgOptions::default()
+        };
+        let want = Lobpcg::new(opts).solve(&h);
+        let got = Lobpcg::new(opts).solve(&UfsOperator::new(&fsm, &cap));
+        // Bit-identical: the store feeds the solver the matrix's own bytes.
+        assert_eq!(got.eigenvalues, want.eigenvalues);
+        assert_eq!(got.operator_applies, want.operator_applies);
+        // One read per panel per operator application, in directory order.
+        let trace = cap.into_trace();
+        assert_eq!(trace.len(), got.operator_applies * fsm.panels.len());
+        for (r, meta) in trace.records.iter().zip(fsm.panels.iter().cycle()) {
+            assert_eq!((r.op, r.offset, r.len), (IoOp::Read, meta.offset, meta.len));
         }
-        assert_eq!(next, 101);
+    }
+
+    #[test]
+    fn store_survives_remount() {
+        let h = HamiltonianSpec::tiny(64).generate();
+        let fsm = UfsMatrix::build(&h, 16, 0, None).expect("builds");
+        let bytes = fsm.bytes();
+        let media = fsm.into_media();
+        let (fs, report) =
+            Ufs::mount(SimBlockDevice::from_media(media).expect("aligned")).expect("mounts");
+        assert!(report.is_clean());
+        let id = fs.open(PANEL_FILE).expect("file exists");
+        assert_eq!(fs.size(id).expect("sized"), bytes);
     }
 }

@@ -9,9 +9,10 @@
 //! ```
 
 use bytes_of_panels::summarise;
+use oocnvm::nvmtypes::SimError;
 use oocnvm::ooc::dooc::{DataPool, Filter, Pipeline, Prefetcher, TaskGraph};
-use oocnvm::ooc::{HamiltonianSpec, OocMatrix};
-use oocnvm::ooctrace::TraceCapture;
+use oocnvm::ooc::{HamiltonianSpec, UfsMatrix};
+use oocnvm::ooctrace::{TraceCapture, TraceSink};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -28,10 +29,20 @@ mod bytes_of_panels {
     }
 }
 
-fn main() {
-    // The dataset: an out-of-core Hamiltonian split into panels.
+/// Reads panel `idx` through the store as the raw little-endian bytes of
+/// its values (the pool holds raw arrays). A panel the store cannot read
+/// loads empty, so it carries no weight in the checksums.
+fn panel_bytes(ooc: &UfsMatrix, idx: usize, sink: &dyn TraceSink) -> Vec<u8> {
+    ooc.read_panel(idx, sink)
+        .map(|p| p.values.iter().flat_map(|v| v.to_le_bytes()).collect())
+        .unwrap_or_default()
+}
+
+fn main() -> Result<(), SimError> {
+    // The dataset: an out-of-core Hamiltonian split into panels of a
+    // journaled UFS file, shared by every loader.
     let h = HamiltonianSpec::medium(3_000).generate();
-    let ooc = OocMatrix::build(&h, 200, 0, None);
+    let ooc = Arc::new(UfsMatrix::build(&h, 200, 0, None)?);
     let n_panels = ooc.panels.len();
     println!("dataset: {n_panels} panels, {} KiB", ooc.bytes() >> 10);
 
@@ -41,17 +52,13 @@ fn main() {
     let prefetcher = Prefetcher::new(Arc::clone(&pool), 4);
     let capture = Arc::new(TraceCapture::new());
     for idx in 0..n_panels {
-        let ooc = ooc.clone();
+        let ooc = Arc::clone(&ooc);
         let cap = Arc::clone(&capture);
         prefetcher.prefetch(&format!("panel/{idx}"), move || {
-            let p = ooc.read_panel(idx, &*cap);
-            // Store the values back as bytes (the pool holds raw arrays).
-            p.values.iter().flat_map(|v| v.to_le_bytes()).collect()
+            panel_bytes(&ooc, idx, &*cap)
         });
     }
-    prefetcher
-        .shutdown()
-        .expect("all panel loaders must succeed");
+    prefetcher.shutdown()?;
     println!(
         "pool after prefetch: {} KiB resident, {} evictions (budget {} KiB)",
         pool.used() >> 10,
@@ -69,13 +76,10 @@ fn main() {
         let name = key.clone();
         let pool = Arc::clone(&pool);
         let total = Arc::clone(&total);
-        let ooc = ooc.clone();
+        let ooc = Arc::clone(&ooc);
         let cap = Arc::clone(&capture);
         let id = graph.add_task_with_inputs(&name, &[], &[&name.clone()], move || {
-            let data = pool.get_or_load(&key, || {
-                let p = ooc.read_panel(idx, &*cap);
-                p.values.iter().flat_map(|v| v.to_le_bytes()).collect()
-            });
+            let data = pool.get_or_load(&key, || panel_bytes(&ooc, idx, &*cap));
             let s = summarise(&data);
             total.fetch_add(s as u64, Ordering::Relaxed);
         });
@@ -86,7 +90,7 @@ fn main() {
     graph.add_task("reduce", &panel_tasks, move || {
         done2.store(1, Ordering::Relaxed);
     });
-    let order = graph.execute(4).expect("no task may panic");
+    let order = graph.execute(4)?;
     println!(
         "scheduler ran {} tasks on 4 workers; pool hit ratio {:.0}%",
         order.len(),
@@ -116,21 +120,18 @@ fn main() {
         .map(|idx| {
             pool.get(&format!("panel/{idx}"))
                 .map(|a| a.to_vec())
-                .unwrap_or_else(|| {
-                    let p = ooc.read_panel(idx, &*capture);
-                    p.values.iter().flat_map(|v| v.to_le_bytes()).collect()
-                })
+                .unwrap_or_else(|| panel_bytes(&ooc, idx, &*capture))
         })
         .collect();
     let heavy = Pipeline::new()
         .then(Checksum)
         .then(Threshold(1.0))
-        .run(source)
-        .expect("no filter may panic");
+        .run(source)?;
     println!(
         "pipeline: {} of {} panels pass the weight threshold",
         heavy.len(),
         n_panels
     );
     println!("I/O trace captured along the way: {} reads", capture.len());
+    Ok(())
 }

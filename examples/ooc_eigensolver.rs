@@ -1,7 +1,8 @@
 //! The paper's whole pipeline, end to end:
 //!
 //! 1. generate a synthetic nuclear-CI Hamiltonian (the `H` of §2.1),
-//! 2. serialise it into an out-of-core panel store,
+//! 2. serialise it into the out-of-core panel store, a file of the
+//!    journaled UFS,
 //! 3. run the LOBPCG block eigensolver against the store, capturing the
 //!    POSIX-level I/O trace of every `H * Ψ` sweep,
 //! 4. replay that trace through three storage architectures and report
@@ -12,12 +13,13 @@
 //! cargo run --release --example ooc_eigensolver
 //! ```
 
-use oocnvm::ooc::lobpcg::{Lobpcg, LobpcgOptions, TracedOperator};
-use oocnvm::ooc::{HamiltonianSpec, OocMatrix};
+use oocnvm::nvmtypes::SimError;
+use oocnvm::ooc::lobpcg::{Lobpcg, LobpcgOptions};
+use oocnvm::ooc::{HamiltonianSpec, UfsMatrix, UfsOperator};
 use oocnvm::ooctrace::TraceCapture;
 use oocnvm::prelude::*;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     // 1. The Hamiltonian. (The paper's H has ~10^9 rows; we scale the
     //    dimension down but keep the structure — banded plus scattered
     //    two-body couplings, symmetric, diagonally dominant.)
@@ -31,9 +33,10 @@ fn main() {
         h.is_symmetric(1e-12)
     );
 
-    // 2. Out-of-core store: row panels on the (simulated) device.
+    // 2. Out-of-core store: row panels in a UFS file on the (simulated)
+    //    device.
     let diag: Vec<f64> = (0..h.n).map(|i| h.get(i, i)).collect();
-    let ooc = OocMatrix::build(&h, 250, 0, None);
+    let ooc = UfsMatrix::build(&h, 250, 0, None)?;
     println!(
         "store: {} panels, {:.1} MiB serialised",
         ooc.panels.len(),
@@ -43,7 +46,7 @@ fn main() {
     // 3. LOBPCG with trace capture: every operator application streams the
     //    full store.
     let capture = TraceCapture::new();
-    let operator = TracedOperator::new(&ooc, &capture).with_diagonal(diag);
+    let operator = UfsOperator::new(&ooc, &capture).with_diagonal(diag);
     let solver = Lobpcg::new(LobpcgOptions {
         block_size: 8,
         max_iters: 30,
@@ -96,4 +99,5 @@ fn main() {
         (ion_ms - ufs_ms) / result.operator_applies as f64,
         ion_ms / ufs_ms
     );
+    Ok(())
 }

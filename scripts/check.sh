@@ -22,45 +22,53 @@
 #                       docs/STATIC_ANALYSIS.md)
 #   4. tests          — the whole workspace test suite
 #   5. release build  — tier-1 artifact (skipped with --fast)
-#   6. reliability    — fault-injection smoke: the seeded fault sweep
+#   6. figures        — the thirteen figure and table bins are re-run
+#                       with OOCNVM_TRACE_MIB unset and each output is
+#                       `cmp`ed against its committed results/*.txt
+#                       (skipped with --fast)
+#   7. reliability    — fault-injection smoke: the seeded fault sweep
 #                       must be byte-identical run-to-run and the zero
 #                       plan identical to the fault-free driver
 #                       (docs/FAULT_MODEL.md; skipped with --fast)
-#   7. obsreport      — observability smoke: the traced run must match
+#   8. obsreport      — observability smoke: the traced run must match
 #                       the untraced run byte-for-byte, the exported
 #                       Chrome-trace JSON must parse and be replay-
 #                       identical, and the latency attribution must sum
 #                       exactly (docs/OBSERVABILITY.md; skipped with
 #                       --fast)
-#   8. thread sweep   — headline/reliability/obsreport JSON exports at
+#   9. thread sweep   — headline/reliability/obsreport JSON exports at
 #                       RAYON_NUM_THREADS=1 and =8 must be byte-
 #                       identical: the thread count is invisible in
 #                       every output (docs/PARALLELISM.md; skipped
 #                       with --fast)
-#   9. simcheck       — model-checking smoke: exhaustively explores the
+#  10. simcheck       — model-checking smoke: exhaustively explores the
 #                       vendored pool's claim/poison protocol at 2-3
 #                       threads on shadow atomics (zero violations) and
 #                       re-detects every planted fixture bug at its
 #                       pinned execution count (docs/CONCURRENCY.md)
-#  10. ufs            — crash-consistency smoke: the journaled UFS must
+#  11. ufs            — crash-consistency smoke: the journaled UFS must
 #                       recover to the committed prefix from power loss
 #                       (dropped and torn) at every device write of the
 #                       smoke workload, and the study must be byte-
 #                       identical on a same-seed re-run (docs/UFS.md;
 #                       skipped with --fast)
-#  11. bench          — perf-regression smoke: the pinned scenario's
+#  12. bench          — perf-regression smoke: the pinned scenario's
 #                       simulated results must match the committed
 #                       results/BENCH_core.json byte-for-byte, host
 #                       wall time must stay inside the tolerance band,
 #                       and profiling on vs off must not change a
 #                       result byte (docs/PROFILING.md; skipped with
 #                       --fast)
-#  12. tenants        — multi-tenant QoS smoke: the tenant-density
+#  13. tenants        — multi-tenant QoS smoke: the tenant-density
 #                       sweep must be byte-identical run-to-run and
 #                       match the committed results/BENCH_tenants.json
 #                       byte-for-byte (docs/TENANCY.md; skipped with
 #                       --fast)
-#  13. benchmark tests — the standalone benchmark package's own tests
+#  14. benchmark digests — a one-second run of every workload of the
+#                       standalone benchmark package at the pins' seed:
+#                       it exits 1 if any workload's digest differs from
+#                       results/benchmark/pins.json (skipped with --fast)
+#  15. benchmark tests — the standalone benchmark package's own tests
 #                       (`cargo test --manifest-path benchmark/Cargo.toml`):
 #                       the committed digest pins in
 #                       results/benchmark/pins.json pass and a mutated
@@ -103,6 +111,17 @@ cargo test --workspace --quiet
 if [ "$fast" -eq 0 ]; then
     step "cargo build --release"
     cargo build --release --quiet
+
+    step "figures (every bin's stdout byte-identical to results/*.txt)"
+    for fig in ablations cache_argument energy fig1 fig10 fig6 fig7 fig8 fig9 \
+        headline scaling table1 table2; do
+        env -u OOCNVM_TRACE_MIB \
+            cargo run --release --quiet -p oocnvm-bench --bin "$fig" > "target/$fig.txt"
+        cmp "target/$fig.txt" "results/$fig.txt" || {
+            echo "check.sh: $fig output differs from results/$fig.txt" >&2
+            exit 1
+        }
+    done
 
     step "reliability --smoke (fault-injection determinism)"
     cargo run --release --quiet --bin reliability -- --smoke
@@ -150,6 +169,14 @@ if [ "$fast" -eq 0 ]; then
 
     step "tenants --smoke (multi-tenant QoS baseline, byte-identical)"
     cargo run --release --quiet --bin tenants -- --smoke
+
+    step "benchmark digests (every workload against results/benchmark/pins.json)"
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --seconds 1 --trace 0 > target/benchmark.digests.txt || {
+        cat target/benchmark.digests.txt
+        echo "check.sh: a benchmark workload failed or missed its digest pin" >&2
+        exit 1
+    }
 fi
 
 step "benchmark tests (digest pins, bypass checks, simlint scan of benchmark/)"

@@ -8,9 +8,9 @@
 //! [`ufs::crash_matrix`], which collects outcomes in case order
 //! regardless of `RAYON_NUM_THREADS`.
 
-use nvmtypes::{NvmKind, MIB};
-use ooc::lobpcg::{Lobpcg, LobpcgOptions, TracedOperator};
-use ooc::{HamiltonianSpec, OocMatrix, UfsMatrix, UfsOperator};
+use nvmtypes::{IoOp, NvmKind, MIB};
+use ooc::lobpcg::{Lobpcg, LobpcgOptions};
+use ooc::{HamiltonianSpec, UfsMatrix, UfsOperator};
 use oocnvm_bench::json_report;
 use oocnvm_core::config::SystemConfig;
 use oocnvm_core::experiment::{run_batch, ExperimentSpec};
@@ -170,7 +170,9 @@ pub fn render_report(seed: u64, smoke: bool) -> UfsReport {
     );
 
     // 3. The solver on the real filesystem: LOBPCG over the UFS-backed
-    //    panel store must match the in-memory backing bit for bit.
+    //    panel store must match the in-core solve bit for bit, reading
+    //    every panel once per operator application, in directory order.
+    //    Unpreconditioned, so the in-core operator's diagonal is unused.
     out.push('\n');
     line(
         &mut out,
@@ -178,23 +180,29 @@ pub fn render_report(seed: u64, smoke: bool) -> UfsReport {
     );
     let dim = if smoke { 80 } else { 160 };
     let h = HamiltonianSpec::tiny(dim).generate();
-    let mem = OocMatrix::build(&h, 16, 0, None);
     let opts = LobpcgOptions {
         block_size: 3,
         max_iters: 60,
         seed,
+        precondition: false,
         ..LobpcgOptions::default()
     };
-    let (cap_mem, cap_fs) = (TraceCapture::new(), TraceCapture::new());
-    let a = Lobpcg::new(opts).solve(&TracedOperator::new(&mem, &cap_mem));
+    let a = Lobpcg::new(opts).solve(&h);
+    let cap = TraceCapture::new();
     let (store_ok, trace_ok, b_iters) = match UfsMatrix::build(&h, 16, 0, None) {
         Ok(fsm) => {
-            let b = Lobpcg::new(opts).solve(&UfsOperator::new(&fsm, &cap_fs));
-            (
-                a.eigenvalues == b.eigenvalues,
-                cap_mem.into_trace() == cap_fs.into_trace(),
-                b.iterations,
-            )
+            let b = Lobpcg::new(opts).solve(&UfsOperator::new(&fsm, &cap));
+            let trace = cap.into_trace();
+            let trace_ok = trace.len() == b.operator_applies * fsm.panels.len()
+                && trace
+                    .records
+                    .iter()
+                    .zip(fsm.panels.iter().cycle())
+                    .all(|(r, p)| {
+                        (r.op, r.file, r.offset, r.len)
+                            == (IoOp::Read, fsm.file_id, p.offset, p.len)
+                    });
+            (a.eigenvalues == b.eigenvalues, trace_ok, b.iterations)
         }
         Err(_) => (false, false, 0),
     };

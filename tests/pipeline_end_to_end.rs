@@ -2,8 +2,8 @@
 //! system mutation -> SSD simulation, exercising every crate in one flow.
 
 use nvmtypes::NvmKind;
-use ooc::lobpcg::{Lobpcg, LobpcgOptions, Operator, TracedOperator};
-use ooc::{CsrMatrix, HamiltonianSpec, OocMatrix};
+use ooc::lobpcg::{Lobpcg, LobpcgOptions, Operator};
+use ooc::{CsrMatrix, HamiltonianSpec, UfsMatrix, UfsOperator};
 use oocfs::FsKind;
 use oocnvm_core::config::SystemConfig;
 use oocnvm_core::experiment::ExperimentSpec;
@@ -22,10 +22,10 @@ fn hamiltonian(n: usize) -> CsrMatrix {
 #[test]
 fn lobpcg_over_the_store_matches_in_memory_lobpcg() {
     let h = hamiltonian(800);
-    let ooc = OocMatrix::build(&h, 100, 0, None);
+    let ooc = UfsMatrix::build(&h, 100, 0, None).unwrap();
     let cap = TraceCapture::new();
     let diag = h.diagonal().unwrap();
-    let traced = TracedOperator::new(&ooc, &cap).with_diagonal(diag);
+    let traced = UfsOperator::new(&ooc, &cap).with_diagonal(diag);
 
     let opts = LobpcgOptions {
         block_size: 6,
@@ -85,7 +85,7 @@ fn eigenvectors_are_orthonormal_and_satisfy_rayleigh_quotient() {
 #[test]
 fn solver_trace_has_the_papers_shape() {
     // §3.1/§4.2: heavily read-intensive, iterative, highly sequential.
-    let (trace, _) = oocnvm_core::workload::lobpcg_posix_trace(1500, 6, 10, 150);
+    let (trace, _) = oocnvm_core::workload::lobpcg_posix_trace(1500, 6, 10, 150).unwrap();
     let stats = AccessStats::of_posix(&trace);
     assert!((trace.read_fraction() - 1.0).abs() < 1e-12, "not read-only");
     assert!(
@@ -119,7 +119,7 @@ fn solver_trace_has_the_papers_shape() {
 
 #[test]
 fn full_stack_replay_runs_on_every_architecture() {
-    let (trace, eigs) = oocnvm_core::workload::lobpcg_posix_trace(1200, 4, 6, 120);
+    let (trace, eigs) = oocnvm_core::workload::lobpcg_posix_trace(1200, 4, 6, 120).unwrap();
     assert!(eigs.iter().all(|v| v.is_finite()));
     for config in SystemConfig::table2() {
         let report = ExperimentSpec::new(&config, NvmKind::Mlc).run(&trace);
@@ -142,11 +142,11 @@ fn preload_then_iterate_write_then_read() {
     // then iterate reads; the CNL device must handle both phases.
     let h = hamiltonian(1000);
     let cap = TraceCapture::new();
-    let ooc = OocMatrix::build(&h, 125, 0, Some(&cap));
+    let ooc = UfsMatrix::build(&h, 125, 0, Some(&cap)).unwrap();
     // Two read sweeps after the preload.
     let x = ooc::DMatrix::zeros(h.n, 4);
-    ooc.spmm_traced(&x, &cap);
-    ooc.spmm_traced(&x, &cap);
+    ooc.spmm_traced(&x, &cap).unwrap();
+    ooc.spmm_traced(&x, &cap).unwrap();
     let trace = cap.into_trace();
     assert!(trace.read_fraction() > 0.6 && trace.read_fraction() < 0.7);
 
@@ -158,7 +158,7 @@ fn preload_then_iterate_write_then_read() {
 
 #[test]
 fn gpfs_mutation_of_the_real_trace_reproduces_figure6() {
-    let (posix, _) = oocnvm_core::workload::lobpcg_posix_trace(1500, 4, 6, 100);
+    let (posix, _) = oocnvm_core::workload::lobpcg_posix_trace(1500, 4, 6, 100).unwrap();
     let gpfs = FsKind::IonGpfs.transform(&posix);
     let ufs = FsKind::Ufs.transform(&posix);
     let p = AccessStats::of_posix(&posix);

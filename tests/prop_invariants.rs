@@ -3,7 +3,7 @@
 use nvmtypes::{BusTiming, HostRequest, IoOp, MediaTiming, NvmKind, SsdGeometry};
 use ooc::dense::{cholesky, jacobi_eigh, mgs_orthonormalize, DMatrix};
 use ooc::store::CsrPanel;
-use ooc::{CsrMatrix, HamiltonianSpec, OocMatrix, UfsMatrix};
+use ooc::{CsrMatrix, HamiltonianSpec, UfsMatrix};
 use oocfs::FsKind;
 use ooctrace::{BlockTrace, PosixTrace, TraceCapture, TraceRecord};
 use proptest::prelude::*;
@@ -359,12 +359,12 @@ proptest! {
         rows_per_panel in 1usize..80,
     ) {
         let h = HamiltonianSpec::tiny(n.max(16)).generate();
-        let ooc = OocMatrix::build(&h, rows_per_panel, 0, None);
+        let ooc = UfsMatrix::build(&h, rows_per_panel, 0, None).expect("builds");
         let cap = TraceCapture::new();
         let mut nnz = 0usize;
         let mut rows = 0usize;
         for idx in 0..ooc.panels.len() {
-            let p = ooc.read_panel(idx, &cap);
+            let p = ooc.read_panel(idx, &cap).expect("reads");
             nnz += p.values.len();
             rows += p.rows();
         }
@@ -379,19 +379,49 @@ proptest! {
         panel in 5usize..60,
     ) {
         let h = HamiltonianSpec::tiny(n).generate();
-        let ooc = OocMatrix::build(&h, panel, 0, None);
+        let ooc = UfsMatrix::build(&h, panel, 0, None).expect("builds");
         let mut x = DMatrix::zeros(n, cols);
         for (i, v) in x.data.iter_mut().enumerate() {
             *v = ((i * 2654435761) % 1000) as f64 / 500.0 - 1.0;
         }
         let cap = TraceCapture::new();
-        let y = ooc.spmm_traced(&x, &cap);
+        let y = ooc.spmm_traced(&x, &cap).expect("sweeps");
         let want = h.spmm(&x);
         for i in 0..n {
             for j in 0..cols {
                 prop_assert!((y[(i, j)] - want[(i, j)]).abs() < 1e-9);
             }
         }
+    }
+
+    #[test]
+    fn store_traces_one_write_then_one_read_per_panel(
+        n in 1usize..120,
+        per_row in 0usize..6,
+        rows_per_panel in 1usize..40,
+        file in 0u32..4,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut vals = Values(seed);
+        let a = vals.csr(n, per_row);
+        let cap = TraceCapture::new();
+        let fsm = UfsMatrix::build(&a, rows_per_panel, file, Some(&cap)).expect("builds");
+        fsm.spmm_traced(&vals.block(n, 2), &cap).expect("sweeps");
+        // The directory tiles the rows and the serialised bytes in order.
+        let (mut row, mut offset) = (0, 0);
+        for p in &fsm.panels {
+            prop_assert_eq!((p.row_start, p.offset), (row, offset));
+            prop_assert!(p.row_end > p.row_start && p.row_end - p.row_start <= rows_per_panel);
+            (row, offset) = (p.row_end, p.offset + p.len);
+        }
+        prop_assert_eq!((row, offset), (n, fsm.bytes()));
+        // Build writes every panel once, the sweep reads every panel once.
+        let got: Vec<_> = cap.into_trace().records.iter().map(|r| (r.op, r.file, r.offset, r.len)).collect();
+        let want: Vec<_> = [IoOp::Write, IoOp::Read]
+            .into_iter()
+            .flat_map(|op| fsm.panels.iter().map(move |p| (op, file, p.offset, p.len)))
+            .collect();
+        prop_assert_eq!(got, want);
     }
 
     #[test]
@@ -439,8 +469,6 @@ proptest! {
         prop_assert_eq!(bits(&a.spmm(&x)), bits(&want));
 
         let cap = TraceCapture::new();
-        let mem = OocMatrix::build(&a, rows_per_panel, 0, None);
-        prop_assert_eq!(bits(&mem.spmm_traced(&x, &cap)), bits(&want));
         let fsm = UfsMatrix::build(&a, rows_per_panel, 0, None).expect("builds");
         let y = fsm.spmm_traced(&x, &cap).expect("sweeps");
         prop_assert_eq!(bits(&y), bits(&want));
@@ -449,8 +477,8 @@ proptest! {
         // `Y` holds, zeros of either sign included.
         let y0 = vals.block(n, m);
         let (mut got, mut want) = (y0.clone(), y0);
-        for idx in 0..mem.panels.len() {
-            let panel = mem.read_panel(idx, &cap);
+        for idx in 0..fsm.panels.len() {
+            let panel = fsm.read_panel(idx, &cap).expect("reads");
             panel.spmm_into(&x, &mut got);
             oracle_spmm_into(&panel, &x, &mut want);
         }
