@@ -1,8 +1,9 @@
 //! The experiment driver: configuration × medium × workload → report.
 
 use crate::config::SystemConfig;
-use nvmtypes::NvmKind;
-use ooctrace::PosixTrace;
+use nvmtypes::{FaultPlan, NvmKind};
+use oocfs::FsKind;
+use ooctrace::{BlockTrace, PosixTrace};
 use rayon::prelude::*;
 use ssd::RunReport;
 
@@ -50,7 +51,13 @@ pub struct ExperimentReport {
 /// assert!(report.bandwidth_mb_s > 0.0);
 /// ```
 ///
-/// Every stage is optional except the configuration and medium: without
+/// A run has two stages: the file-system stage turns the POSIX trace
+/// into a block trace (it reads neither the medium nor the fault plan),
+/// and the device stage replays that block trace on the configured
+/// medium. [`run_batch`] uses the split to transform each distinct
+/// file-system stage once for all the specs that share it.
+///
+/// Everything but the configuration and medium is optional: without
 /// [`ExperimentSpec::faults`] the plan is [`nvmtypes::FaultPlan::none`]
 /// (byte-identical to the fault-free driver), without
 /// [`ExperimentSpec::tracer`] the run is untraced (byte-identical to a
@@ -117,23 +124,67 @@ impl<'t> ExperimentSpec<'t> {
     }
 
     /// Runs the experiment against the application's POSIX trace: mutates
-    /// the trace through the configuration's file system, then replays the
-    /// block trace on the configured device.
+    /// the trace through its file-system stage, then replays the block
+    /// trace on the configured device.
     pub fn run(self, posix: &PosixTrace) -> ExperimentReport {
         let mut off = simobs::Tracer::off();
         let obs = match self.tracer {
             Some(t) => t,
             None => &mut off,
         };
-        let block = if self.journaled_ufs {
-            oocfs::FileSystemModel::transform_observed(&ufs::JournaledUfs::default(), posix, obs)
-        } else {
-            self.config.fs.transform_observed(posix, obs)
-        };
-        let device = self.config.device_with_faults(self.kind, self.plan);
-        let run = device.run_observed(&block, obs);
-        report_from_run(self.config.label, self.kind, run)
+        let stage = FsStage::of(&self.config, self.journaled_ufs);
+        let block = stage.transform(posix, obs);
+        device_run(&self.config, self.kind, self.plan, &block, obs)
     }
+}
+
+/// The file-system stage of an experiment: the transform from the POSIX
+/// trace to the block trace the device replays. It depends only on the
+/// configuration's file system and the journaled-UFS switch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FsStage {
+    /// The real journaled UFS ([`ufs::JournaledUfs`]).
+    Journaled,
+    /// A parameterised file-system model.
+    Model(FsKind),
+}
+
+impl FsStage {
+    /// The stage `config` runs, through the real journaled UFS when
+    /// `journaled` is set.
+    pub(crate) fn of(config: &SystemConfig, journaled: bool) -> FsStage {
+        if journaled {
+            FsStage::Journaled
+        } else {
+            FsStage::Model(config.fs)
+        }
+    }
+
+    /// Transforms `posix` into the block trace this stage emits.
+    pub(crate) fn transform(self, posix: &PosixTrace, obs: &mut simobs::Tracer) -> BlockTrace {
+        match self {
+            FsStage::Journaled => oocfs::FileSystemModel::transform_observed(
+                &ufs::JournaledUfs::default(),
+                posix,
+                obs,
+            ),
+            FsStage::Model(fs) => fs.transform_observed(posix, obs),
+        }
+    }
+}
+
+/// The device stage of an experiment: replays `block` on `config`'s
+/// device with `kind` media and `plan`'s faults.
+fn device_run(
+    config: &SystemConfig,
+    kind: NvmKind,
+    plan: FaultPlan,
+    block: &BlockTrace,
+    obs: &mut simobs::Tracer,
+) -> ExperimentReport {
+    let device = config.device_with_faults(kind, plan);
+    let run = device.run_observed(block, obs);
+    report_from_run(config.label, kind, run)
 }
 
 /// Wraps a device-level [`RunReport`] into the figure-facing
@@ -159,24 +210,39 @@ pub(crate) fn report_from_run(
 }
 
 /// Runs a batch of experiment specs against one POSIX trace on the
-/// thread pool, returning reports in the specs' input order — the batch
-/// is byte-identical at any thread count because every experiment is an
-/// independent pure function of its spec.
+/// thread pool, returning reports in the specs' input order. Each report
+/// equals the spec's own [`ExperimentSpec::run`].
+///
+/// The batch runs two parallel regions. The first transforms each
+/// distinct file-system stage once, however many specs share it (a
+/// sweep over media replays one block trace per file system). The
+/// second runs every spec's device on its stage's block trace. Both are
+/// byte-identical at any thread count because every transform and every
+/// device run is an independent pure function of its inputs.
 ///
 /// Specs must be `'static` (untraced): a tracer is a single mutable
 /// observation stream and cannot be shared across workers.
 pub fn run_batch(specs: Vec<ExperimentSpec<'static>>, posix: &PosixTrace) -> Vec<ExperimentReport> {
-    let plain: Vec<(SystemConfig, NvmKind, nvmtypes::FaultPlan, bool)> = specs
+    // Distinct stages in first-use order; each device job indexes its own.
+    let mut stages: Vec<FsStage> = Vec::new();
+    let jobs: Vec<(usize, SystemConfig, NvmKind, FaultPlan)> = specs
         .into_iter()
-        .map(|s| (s.config, s.kind, s.plan, s.journaled_ufs))
+        .map(|s| {
+            let stage = FsStage::of(&s.config, s.journaled_ufs);
+            let at = stages.iter().position(|&t| t == stage).unwrap_or_else(|| {
+                stages.push(stage);
+                stages.len() - 1
+            });
+            (at, s.config, s.kind, s.plan)
+        })
         .collect();
-    plain
+    let blocks: Vec<BlockTrace> = stages
         .into_par_iter()
-        .map(|(c, k, p, j)| {
-            ExperimentSpec::new(&c, k)
-                .faults(p)
-                .journaled_ufs(j)
-                .run(posix)
+        .map(|stage| stage.transform(posix, &mut simobs::Tracer::off()))
+        .collect();
+    jobs.into_par_iter()
+        .map(|(at, config, kind, plan)| {
+            device_run(&config, kind, plan, &blocks[at], &mut simobs::Tracer::off())
         })
         .collect()
 }

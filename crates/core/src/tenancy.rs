@@ -29,7 +29,7 @@
 //! (pinned by a test below and by `tests/determinism.rs`).
 
 use crate::config::SystemConfig;
-use crate::experiment::{report_from_run, ExperimentReport, ExperimentSpec};
+use crate::experiment::{report_from_run, ExperimentReport, ExperimentSpec, FsStage};
 use crate::workload::{checkpoint_trace, kv_lookup_trace, synthetic_ooc_trace};
 use nvmtypes::{FaultPlan, FaultRng, Nanos, NvmKind};
 use ooctrace::PosixTrace;
@@ -318,21 +318,14 @@ impl<'t> TenancySpec<'t> {
             None => &mut off,
         };
         let arrivals = self.arrivals.arrivals(self.tenants.len());
+        let stage = FsStage::of(&self.config, self.journaled_ufs);
         let workloads: Vec<TenantWorkload> = self
             .tenants
             .iter()
             .zip(&arrivals)
             .map(|(t, &arrival_ns)| {
                 let posix = t.profile.posix_trace(t.seed);
-                let block = if self.journaled_ufs {
-                    oocfs::FileSystemModel::transform_observed(
-                        &ufs::JournaledUfs::default(),
-                        &posix,
-                        obs,
-                    )
-                } else {
-                    self.config.fs.transform_observed(&posix, obs)
-                };
+                let block = stage.transform(&posix, obs);
                 let mut w = TenantWorkload::new(block);
                 w.weight = t.weight;
                 w.arrival_ns = arrival_ns;

@@ -20,6 +20,19 @@
 //! recovery replays the apply from the journal image. Recovery writes a
 //! checkpoint only when it replayed something, so recovering twice is
 //! byte-identical to recovering once.
+//!
+//! ## Staging
+//!
+//! Writes between two fsyncs are staged in memory as a per-file
+//! *window*: the sector-aligned tail `[start, EOF)` of the file, holding
+//! every byte written since the last fsync. Bytes below `start` are
+//! unchanged and stay in the durable extents, so an append stages at
+//! most one partial sector of old content. The first write after an
+//! fsync logs the whole-file read walk (the model charges staging as a
+//! POSIX read of the file); extending the window downward for a later
+//! write below `start` reads the device without logging. At fsync the
+//! clean prefix sectors are copied from the old extents and the window's
+//! sectors written after them, in file order.
 
 use crate::alloc::ExtentAllocator;
 use crate::journal::{plan_recovery, RecoveryReport};
@@ -30,6 +43,7 @@ use crate::layout::{
 use nvmtypes::convert::{u32_from, u64_from_usize, usize_from, usize_from_u32};
 use nvmtypes::{HostRequest, SimError};
 use ssd::{BlockDevice, SECTOR_BYTES, SECTOR_USIZE};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Device writes issued after the commit mark in one `fsync`
@@ -134,8 +148,8 @@ pub struct Ufs<D: BlockDevice> {
     /// Current in-memory view: durable entries plus applied commits.
     table: Vec<Option<FileEntry>>,
     alloc: ExtentAllocator,
-    /// Staged (not yet fsynced) full file contents, by slot.
-    staged: BTreeMap<u32, Vec<u8>>,
+    /// Staged (not yet fsynced) windows, by slot.
+    staged: BTreeMap<u32, Window>,
     next_tid: u64,
     next_seq: u64,
     /// Captured device requests (sector I/O merged into extents), when on.
@@ -384,7 +398,13 @@ impl<D: BlockDevice> Ufs<D> {
             extents: Vec::new(),
         });
         let id = FileId(u32_from(u64_from_usize(slot)));
-        self.staged.insert(id.0, Vec::new());
+        self.staged.insert(
+            id.0,
+            Window {
+                start: 0,
+                bytes: Vec::new(),
+            },
+        );
         Ok(id)
     }
 
@@ -396,83 +416,128 @@ impl<D: BlockDevice> Ufs<D> {
 
     /// Current size of the file in bytes (staged writes included).
     pub fn size(&self, id: FileId) -> Result<u64, SimError> {
-        if let Some(buf) = self.staged.get(&id.0) {
-            return Ok(u64_from_usize(buf.len()));
+        if let Some(w) = self.staged.get(&id.0) {
+            return Ok(w.end());
         }
         Ok(self.entry(id)?.size)
     }
 
-    /// Writes `data` at byte `offset`, extending the file as needed. The
-    /// write is staged in memory until [`Ufs::fsync`].
+    /// Writes `data` at byte `offset`, extending the file as needed (a
+    /// hole past EOF reads as zeros). The write is staged in memory until
+    /// [`Ufs::fsync`]; see the module docs for the staged window.
     pub fn write(&mut self, id: FileId, offset: u64, data: &[u8]) -> Result<(), SimError> {
-        self.entry(id)?;
-        if !self.staged.contains_key(&id.0) {
-            let content = self.read_all_durable(id)?;
-            self.staged.insert(id.0, content);
-        }
+        // Field-level borrows: the durable entry stays in the table while
+        // the window, the device and the log are used.
+        let entry = entry_in(&self.table, id)?;
+        let w = match self.staged.entry(id.0) {
+            Entry::Occupied(o) => {
+                let w = o.into_mut();
+                if offset < w.start {
+                    // Extend the window down to the write's sector; the
+                    // bytes in between are clean, so the device has them.
+                    let start = sector_floor(offset);
+                    let gap = usize_from(w.start - start);
+                    let len = w.bytes.len();
+                    w.bytes.resize(len + gap, 0);
+                    w.bytes.copy_within(..len, gap);
+                    if let Err(e) = copy_durable(&self.dev, entry, start, &mut w.bytes[..gap]) {
+                        w.bytes.drain(..gap);
+                        return Err(e);
+                    }
+                    w.start = start;
+                }
+                w
+            }
+            Entry::Vacant(v) => {
+                // First write since the last fsync: the model logs a read
+                // of the whole file, but only the durable bytes from the
+                // write's sector (or EOF's, if the write lies past it)
+                // are copied.
+                self.log.record_walk(entry);
+                let start = sector_floor(offset.min(entry.size));
+                // Hot-path audit (`hotpath_alloc`, allowlisted): one
+                // window buffer per fsync cycle, sized to the durable
+                // bytes from `start` (at most one partial sector for an
+                // append); later writes grow it in place.
+                let mut bytes = vec![0u8; usize_from(entry.size - start)];
+                copy_durable(&self.dev, entry, start, &mut bytes)?;
+                v.insert(Window { start, bytes })
+            }
+        };
         self.wa.user_bytes += u64_from_usize(data.len());
-        let buf = self.staged.entry(id.0).or_default();
-        if usize_from(offset) == buf.len() {
+        let at = usize_from(offset - w.start);
+        if at == w.bytes.len() {
             // Pure append (the replay's steady state): one copy, no
             // zero-fill of bytes that are about to be overwritten.
-            buf.extend_from_slice(data);
+            w.bytes.extend_from_slice(data);
             return Ok(());
         }
-        let end = usize_from(offset) + data.len();
-        if buf.len() < end {
-            buf.resize(end, 0);
+        let end = at + data.len();
+        if w.bytes.len() < end {
+            w.bytes.resize(end, 0);
         }
-        buf[usize_from(offset)..end].copy_from_slice(data);
+        w.bytes[at..end].copy_from_slice(data);
         Ok(())
     }
 
     /// Reads `out.len()` bytes at byte `offset`. Staged writes are
-    /// visible (read-your-writes); reading past EOF is an error. A
-    /// durable read copies only the sectors the window covers (see
-    /// [`Ufs::read_extents_into`] for what the request log records).
+    /// visible (read-your-writes); reading past EOF is an error. Only the
+    /// sectors the range covers are copied. A staged read takes the
+    /// clean prefix from the device and the rest from the staged window,
+    /// and logs nothing.
+    ///
+    /// A durable read still logs a read of *every* sector of the file,
+    /// in extent order, whatever the range: the journaled replay's block
+    /// traces, and every digest pinned on them, model a POSIX read as a
+    /// whole-file sector walk.
     pub fn read(&mut self, id: FileId, offset: u64, out: &mut [u8]) -> Result<(), SimError> {
         let end = offset + u64_from_usize(out.len());
-        if let Some(buf) = self.staged.get(&id.0) {
-            if end > u64_from_usize(buf.len()) {
-                return Err(read_past_eof(end, u64_from_usize(buf.len())));
+        if let Some(w) = self.staged.get(&id.0) {
+            if end > w.end() {
+                return Err(read_past_eof(end, w.end()));
             }
-            out.copy_from_slice(&buf[usize_from(offset)..usize_from(end)]);
+            let split = usize_from(w.start.clamp(offset, end) - offset);
+            let (clean, staged) = out.split_at_mut(split);
+            copy_durable(&self.dev, entry_in(&self.table, id)?, offset, clean)?;
+            let from = usize_from(offset.max(w.start) - w.start);
+            staged.copy_from_slice(&w.bytes[from..from + staged.len()]);
             return Ok(());
         }
-        let size = self.entry(id)?.size;
-        if end > size {
-            return Err(read_past_eof(end, size));
+        let entry = entry_in(&self.table, id)?;
+        if end > entry.size {
+            return Err(read_past_eof(end, entry.size));
         }
-        self.read_extents_into(id, offset, out)
+        self.log.record_walk(entry);
+        copy_durable(&self.dev, entry, offset, out)
     }
 
     /// Makes the file's staged content durable via one journaled
     /// transaction (see the module docs for the write ordering). A no-op
     /// if the file has no staged changes.
     pub fn fsync(&mut self, id: FileId) -> Result<(), SimError> {
-        // Take the staged content out rather than cloning it — it can be
-        // the whole file, and fsync runs per event. A failed commit puts
-        // it back, so the sync stays retryable and read-your-writes
-        // holds.
-        let Some(content) = self.staged.remove(&id.0) else {
+        // Take the window out rather than cloning it; fsync runs per
+        // event. A failed commit puts it back, so the sync stays
+        // retryable and read-your-writes holds.
+        let Some(window) = self.staged.remove(&id.0) else {
             return Ok(());
         };
-        let r = self.commit_staged(id, &content);
+        let r = self.commit_staged(id, &window);
         if r.is_err() {
-            self.staged.insert(id.0, content);
+            self.staged.insert(id.0, window);
         }
         r
     }
 
-    /// The five-phase journaled commit of `content` for slot `id`; the
+    /// The five-phase journaled commit of `window` for slot `id`; the
     /// caller ([`Ufs::fsync`]) owns the staged-map bookkeeping.
-    fn commit_staged(&mut self, id: FileId, content: &[u8]) -> Result<(), SimError> {
+    fn commit_staged(&mut self, id: FileId, window: &Window) -> Result<(), SimError> {
         // Hot-path audit (`hotpath_alloc`, allowlisted): the three entry
         // clones in this function (old entry, its name, the journal copy
         // of the new entry) are metadata-small — a <=64-byte name and
         // <=8 extents — while the content itself moves without copying.
         let old_entry = self.entry(id)?.clone();
-        let sectors = u64_from_usize(content.len()).div_ceil(u64_from_usize(SECTOR_USIZE));
+        let size = window.end();
+        let sectors = size.div_ceil(SECTOR_BYTES);
 
         // Phase 1: copy-on-write data into fresh extents. A transaction
         // writes 4 ring records; the >= 8-sector minimum the superblock
@@ -483,29 +548,34 @@ impl<D: BlockDevice> Ufs<D> {
                 resource: "ufs data extents".into(),
             });
         }
-        // Full sectors write straight from the staged content; only the
-        // final partial chunk is zero-padded through one stack buffer
-        // (no per-sector Vec list, no full-content bounce copy).
+        // The whole file is rewritten, sector by sector in file order.
+        // The clean prefix below the window is copied from the old
+        // extents through one stack image: the window never starts past
+        // the durable size, so the old extents hold every prefix sector
+        // in full. Full window sectors write straight from the window;
+        // only its final partial chunk is zero-padded through the same
+        // image.
         let mut image = [0u8; SECTOR_USIZE];
-        let mut chunks = content.chunks(SECTOR_USIZE);
-        'cow: for ext in &new_extents {
-            for s in 0..ext.len {
-                let Some(chunk) = chunks.next() else {
-                    break 'cow;
-                };
-                if chunk.len() == SECTOR_USIZE {
-                    self.write_data(ext.start + s, chunk)?;
-                } else {
-                    image[..chunk.len()].copy_from_slice(chunk);
-                    image[chunk.len()..].fill(0);
-                    self.write_data(ext.start + s, &image)?;
-                }
+        let mut dst = new_extents.iter().flat_map(|e| e.start..e.end());
+        let clean = usize_from(window.start / SECTOR_BYTES);
+        let old = old_entry.extents.iter().flat_map(|e| e.start..e.end());
+        for (from, to) in old.take(clean).zip(dst.by_ref()) {
+            self.dev.read_sector(from, &mut image)?;
+            self.write_data(to, &image)?;
+        }
+        for (chunk, to) in window.bytes.chunks(SECTOR_USIZE).zip(dst) {
+            if chunk.len() == SECTOR_USIZE {
+                self.write_data(to, chunk)?;
+            } else {
+                image[..chunk.len()].copy_from_slice(chunk);
+                image[chunk.len()..].fill(0);
+                self.write_data(to, &image)?;
             }
         }
 
         let new_entry = FileEntry {
             name: old_entry.name.clone(),
-            size: u64_from_usize(content.len()),
+            size,
             extents: new_extents,
         };
 
@@ -558,74 +628,6 @@ impl<D: BlockDevice> Ufs<D> {
 
     fn entry(&self, id: FileId) -> Result<&FileEntry, SimError> {
         entry_in(&self.table, id)
-    }
-
-    /// Durable (on-device) content of the file, ignoring staged state.
-    fn read_all_durable(&mut self, id: FileId) -> Result<Vec<u8>, SimError> {
-        // Hot-path audit (`hotpath_alloc`, allowlisted): one
-        // content-sized buffer filled in place — the owned return is the
-        // API (`write` stages it as the file's new content).
-        let mut content = vec![0u8; usize_from(self.entry(id)?.size)];
-        self.read_extents_into(id, 0, &mut content)?;
-        Ok(content)
-    }
-
-    /// The one sector walk behind every durable read: copies file bytes
-    /// `[offset, offset + out.len())` into `out` (the caller has checked
-    /// the window against the file size). The device is asked only for
-    /// the sectors the window overlaps; whole sectors land in `out`
-    /// directly and the partial edge sectors go through one stack image.
-    ///
-    /// The request log still records a read of *every* sector of the
-    /// file, in extent order, whatever the window: the journaled
-    /// replay's block traces, and every digest pinned on them, model a
-    /// POSIX read as a whole-file sector walk. One record per extent
-    /// yields exactly the per-sector stream, because [`RequestLog::record`]
-    /// merges contiguous reads (extents are never empty).
-    fn read_extents_into(
-        &mut self,
-        id: FileId,
-        offset: u64,
-        out: &mut [u8],
-    ) -> Result<(), SimError> {
-        // Field-level borrows: the entry stays in the table while the
-        // device is read and the log appended to.
-        let entry = entry_in(&self.table, id)?;
-        let end = offset + u64_from_usize(out.len());
-        let mut image = [0u8; SECTOR_USIZE];
-        // File byte offset of the current extent's first sector.
-        let mut ext_at = 0u64;
-        for ext in &entry.extents {
-            self.log.record(HostRequest::read(
-                sector_offset(ext.start),
-                ext.len * SECTOR_BYTES,
-            ));
-            // The extent's sectors that overlap the window (none if the
-            // window is empty or lies wholly outside this extent).
-            let first = offset.saturating_sub(ext_at) / SECTOR_BYTES;
-            let last = if out.is_empty() {
-                0
-            } else {
-                end.saturating_sub(ext_at)
-                    .div_ceil(SECTOR_BYTES)
-                    .min(ext.len)
-            };
-            for s in first..last {
-                let at = ext_at + s * SECTOR_BYTES;
-                let lo = at.max(offset);
-                let hi = (at + SECTOR_BYTES).min(end);
-                let dst = &mut out[usize_from(lo - offset)..usize_from(hi - offset)];
-                if dst.len() == SECTOR_USIZE {
-                    self.dev.read_sector(ext.start + s, dst)?;
-                } else {
-                    self.dev.read_sector(ext.start + s, &mut image)?;
-                    let skip = usize_from(lo - at);
-                    dst.copy_from_slice(&image[skip..skip + dst.len()]);
-                }
-            }
-            ext_at += ext.len * SECTOR_BYTES;
-        }
-        Ok(())
     }
 
     /// Appends one journal record at the ring slot of its sequence number.
@@ -690,6 +692,85 @@ impl RequestLog {
         }
         self.reqs.push(req);
     }
+
+    /// Records the model's whole-file read: every sector of `entry`, in
+    /// extent order. One record per extent yields exactly the
+    /// per-sector stream, because [`RequestLog::record`] merges
+    /// contiguous reads (extents are never empty).
+    fn record_walk(&mut self, entry: &FileEntry) {
+        for ext in &entry.extents {
+            self.record(HostRequest::read(
+                sector_offset(ext.start),
+                ext.len * SECTOR_BYTES,
+            ));
+        }
+    }
+}
+
+/// A file's staged window: the sector-aligned tail `[start, EOF)` of
+/// its content, holding every byte written since the last fsync.
+#[derive(Debug)]
+struct Window {
+    /// Sector-aligned file offset of `bytes[0]`. Never above the durable
+    /// size, so the durable extents hold every byte below it.
+    start: u64,
+    /// File bytes `[start, EOF)`.
+    bytes: Vec<u8>,
+}
+
+impl Window {
+    /// The staged file size.
+    fn end(&self) -> u64 {
+        self.start + u64_from_usize(self.bytes.len())
+    }
+}
+
+/// `at` rounded down to a sector boundary.
+fn sector_floor(at: u64) -> u64 {
+    at - at % SECTOR_BYTES
+}
+
+/// Copies durable file bytes `[offset, offset + out.len())` of `entry`
+/// into `out`, logging nothing. The device is asked only for the
+/// sectors the range overlaps; whole sectors land in `out` directly and
+/// the partial edge sectors go through one stack image.
+fn copy_durable<D: BlockDevice>(
+    dev: &D,
+    entry: &FileEntry,
+    offset: u64,
+    out: &mut [u8],
+) -> Result<(), SimError> {
+    if out.is_empty() {
+        return Ok(());
+    }
+    let end = offset + u64_from_usize(out.len());
+    let mut image = [0u8; SECTOR_USIZE];
+    // File byte offset of the current extent's first sector.
+    let mut ext_at = 0u64;
+    for ext in &entry.extents {
+        if ext_at >= end {
+            break;
+        }
+        // The extent's sectors that overlap the range (none if it lies
+        // wholly below this extent).
+        let first = offset.saturating_sub(ext_at) / SECTOR_BYTES;
+        let last = (end - ext_at).div_ceil(SECTOR_BYTES).min(ext.len);
+        for s in first..last {
+            let at = ext_at + s * SECTOR_BYTES;
+            let lo = at.max(offset);
+            let hi = (at + SECTOR_BYTES).min(end);
+            let dst = &mut out[usize_from(lo - offset)..usize_from(hi - offset)];
+            if dst.len() == SECTOR_USIZE {
+                dev.read_sector(ext.start + s, dst)?;
+            } else {
+                dev.read_sector(ext.start + s, &mut image)?;
+                let skip = usize_from(lo - at);
+                dst.copy_from_slice(&image[skip..skip + dst.len()]);
+            }
+        }
+        ext_at += ext.len * SECTOR_BYTES;
+    }
+    Ok(())
 }
 
 /// The live entry in `table`'s slot `id` (a free function so callers can

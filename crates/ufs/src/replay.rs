@@ -14,7 +14,7 @@ use nvmtypes::SimError;
 use oocfs::FileSystemModel;
 use ooctrace::{BlockTrace, PosixTrace};
 use ssd::{SimBlockDevice, SECTOR_USIZE};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// The real journaled UFS as a trace transformer.
@@ -25,6 +25,13 @@ use std::fmt::Write as _;
 /// honest. Reads of never-written ranges materialise the file as zeros
 /// first (the preprocessing pass of an out-of-core run always writes
 /// before the solver reads, so this path is rare).
+///
+/// Host cost: the filesystem stages only the bytes written since a
+/// file's last fsync (the staged window of [`crate::fs`]), so the
+/// materialise-then-fsync cycle of a growing file copies one partial
+/// sector per write, not the whole file. The emitted block trace is
+/// unchanged by this: the first write after each fsync still surfaces
+/// as a read of every sector of the file.
 #[derive(Debug, Clone, Copy)]
 pub struct JournaledUfs {
     /// Filesystem geometry used for the replay mount.
@@ -73,7 +80,7 @@ impl JournaledUfs {
         fs.enable_request_log();
 
         let mut ids: BTreeMap<u32, FileId> = BTreeMap::new();
-        let mut dirty: BTreeMap<u32, bool> = BTreeMap::new();
+        let mut dirty: BTreeSet<u32> = BTreeSet::new();
         // Per-record scratch, hoisted out of the replay loop and resized
         // in place — the loop body allocates nothing at steady state.
         // `payload` only ever holds the 0xA5 write pattern, so it is
@@ -98,14 +105,14 @@ impl JournaledUfs {
             };
             if r.op.is_read() {
                 // Materialise anything the trace reads before writing.
-                if fs.size(id)? < r.end() {
-                    let have = fs.size(id)?;
+                let have = fs.size(id)?;
+                if have < r.end() {
                     scratch.clear();
                     scratch.resize(usize_from(r.end() - have), 0);
                     fs.write(id, have, &scratch)?;
-                    dirty.insert(r.file, true);
+                    dirty.insert(r.file);
                 }
-                if dirty.remove(&r.file).is_some() {
+                if dirty.remove(&r.file) {
                     fs.fsync(id)?;
                 }
                 // Only the length matters: `fs.read` overwrites every
@@ -120,7 +127,7 @@ impl JournaledUfs {
                     payload.resize(usize_from(r.len), 0xA5);
                 }
                 fs.write(id, r.offset, &payload)?;
-                dirty.insert(r.file, true);
+                dirty.insert(r.file);
             }
         }
         fs.sync_all()?;

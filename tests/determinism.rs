@@ -266,6 +266,53 @@ fn tenants_study_is_byte_identical_at_every_thread_count() {
 }
 
 #[test]
+fn run_batch_equals_each_specs_own_run() {
+    // `run_batch` transforms each distinct file-system stage once and
+    // runs every spec's device on that stage's block trace. The batch
+    // mixes journaled and model stages, one config on two media, two
+    // fault plans and a duplicated spec; every report must equal the
+    // spec run on its own, whole, at 1 and 2 workers.
+    use oocfs::FsKind;
+    use oocnvm_core::config::SystemConfig;
+    use oocnvm_core::experiment::{run_batch, ExperimentSpec};
+    let _guard = ENV_LOCK.lock().unwrap();
+    let trace = synthetic_ooc_trace(2 * MIB, MIB, 5);
+    let cnl = SystemConfig::cnl_ufs();
+    let cells = [
+        (cnl, NvmKind::Tlc, FaultPlan::none(), true),
+        (cnl, NvmKind::Pcm, FaultPlan::none(), true),
+        (cnl, NvmKind::Tlc, FaultPlan::light(3), false),
+        (
+            SystemConfig::ion_gpfs(),
+            NvmKind::Slc,
+            FaultPlan::heavy(5),
+            false,
+        ),
+        (
+            SystemConfig::cnl(FsKind::Ext4),
+            NvmKind::Mlc,
+            FaultPlan::light(3),
+            false,
+        ),
+        (cnl, NvmKind::Tlc, FaultPlan::none(), false),
+        (cnl, NvmKind::Tlc, FaultPlan::none(), true),
+    ];
+    let spec = |&(config, kind, plan, journaled): &(SystemConfig, NvmKind, FaultPlan, bool)| {
+        ExperimentSpec::new(&config, kind)
+            .faults(plan)
+            .journaled_ufs(journaled)
+    };
+    let alone: Vec<_> = cells.iter().map(|c| spec(c).run(&trace)).collect();
+    for n in [1usize, 2] {
+        let batch = with_threads(n, || run_batch(cells.iter().map(spec).collect(), &trace));
+        assert_eq!(batch.len(), alone.len());
+        for (i, (b, a)) in batch.iter().zip(&alone).enumerate() {
+            assert_eq!(b, a, "spec {i} diverged from its own run at {n} threads");
+        }
+    }
+}
+
+#[test]
 fn ufs_path_with_empty_fault_plan_is_byte_identical_to_no_plan() {
     // `FaultPlan::none()` through the journaled-UFS experiment path must
     // be indistinguishable from running that path with no plan at all:

@@ -17,7 +17,9 @@
 //!    once, and the recovery report is deterministic.
 //! 5. **Committed prefix** — crash at an arbitrary write ∘ recover
 //!    equals the state of the last transaction whose commit mark
-//!    persisted before the crash, for random op sequences.
+//!    persisted before the crash, for random op sequences of writes at
+//!    arbitrary offsets (overwrites below the staged window and holes
+//!    past EOF included), several of them per fsync.
 
 use flashsim::{DieOp, MediaConfig, MediaFaultState, MediaSim};
 use nvmtypes::fault::CrashPoint;
@@ -226,36 +228,52 @@ enum DriveEnd {
     Lost(Vec<u8>),
 }
 
-/// Mirrors `Ufs::write` at offset 0 in the logical model: a pwrite-style
-/// overlay, so a shorter rewrite never truncates the file.
-fn overlay(model: &mut BTreeMap<String, Vec<u8>>, name: &str, content: &[u8]) {
+/// One op: write `content` at `offset` of file `name` (created on first
+/// touch), then fsync that file if the flag is set.
+type Op = (String, u64, Vec<u8>, bool);
+
+/// Mirrors `Ufs::write` in the logical model: a pwrite-style overlay at
+/// `offset`, so a shorter rewrite never truncates the file, and a write
+/// past EOF zero-fills the hole.
+fn overlay(model: &mut BTreeMap<String, Vec<u8>>, name: &str, offset: u64, content: &[u8]) {
     let file = model.entry(name.to_string()).or_default();
-    if file.len() < content.len() {
-        file.resize(content.len(), 0);
+    let at = usize::try_from(offset).expect("small offset");
+    let end = at + content.len();
+    if file.len() < end {
+        file.resize(end, 0);
     }
-    file[..content.len()].copy_from_slice(content);
+    file[at..end].copy_from_slice(content);
 }
 
-/// Runs `(name, content)` write-at-zero+fsync ops, creating files on
-/// first touch.
-fn drive(dev: SimBlockDevice, ops: &[(String, Vec<u8>)]) -> DriveEnd {
+/// Runs the ops. Each op's write is staged; its fsync (if any) commits
+/// everything staged for that file since its last fsync.
+fn drive(dev: SimBlockDevice, ops: &[Op]) -> DriveEnd {
     let (mut fs, _report) = Ufs::mount(dev).expect("mounts");
     let mut commits = Vec::new();
-    let mut model: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-    for (name, content) in ops {
+    // Every file's content with staged writes applied, and what the
+    // commits so far made durable.
+    let mut staged: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+    let mut durable: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+    for (name, offset, content, sync) in ops {
         let step = (|| -> Result<(), nvmtypes::SimError> {
             let id = match fs.open(name) {
                 Ok(id) => id,
                 Err(_) => fs.create(name)?,
             };
-            fs.write(id, 0, content)?;
-            fs.fsync(id)
+            fs.write(id, *offset, content)?;
+            if *sync {
+                fs.fsync(id)?;
+            }
+            Ok(())
         })();
         match step {
             Ok(()) => {
-                overlay(&mut model, name, content);
-                let index = fs.device().writes_persisted() - WRITES_AFTER_COMMIT;
-                commits.push((index, model.clone()));
+                overlay(&mut staged, name, *offset, content);
+                if *sync {
+                    durable.insert(name.clone(), staged[name].clone());
+                    let index = fs.device().writes_persisted() - WRITES_AFTER_COMMIT;
+                    commits.push((index, durable.clone()));
+                }
             }
             Err(e) if e.is_power_loss() => {
                 return DriveEnd::Lost(fs.into_device().into_media());
@@ -285,21 +303,40 @@ fn state_eq(fs: &mut Ufs<SimBlockDevice>, want: &BTreeMap<String, Vec<u8>>) -> b
     })
 }
 
+/// Random ops as `(file, offset, len, fsync)`. Offsets reach past any
+/// file's EOF, so the ops append, overwrite below what is staged, and
+/// leave holes; several writes may share one fsync.
+fn arb_ops() -> impl Strategy<Value = Vec<(u32, u64, usize, bool)>> {
+    prop::collection::vec(
+        (
+            0u32..3,
+            prop_oneof![Just(0u64), 0u64..16_000],
+            1usize..12_000,
+            prop::bool::ANY,
+        ),
+        1..8,
+    )
+}
+
 /// Ground truth for a random op sequence: base image, total writes of
 /// the clean run, per-commit write indices and snapshots, and the ops.
+/// The last op always fsyncs, so the clean run commits at least once.
 #[allow(clippy::type_complexity)]
 fn ground_truth(
-    ops_spec: &[(u32, usize)],
-) -> (
-    Vec<u8>,
-    u64,
-    Vec<(u64, BTreeMap<String, Vec<u8>>)>,
-    Vec<(String, Vec<u8>)>,
-) {
-    let ops: Vec<(String, Vec<u8>)> = ops_spec
+    ops_spec: &[(u32, u64, usize, bool)],
+) -> (Vec<u8>, u64, Vec<(u64, BTreeMap<String, Vec<u8>>)>, Vec<Op>) {
+    let last = ops_spec.len() - 1;
+    let ops: Vec<Op> = ops_spec
         .iter()
         .enumerate()
-        .map(|(i, &(f, len))| (format!("f{f}"), op_content(i, len)))
+        .map(|(i, &(f, offset, len, sync))| {
+            (
+                format!("f{f}"),
+                offset,
+                op_content(i, len),
+                sync || i == last,
+            )
+        })
         .collect();
     let base = formatted_media();
     let DriveEnd::Done { fs, commits } = drive(
@@ -309,6 +346,10 @@ fn ground_truth(
         panic!("clean run lost power without a crash hook");
     };
     let total = fs.device().writes_persisted();
+    // Without a crash, a remount drops only the unsynced writes.
+    let (mut clean, _report) = Ufs::mount(fs.into_device()).expect("mounts");
+    let last = &commits.last().expect("the last op fsyncs").1;
+    assert!(state_eq(&mut clean, last), "clean remount lost a commit");
     (base, total, commits, ops)
 }
 
@@ -321,7 +362,7 @@ proptest! {
     /// mount of the recovered image replays nothing and writes nothing.
     #[test]
     fn ufs_journal_recovery_is_idempotent_and_deterministic(
-        ops_spec in prop::collection::vec((0u32..3, 1usize..12_000), 1..6),
+        ops_spec in arb_ops(),
         frac in 0.0f64..1.0,
         torn in prop::bool::ANY,
         seed in 0u64..1_000,
@@ -366,7 +407,7 @@ proptest! {
     /// so a tear keeping the record bytes commits the transaction.)
     #[test]
     fn ufs_crash_then_recover_equals_the_committed_prefix(
-        ops_spec in prop::collection::vec((0u32..3, 1usize..12_000), 1..6),
+        ops_spec in arb_ops(),
         frac in 0.0f64..1.0,
         torn in prop::bool::ANY,
         seed in 0u64..1_000,
