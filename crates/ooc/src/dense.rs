@@ -13,7 +13,9 @@
 //! pending column in [`mgs_orthonormalize`]'s first pass. Each output
 //! element still sums its terms in row order from the starting value of
 //! `Iterator::<f64>::sum` (`-0.0`), so results are bit-identical to the
-//! one-dot-at-a-time forms. Everything here is single-threaded.
+//! one-dot-at-a-time forms. Every kernel here is single-threaded; the
+//! solver runs independent products side by side instead (see
+//! [`crate::lobpcg::Lobpcg::step`]), which cannot change a bit.
 
 /// Column-major dense matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]

@@ -227,14 +227,15 @@ impl Lobpcg {
         // Rayleigh–Ritz within span(X) to get current estimates.
         let xtax = symmetrize(&st.x.transpose_mul(&st.ax));
         let (vals, c) = jacobi_eigh(&xtax);
-        st.x = st.x.matmul(&c);
-        st.ax = st.ax.matmul(&c);
+        // The two products are independent: run them side by side. Each
+        // is the one kernel, so the bits do not depend on the pairing.
+        (st.x, st.ax) = rayon::join(|| st.x.matmul(&c), || st.ax.matmul(&c));
         st.theta.copy_from_slice(&vals[..m]);
 
         // Residuals R = AX - X diag(theta).
         let mut r = st.ax.clone();
         for k in 0..m {
-            let xk = st.x.col(k).to_vec();
+            let xk = st.x.col(k);
             let rk = r.col_mut(k);
             for i in 0..n {
                 rk[i] -= st.theta[k] * xk[i];
@@ -278,8 +279,7 @@ impl Lobpcg {
         let t = symmetrize(&q.transpose_mul(&aq));
         let (_, c) = jacobi_eigh(&t);
         let cm = c.cols_range(0, m);
-        let x_new = q.matmul(&cm);
-        let ax_new = aq.matmul(&cm);
+        let (x_new, ax_new) = rayon::join(|| q.matmul(&cm), || aq.matmul(&cm));
 
         // New conjugate directions: the part of X_new outside span(X).
         let overlap = st.x.transpose_mul(&x_new);

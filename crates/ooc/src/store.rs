@@ -12,14 +12,22 @@
 //! exactly the POSIX-level trace the paper captures under its application
 //! (§4.2). The device underneath also carries the journal commits and
 //! survives simulated power loss (see `ufs::harness`).
+//!
+//! A sweep runs on every pool worker but claims, records and reads
+//! panels in directory order under one lock, so its trace and request
+//! log are the same at any thread count; decode and SpMM, into buffers
+//! each worker reuses, run outside the lock (see
+//! [`UfsMatrix::spmm_traced`]). There is one read path: `read_panel` is
+//! an allocating wrapper over the same load and decode.
 
 use crate::dense::DMatrix;
 use crate::sparse::{spmm_rows, CsrMatrix};
 use nvmtypes::convert::usize_from;
 use nvmtypes::{IoOp, SimError};
 use ooctrace::TraceSink;
+use rayon::prelude::*;
 use ssd::SimBlockDevice;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use ufs::{FileId, Ufs, UfsParams};
 
 /// Name of the panel file inside the filesystem.
@@ -53,6 +61,16 @@ pub struct CsrPanel {
 }
 
 impl CsrPanel {
+    /// An empty panel, for [`decode_panel_into`] to fill.
+    fn empty() -> CsrPanel {
+        CsrPanel {
+            row_start: 0,
+            row_ptr: Vec::new(),
+            col_idx: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+
     /// Rows in the panel.
     pub fn rows(&self) -> usize {
         self.row_ptr.len() - 1
@@ -148,54 +166,60 @@ fn serialize_panels(matrix: &CsrMatrix, rows_per_panel: usize) -> (Vec<u8>, Vec<
     (data, panels)
 }
 
-/// Deserialises one panel's bytes; inverse of [`serialize_panels`] for a
-/// single panel.
-fn decode_panel(buf: &[u8], row_start: usize) -> CsrPanel {
+/// Deserialises one panel's bytes into `out`, reusing its vectors;
+/// inverse of [`serialize_panels`] for a single panel.
+fn decode_panel_into(buf: &[u8], row_start: usize, out: &mut CsrPanel) {
     let nrows = usize_from(read_u64(buf, 0));
     let nnz = usize_from(read_u64(buf, 8));
     let ptr_at: usize = 16;
     let col_at = ptr_at.saturating_add(nrows.saturating_add(1).saturating_mul(8));
     let val_at = col_at.saturating_add(nnz.saturating_mul(4)).div_ceil(8) * 8;
-    CsrPanel {
-        row_start,
-        row_ptr: decode_le(buf, ptr_at, nrows.saturating_add(1), u64::from_le_bytes),
-        col_idx: decode_le(buf, col_at, nnz, u32::from_le_bytes),
-        values: decode_le(buf, val_at, nnz, f64::from_le_bytes),
-    }
+    out.row_start = row_start;
+    decode_le(
+        buf,
+        ptr_at,
+        nrows.saturating_add(1),
+        &mut out.row_ptr,
+        u64::from_le_bytes,
+    );
+    decode_le(buf, col_at, nnz, &mut out.col_idx, u32::from_le_bytes);
+    decode_le(buf, val_at, nnz, &mut out.values, f64::from_le_bytes);
 }
 
 /// Decodes `count` consecutive `N`-byte little-endian values starting at
-/// byte `at`, a whole slice at a time; values past the end of `buf` are
-/// zero-padded like [`read_le_bytes`].
+/// byte `at` into `out` (replacing its contents), a whole slice at a
+/// time; values past the end of `buf` are zero-padded like
+/// [`read_le_bytes`]. `from` is a generic parameter, not a `fn` pointer,
+/// so each converter is monomorphised and inlined into the loop.
 fn decode_le<T, const N: usize>(
     buf: &[u8],
     at: usize,
     count: usize,
-    from: fn([u8; N]) -> T,
-) -> Vec<T> {
+    out: &mut Vec<T>,
+    from: impl Fn([u8; N]) -> T,
+) {
+    out.clear();
     let whole = buf.get(at..).unwrap_or_default();
-    let mut out: Vec<T> = whole
-        .chunks_exact(N)
-        .take(count)
-        .map(|c| {
-            let mut raw = [0u8; N];
-            raw.copy_from_slice(c);
-            from(raw)
-        })
-        .collect();
+    out.extend(whole.chunks_exact(N).take(count).map(|c| {
+        let mut raw = [0u8; N];
+        raw.copy_from_slice(c);
+        from(raw)
+    }));
     while out.len() < count {
         let offset = at.saturating_add(out.len().saturating_mul(N));
         out.push(from(read_le_bytes(buf, offset)));
     }
-    out
 }
 
 /// An operator stored out-of-core as serialised row panels in a
 /// journaled UFS file.
 ///
-/// Reads lock the mounted filesystem (panel sweeps are sequential, so the
-/// lock is uncontended in practice) and go through `Ufs::read`, i.e.
-/// through real durable extents.
+/// Reads go through `Ufs::read`, i.e. through real durable extents, and
+/// are recorded on the sink under the same lock that serialises access
+/// to the mounted filesystem, so the trace and the UFS request log agree
+/// on the order of reads. A panel sweep holds the filesystem for its
+/// whole duration and hands it to its workers one claim at a time (see
+/// [`UfsMatrix::spmm_traced`]).
 #[derive(Debug)]
 pub struct UfsMatrix {
     /// Operator dimension.
@@ -256,39 +280,107 @@ impl UfsMatrix {
 
     /// Reads and deserialises panel `idx` through the filesystem,
     /// recording the access. An index past the directory is an
-    /// [`SimError::InvalidConfig`] and records nothing.
+    /// [`SimError::InvalidConfig`] and records nothing. An allocating
+    /// wrapper over the sweep's own read and decode path.
     pub fn read_panel(&self, idx: usize, sink: &dyn TraceSink) -> Result<CsrPanel, SimError> {
-        let meta = *self.panels.get(idx).ok_or_else(|| {
+        let meta = self.panels.get(idx).ok_or_else(|| {
             SimError::invalid_config(
                 "panel index",
                 format!("{idx} is out of range for {} panels", self.panels.len()),
             )
         })?;
-        sink.record(IoOp::Read, self.file_id, meta.offset, meta.len);
-        let mut buf = vec![0u8; usize_from(meta.len)];
-        self.fs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .read(self.file, meta.offset, &mut buf)?;
-        Ok(decode_panel(&buf, meta.row_start))
+        let mut bytes = Vec::new();
+        self.load(&mut self.lock_fs(), meta, sink, &mut bytes)?;
+        let mut panel = CsrPanel::empty();
+        decode_panel_into(&bytes, meta.row_start, &mut panel);
+        Ok(panel)
     }
 
     /// Out-of-core SpMM through the filesystem: `Y = A * X`. Transposes
     /// `X` to row-major once, streams every panel in storage order (the
     /// large sequential read pattern of Figure 6's POSIX panel) through
     /// the row-major panel kernel into its rows of a row-major `Y`, and
-    /// transposes `Y` back. Stops at the first panel that fails to load.
+    /// transposes `Y` back.
+    ///
+    /// The sweep runs on every pool worker. A worker claims the next
+    /// panel, records it on `sink` and reads its bytes all under one
+    /// lock, so the trace, its timestamps and the UFS request log are in
+    /// directory order at any thread count; it then decodes the panel
+    /// and multiplies it into that panel's own rows of `Y` outside the
+    /// lock, into buffers it reuses for every panel it claims. Each
+    /// output row is summed by the one kernel in the same order as a
+    /// serial sweep, so `Y` is bit-identical too. The first read that
+    /// fails stops further claims (no later panel is recorded) and is
+    /// the error returned.
     pub fn spmm_traced(&self, x: &DMatrix, sink: &dyn TraceSink) -> Result<DMatrix, SimError> {
         assert_eq!(x.nrows, self.n, "operand height mismatch");
         let m = x.ncols;
         let x_rows = x.to_row_major();
         let mut y_rows = vec![0.0; x_rows.len()];
-        for idx in 0..self.panels.len() {
-            let panel = self.read_panel(idx, sink)?;
-            let own = panel.row_start * m..(panel.row_start + panel.rows()) * m;
-            panel.spmm_row_major(&x_rows, m, &mut y_rows[own]);
+        let mut fs = self.lock_fs();
+        let sweep = Mutex::new(Sweep {
+            fs: &mut fs,
+            next: 0,
+            rest: &mut y_rows,
+            error: None,
+        });
+        let workers = rayon::current_num_threads().clamp(1, self.panels.len().max(1));
+        (0..workers)
+            .into_par_iter()
+            .map(|_| self.sweep_worker(&sweep, &x_rows, m, sink))
+            .collect::<(), ()>();
+        let error = sweep
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .error;
+        drop(fs);
+        match error {
+            Some(e) => Err(e),
+            None => Ok(DMatrix::from_row_major(x.nrows, m, &y_rows)),
         }
-        Ok(DMatrix::from_row_major(x.nrows, m, &y_rows))
+    }
+
+    /// One worker of [`UfsMatrix::spmm_traced`]: claims panels until the
+    /// directory is exhausted or a read has failed.
+    fn sweep_worker(
+        &self,
+        sweep: &Mutex<Sweep<'_, '_>>,
+        x_rows: &[f64],
+        m: usize,
+        sink: &dyn TraceSink,
+    ) {
+        let mut bytes = Vec::new();
+        let mut panel = CsrPanel::empty();
+        loop {
+            let claimed = sweep
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .claim(self, m, sink, &mut bytes);
+            let Some((row_start, y_own)) = claimed else {
+                return;
+            };
+            decode_panel_into(&bytes, row_start, &mut panel);
+            panel.spmm_row_major(x_rows, m, y_own);
+        }
+    }
+
+    /// Records panel `meta`'s read on `sink` and reads its bytes into
+    /// `bytes` through `fs`, which the caller has locked: the one read
+    /// path of the store.
+    fn load(
+        &self,
+        fs: &mut Ufs<SimBlockDevice>,
+        meta: &PanelMeta,
+        sink: &dyn TraceSink,
+        bytes: &mut Vec<u8>,
+    ) -> Result<(), SimError> {
+        sink.record(IoOp::Read, self.file_id, meta.offset, meta.len);
+        bytes.resize(usize_from(meta.len), 0);
+        fs.read(self.file, meta.offset, bytes)
+    }
+
+    fn lock_fs(&self) -> MutexGuard<'_, Ufs<SimBlockDevice>> {
+        self.fs.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Tears the store down to its raw device image (consuming it) — the
@@ -299,6 +391,47 @@ impl UfsMatrix {
             .unwrap_or_else(PoisonError::into_inner)
             .into_device()
             .into_media()
+    }
+}
+
+/// The shared state of one [`UfsMatrix::spmm_traced`] sweep, behind the
+/// one lock its workers claim panels under: the filesystem, the next
+/// panel index and the rows of `Y` not yet handed out.
+struct Sweep<'f, 'y> {
+    fs: &'f mut Ufs<SimBlockDevice>,
+    next: usize,
+    rest: &'y mut [f64],
+    error: Option<SimError>,
+}
+
+impl<'y> Sweep<'_, 'y> {
+    /// Claims the next panel: records and reads it into `bytes` and
+    /// splits its rows of `Y` off the front of the rest. `None` once the
+    /// directory is exhausted or a read has failed; a failed read is
+    /// kept as the sweep's error.
+    fn claim(
+        &mut self,
+        store: &UfsMatrix,
+        m: usize,
+        sink: &dyn TraceSink,
+        bytes: &mut Vec<u8>,
+    ) -> Option<(usize, &'y mut [f64])> {
+        if self.error.is_some() {
+            return None;
+        }
+        let meta = store.panels.get(self.next)?;
+        self.next += 1;
+        if let Err(e) = store.load(self.fs, meta, sink, bytes) {
+            self.error = Some(e);
+            return None;
+        }
+        let rest = std::mem::take(&mut self.rest);
+        let own = (meta.row_end - meta.row_start)
+            .saturating_mul(m)
+            .min(rest.len());
+        let (y_own, rest) = rest.split_at_mut(own);
+        self.rest = rest;
+        Some((meta.row_start, y_own))
     }
 }
 

@@ -7,8 +7,7 @@
 
 use crate::record::{PosixTrace, TraceRecord};
 use nvmtypes::{IoOp, Nanos};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Anything that can observe POSIX-level I/O calls.
 pub trait TraceSink: Send + Sync {
@@ -28,14 +27,23 @@ impl TraceSink for NullSink {
 ///
 /// Real capture would use wall-clock timestamps; for reproducibility the
 /// simulator-facing capture advances a logical clock by a configurable
-/// amount per recorded byte (default: 0, i.e. pure ordering). The
-/// downstream SSD simulator imposes its own closed-loop timing, so only the
-/// order and shape of requests matter.
+/// amount per recorded *call*, whatever its length (default: 1 ns per
+/// call). The clock ticks under the same lock that pushes the record, so
+/// records are in strictly increasing timestamp order in push order,
+/// with no sort needed, however many threads record. The downstream SSD
+/// simulator imposes its own closed-loop timing, so only the order and
+/// shape of requests matter.
 #[derive(Debug)]
 pub struct TraceCapture {
-    records: Mutex<PosixTrace>,
-    clock: AtomicU64,
+    state: Mutex<Captured>,
     ns_per_call: u64,
+}
+
+/// The records and the logical clock, behind one lock.
+#[derive(Debug, Default)]
+struct Captured {
+    trace: PosixTrace,
+    clock: Nanos,
 }
 
 impl Default for TraceCapture {
@@ -47,28 +55,24 @@ impl Default for TraceCapture {
 impl TraceCapture {
     /// New capture whose logical clock ticks 1 ns per call.
     pub fn new() -> TraceCapture {
-        TraceCapture {
-            records: Mutex::new(PosixTrace::new()),
-            clock: AtomicU64::new(0),
-            ns_per_call: 1,
-        }
+        TraceCapture::with_tick(1)
     }
 
-    /// New capture advancing the logical clock by `ns_per_call` per event.
+    /// New capture advancing the logical clock by `ns_per_call` per call.
     pub fn with_tick(ns_per_call: u64) -> TraceCapture {
         TraceCapture {
-            records: Mutex::new(PosixTrace::new()),
-            clock: AtomicU64::new(0),
+            state: Mutex::new(Captured::default()),
             ns_per_call,
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, Captured> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of events captured so far.
     pub fn len(&self) -> usize {
-        self.records
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.lock().trace.len()
     }
 
     /// `true` when nothing has been captured.
@@ -76,34 +80,27 @@ impl TraceCapture {
         self.len() == 0
     }
 
-    /// Consumes the capture, returning the trace sorted by timestamp
-    /// (stable, so same-timestamp events keep capture order).
+    /// Consumes the capture, returning the trace in capture order (which
+    /// is timestamp order).
     pub fn into_trace(self) -> PosixTrace {
-        let mut tr = self
-            .records
+        self.state
             .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        tr.records.sort_by_key(|r| r.t);
-        tr
+            .unwrap_or_else(PoisonError::into_inner)
+            .trace
     }
 
     /// Clones the current contents without consuming the capture.
     pub fn snapshot(&self) -> PosixTrace {
-        let mut tr = self
-            .records
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        tr.records.sort_by_key(|r| r.t);
-        tr
+        self.lock().trace.clone()
     }
 }
 
 impl TraceSink for TraceCapture {
     fn record(&self, op: IoOp, file: u32, offset: u64, len: u64) {
-        let t: Nanos = self.clock.fetch_add(self.ns_per_call, Ordering::Relaxed);
-        let mut guard = self.records.lock().unwrap_or_else(PoisonError::into_inner);
-        guard.records.push(TraceRecord {
+        let mut state = self.lock();
+        let t = state.clock;
+        state.clock = t.saturating_add(self.ns_per_call);
+        state.trace.records.push(TraceRecord {
             t,
             op,
             file,
@@ -154,9 +151,38 @@ mod tests {
         let tr = Arc::try_unwrap(cap).unwrap().into_trace();
         assert_eq!(tr.len(), 800);
         assert_eq!(tr.total_bytes(), 800 * 100);
-        // Timestamps are unique (atomic clock) and sorted.
+        // Timestamps are unique and in capture order.
         for w in tr.records.windows(2) {
             assert!(w[0].t < w[1].t);
+        }
+    }
+
+    #[test]
+    fn racing_recorders_push_in_timestamp_order() {
+        // The clock ticks under the lock that pushes the record, so no
+        // interleaving of recorders can push a later tick first. Nothing
+        // sorts the snapshot: push order itself must be timestamp order.
+        let cap = TraceCapture::new();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u32 {
+                let (cap, start) = (&cap, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..5_000u64 {
+                        cap.record(IoOp::Read, t, i, 1);
+                    }
+                });
+            }
+        });
+        let tr = cap.snapshot();
+        assert_eq!(tr.len(), 20_000);
+        for (i, w) in tr.records.windows(2).enumerate() {
+            assert!(
+                w[0].t < w[1].t,
+                "record {} pushed out of order: {w:?}",
+                i + 1
+            );
         }
     }
 

@@ -38,9 +38,11 @@
 #                       --fast)
 #   9. thread sweep   — headline/reliability/obsreport JSON exports at
 #                       RAYON_NUM_THREADS=1 and =8 must be byte-
-#                       identical: the thread count is invisible in
-#                       every output (docs/PARALLELISM.md; skipped
-#                       with --fast)
+#                       identical, and fig6 (the LOBPCG POSIX trace,
+#                       whose panel sweep runs on every worker) must
+#                       match results/fig6.txt at both counts: the
+#                       thread count is invisible in every output
+#                       (docs/PARALLELISM.md; skipped with --fast)
 #  10. simcheck       — model-checking smoke: exhaustively explores the
 #                       vendored pool's claim/poison protocol at 2-3
 #                       threads on shadow atomics (zero violations) and
@@ -129,7 +131,7 @@ if [ "$fast" -eq 0 ]; then
     step "obsreport --smoke (observer-effect freedom + trace export)"
     cargo run --release --quiet --bin obsreport -- --smoke --out target/obs_smoke.trace.json
 
-    step "thread sweep (JSON byte-identical at 1 vs 8 threads)"
+    step "thread sweep (JSON and fig6 byte-identical at 1 vs 8 threads)"
     for n in 1 8; do
         RAYON_NUM_THREADS=$n OOCNVM_TRACE_MIB=8 \
             cargo run --release --quiet -p oocnvm-bench --bin headline -- \
@@ -144,6 +146,12 @@ if [ "$fast" -eq 0 ]; then
         RAYON_NUM_THREADS=$n \
             cargo run --release --quiet --bin tenants -- --smoke \
             --json "target/tenants.t$n.json" > /dev/null
+        RAYON_NUM_THREADS=$n env -u OOCNVM_TRACE_MIB \
+            cargo run --release --quiet -p oocnvm-bench --bin fig6 > "target/fig6.t$n.txt"
+        cmp "target/fig6.t$n.txt" results/fig6.txt || {
+            echo "check.sh: fig6 at $n threads differs from results/fig6.txt" >&2
+            exit 1
+        }
     done
     for doc in headline reliability obsreport tenants; do
         cmp "target/$doc.t1.json" "target/$doc.t8.json" || {

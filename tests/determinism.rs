@@ -312,6 +312,181 @@ fn run_batch_equals_each_specs_own_run() {
     }
 }
 
+/// FNV-1a over the little-endian bytes of every value.
+fn fnv1a(values: &[f64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in values {
+        for b in v.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// `Read` records of `sweeps` panel sweeps of `store`, in directory
+/// order, stamped by a default `TraceCapture` clock (1 ns per call).
+fn directory_order_reads(store: &ooc::UfsMatrix, sweeps: usize) -> Vec<ooctrace::TraceRecord> {
+    (0..sweeps)
+        .flat_map(|_| &store.panels)
+        .zip(0u64..)
+        .map(|(p, t)| ooctrace::TraceRecord {
+            t,
+            op: nvmtypes::IoOp::Read,
+            file: store.file_id,
+            offset: p.offset,
+            len: p.len,
+        })
+        .collect()
+}
+
+#[test]
+fn ooc_solve_is_bit_identical_at_every_thread_count() {
+    // The panel sweep runs on every worker, but claims, records and
+    // reads panels in directory order under one lock. The solve, its
+    // POSIX trace (timestamps included) and the store's device image
+    // after the solve must not see the worker count, and must equal the
+    // in-core solve and a serial directory-order trace.
+    use ooc::lobpcg::{Lobpcg, LobpcgOptions};
+    use ooc::{HamiltonianSpec, UfsMatrix, UfsOperator};
+    use ooctrace::TraceCapture;
+    let _guard = ENV_LOCK.lock().unwrap();
+    let h = HamiltonianSpec::medium(2_000).generate();
+    let diag: Vec<f64> = (0..h.n).map(|i| h.get(i, i)).collect();
+    let opts = LobpcgOptions {
+        block_size: 8,
+        max_iters: 12,
+        ..LobpcgOptions::default()
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let want = Lobpcg::new(opts).solve(&h);
+    let runs: Vec<_> = [1usize, 2]
+        .into_iter()
+        .map(|n| {
+            with_threads(n, || {
+                let store = UfsMatrix::build(&h, 128, 0, None).unwrap();
+                let cap = TraceCapture::new();
+                let op = UfsOperator::new(&store, &cap).with_diagonal(diag.clone());
+                let res = Lobpcg::new(opts).solve(&op);
+                let trace = cap.into_trace();
+                assert_eq!(
+                    trace.records,
+                    directory_order_reads(&store, res.operator_applies),
+                    "the trace left directory order at {n} threads"
+                );
+                (
+                    bits(&res.eigenvalues),
+                    bits(&res.residuals),
+                    fnv1a(&res.eigenvectors.data),
+                    trace,
+                    store.into_media(),
+                )
+            })
+        })
+        .collect();
+    let (values, residuals, vectors, trace, media) = &runs[0];
+    assert_eq!(values, &bits(&want.eigenvalues), "differs from in-core");
+    assert_eq!(residuals, &bits(&want.residuals), "differs from in-core");
+    assert_eq!(*vectors, fnv1a(&want.eigenvectors.data));
+    assert_eq!(values, &runs[1].0, "eigenvalues diverged at 2 threads");
+    assert_eq!(residuals, &runs[1].1, "residuals diverged at 2 threads");
+    assert_eq!(*vectors, runs[1].2, "eigenvectors diverged at 2 threads");
+    assert_eq!(trace, &runs[1].3, "POSIX trace diverged at 2 threads");
+    assert!(*media == runs[1].4, "device image diverged at 2 threads");
+}
+
+/// `spmm_traced` over an `n`-row Hamiltonian in `rows`-row panels with
+/// an `m`-column operand, at 1, 2 and 4 workers: the product must equal
+/// the in-core `CsrMatrix::spmm` bit for bit, and the trace must be one
+/// `Read` per panel in directory order.
+fn sweep_matches_in_core(n: usize, rows: usize, m: usize, seed: u64) {
+    use ooc::{DMatrix, HamiltonianSpec, UfsMatrix};
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    let h = HamiltonianSpec {
+        seed,
+        ..HamiltonianSpec::tiny(n)
+    }
+    .generate();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut x = DMatrix::zeros(n, m);
+    for v in x.data.iter_mut() {
+        *v = rng.gen_range(-1.0..1.0);
+    }
+    let want: Vec<u64> = h.spmm(&x).data.iter().map(|v| v.to_bits()).collect();
+    let store = UfsMatrix::build(&h, rows, 3, None).unwrap();
+    for threads in [1usize, 2, 4] {
+        let cap = ooctrace::TraceCapture::new();
+        let y = with_threads(threads, || store.spmm_traced(&x, &cap)).unwrap();
+        let got: Vec<u64> = y.data.iter().map(|v| v.to_bits()).collect();
+        assert!(
+            got == want,
+            "n {n} rows {rows} m {m}: product differs at {threads} threads"
+        );
+        assert_eq!(
+            cap.into_trace().records,
+            directory_order_reads(&store, 1),
+            "n {n} rows {rows} m {m}: trace differs at {threads} threads"
+        );
+    }
+}
+
+#[test]
+fn panel_sweep_edge_cases_match_the_in_core_product() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    // One panel; exactly one panel per worker; fewer panels than workers;
+    // a short last panel; one row per panel.
+    for (n, rows, m) in [
+        (40, 40, 3),
+        (40, 500, 1),
+        (40, 20, 8),
+        (40, 15, 24),
+        (9, 1, 5),
+    ] {
+        sweep_matches_in_core(n, rows, m, 11);
+    }
+}
+
+#[test]
+fn panel_sweep_stops_at_the_first_failed_read() {
+    // A directory entry that points past the end of the file fails its
+    // `Ufs::read`. The sweep must return that error and record nothing
+    // after the failing panel, at any worker count.
+    use ooc::{DMatrix, HamiltonianSpec, UfsMatrix};
+    let _guard = ENV_LOCK.lock().unwrap();
+    let h = HamiltonianSpec::tiny(120).generate();
+    let mut store = UfsMatrix::build(&h, 10, 0, None).unwrap();
+    store.panels[4].offset = store.bytes();
+    let want = directory_order_reads(&store, 1)[..5].to_vec();
+    let x = DMatrix::zeros(h.n, 4);
+    for threads in [1usize, 2, 4] {
+        let cap = ooctrace::TraceCapture::new();
+        let err = with_threads(threads, || store.spmm_traced(&x, &cap)).unwrap_err();
+        assert!(err.to_string().contains("size is"), "{err}");
+        assert_eq!(
+            cap.into_trace().records,
+            want,
+            "records after the failed read at {threads} threads"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// For any size, panel height and block width, the multi-worker
+    /// panel sweep is the in-core product, bit for bit, and its trace is
+    /// one read per panel in directory order.
+    #[test]
+    fn panel_sweep_equals_the_in_core_product(
+        n in 2usize..300,
+        rows in 1usize..320,
+        m in 1usize..=24,
+        seed in prop::num::u64::ANY,
+    ) {
+        let _guard = ENV_LOCK.lock().unwrap();
+        sweep_matches_in_core(n, rows, m, seed);
+    }
+}
+
 #[test]
 fn ufs_path_with_empty_fault_plan_is_byte_identical_to_no_plan() {
     // `FaultPlan::none()` through the journaled-UFS experiment path must
