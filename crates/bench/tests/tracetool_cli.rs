@@ -1,0 +1,68 @@
+//! `tracetool fs` on POSIX trace files at the edge of what the trace
+//! format accepts: a record ending past `TraceRecord::MAX_END`, or with a
+//! field after `len`, is a parse error (exit 1) naming its line, never an
+//! empty block trace; a record ending exactly at the bound transforms.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+/// Writes `text` to a trace file named `name` and runs
+/// `tracetool fs <fs> <file>` on it.
+fn tracetool_fs(fs: &str, name: &str, text: &str) -> Output {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, text).expect("write the trace file");
+    Command::new(env!("CARGO_BIN_EXE_tracetool"))
+        .args(["fs", fs])
+        .arg(&path)
+        .output()
+        .expect("run tracetool")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn an_end_past_the_largest_file_offset_is_a_parse_error() {
+    for (i, line) in [
+        "0 R 0 18446744073709551615 4096",
+        "0 R 0 18446744073709547519 4096",
+        "0 R 0 9223372036854771712 4096",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let out = tracetool_fs("ext4", &format!("past_end_{i}.trace"), &format!("{line}\n"));
+        assert_eq!(out.status.code(), Some(1), "{line}: {}", stderr(&out));
+        assert!(stderr(&out).contains("line 1"), "{line}: {}", stderr(&out));
+        assert!(out.stdout.is_empty(), "{line}: printed a block trace");
+    }
+}
+
+#[test]
+fn a_field_after_len_is_a_parse_error() {
+    let out = tracetool_fs(
+        "ext4",
+        "extra_field.trace",
+        "0 R 0 0 4096\n0 R 0 0 4096 extra junk\n",
+    );
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(stderr(&out).contains("line 2"), "{}", stderr(&out));
+    assert!(stderr(&out).contains("`extra`"), "{}", stderr(&out));
+}
+
+#[test]
+fn a_record_ending_at_the_largest_file_offset_transforms() {
+    // UFS and GPFS map the record directly; a local model would first lay
+    // out every extent below it.
+    for fs in ["ufs", "gpfs"] {
+        let out = tracetool_fs(
+            fs,
+            &format!("at_end_{fs}.trace"),
+            "0 R 0 9223372036854771712 4095\n",
+        );
+        assert_eq!(out.status.code(), Some(0), "{fs}: {}", stderr(&out));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("(data 4095)"), "{fs}: {stdout}");
+    }
+}

@@ -6,13 +6,6 @@ use crate::op::{DieOp, OpKind};
 use crate::stats::RawStats;
 use nvmtypes::convert::usize_from_u32;
 use nvmtypes::Nanos;
-use std::collections::BTreeMap;
-
-/// Memo key for a die-op's cell time: `(op tag, planes, pages, phase)`.
-/// The phase is `start_page % page-class cycle length` for writes (the
-/// only component of `start_page` that [`DieOp::cell_time`] depends on)
-/// and 0 for reads/erases, which ignore `start_page` entirely.
-type CellTimeKey = (u8, u32, u64, u64);
 
 /// Start/end times of one executed die-op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,11 +42,6 @@ pub struct MediaSim {
     /// Channel occupancy of one page transfer, precomputed from the
     /// configuration (it never changes over the simulator's lifetime).
     page_xfer: Nanos,
-    /// Cell-time memo: media timing is fixed per simulator, so a die-op's
-    /// cell time is a pure function of its [`CellTimeKey`]. Sweep
-    /// workloads replay millions of ops drawn from a handful of shapes;
-    /// caching skips the per-op interval math on every repeat.
-    cell_time_cache: BTreeMap<CellTimeKey, Nanos>,
     chan_free: Vec<Nanos>,
     die_free: Vec<Nanos>,
     /// Busy duration of the most recent op per die — bounds how much wait
@@ -77,7 +65,6 @@ impl MediaSim {
         MediaSim {
             cfg,
             page_xfer,
-            cell_time_cache: BTreeMap::new(),
             chan_free: vec![0; channels],
             die_free: vec![0; dies],
             die_last_busy: vec![0; dies],
@@ -101,31 +88,6 @@ impl MediaSim {
         self.stats
     }
 
-    /// [`DieOp::cell_time`] through the memo cache. Byte-identical to the
-    /// uncached call: the key captures every input the computation reads.
-    fn cell_time_memo(&mut self, op: &DieOp) -> Nanos {
-        let t = &self.cfg.timing;
-        let (tag, phase) = match op.kind {
-            OpKind::Read => (0u8, 0),
-            OpKind::Erase => (2u8, 0),
-            OpKind::Write => {
-                let cycle_len: u64 = match t.kind {
-                    nvmtypes::NvmKind::Slc | nvmtypes::NvmKind::Pcm => 1,
-                    nvmtypes::NvmKind::Mlc => 2,
-                    nvmtypes::NvmKind::Tlc => 3,
-                };
-                (1u8, op.start_page % cycle_len)
-            }
-        };
-        let key = (tag, op.planes, op.pages, phase);
-        if let Some(&cached) = self.cell_time_cache.get(&key) {
-            return cached;
-        }
-        let computed = op.cell_time(t);
-        self.cell_time_cache.insert(key, computed);
-        computed
-    }
-
     /// Executes one die-op arriving at `arrival`, returning its schedule.
     ///
     /// # Panics
@@ -145,8 +107,8 @@ impl MediaSim {
         let ch = usize_from_u32(op.die.channel(g));
         let page_xfer = self.page_xfer;
         let batches = op.batches();
-        let cell_total = self.cell_time_memo(op);
         let t = &self.cfg.timing;
+        let cell_total = op.cell_time(t);
         let payload = op.pages * u64::from(t.page_size);
 
         let t_start = arrival.max(self.die_free[die]);
@@ -456,27 +418,6 @@ mod tests {
         assert!(rep.active_span <= last);
         assert!(rep.remaining_mb_s >= 0.0);
         assert_eq!(rep.bytes, 64 * 8 * 8192);
-    }
-
-    #[test]
-    fn cell_time_memo_matches_uncached_for_every_shape() {
-        for kind in [NvmKind::Slc, NvmKind::Mlc, NvmKind::Tlc, NvmKind::Pcm] {
-            let mut sim = MediaSim::new(MediaConfig::tiny(kind, sdr400()));
-            let t = sim.cfg.timing;
-            for start_page in 0..6u64 {
-                for pages in 1..5u64 {
-                    for op in [
-                        DieOp::read(DieIndex(0), 2, pages, start_page),
-                        DieOp::write(DieIndex(0), 2, pages, start_page),
-                        DieOp::erase(DieIndex(0), pages),
-                    ] {
-                        // Twice: first fill, then hit the cache.
-                        assert_eq!(sim.cell_time_memo(&op), op.cell_time(&t));
-                        assert_eq!(sim.cell_time_memo(&op), op.cell_time(&t));
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -177,9 +177,7 @@ impl FileSystemModel for FsModel {
             if rec.len == 0 {
                 continue;
             }
-            // Block-round the span.
-            let start = rec.offset / bs * bs;
-            let end = (rec.offset + rec.len).div_ceil(bs) * bs;
+            let (start, end) = block_span(rec, bs);
             let layout = layouts.entry(rec.file).or_default();
             self.extend_layout(layout, end, &mut cursor, &mut rng);
             self.emit_span(layout, rec.op, start, end - start, &mut out);
@@ -226,6 +224,14 @@ impl FileSystemModel for FsModel {
         }
         BlockTrace::from_requests(out, self.params.queue_depth)
     }
+}
+
+/// The block-rounded span `[start, end)` covering `rec`. It fits in a
+/// `u64` for every record ending at or below [`TraceRecord::MAX_END`], the
+/// bound [`PosixTrace::from_text`] enforces: that leaves room to round up
+/// to any power-of-two `u32` block size.
+fn block_span(rec: &TraceRecord, bs: u64) -> (u64, u64) {
+    (rec.offset / bs * bs, rec.end().div_ceil(bs) * bs)
 }
 
 /// The paper's Unified File System: application-managed, FTL-less direct
@@ -307,6 +313,29 @@ mod tests {
             });
         }
         t
+    }
+
+    #[test]
+    fn every_kind_handles_a_record_ending_at_the_largest_parsed_end() {
+        let posix =
+            PosixTrace::from_text("0 R 0 9223372036854771712 4095").expect("ends at MAX_END");
+        let rec = &posix.records[0];
+        assert_eq!(rec.end(), TraceRecord::MAX_END);
+        for kind in crate::FsKind::ALL {
+            match kind.params() {
+                // A local model lays out every extent below a touched
+                // offset, about offset / mean_extent of them, so it cannot
+                // run this record in a test; its block rounding is what
+                // must stay within `u64`.
+                Some(p) => {
+                    let bs = u64::from(p.block_size);
+                    assert_eq!(block_span(rec, bs), (rec.offset, 1 << 63), "{kind:?}");
+                }
+                None => assert_eq!(kind.transform(&posix).data_bytes(), 4095, "{kind:?}"),
+            }
+        }
+        // The largest block size `FsParams` admits rounds within `u64` too.
+        assert_eq!(block_span(rec, 1 << 31), ((1 << 63) - (1 << 31), 1 << 63));
     }
 
     #[test]

@@ -11,6 +11,16 @@
 //! only large requests reach die interleaving (PAL4), which is exactly the
 //! progression the paper observes between striped parallel-file-system
 //! traffic and large UFS transactions (§4.5).
+//!
+//! A stripe position is a mixed-radix number whose four digits are the
+//! slot's indices along `order` (fastest first). [`StripeMap::locate`]
+//! splits a position into those digits and places them; that placement is
+//! the one definition of the layout. Both the flat die index
+//! ([`DieIndex::from_parts`]) and the plane are linear in the digits, so
+//! [`StripeMap::decompose_into`] walks a run of consecutive positions as a
+//! counter: it locates the first slot once, then each step adds one
+//! digit's stride and each carry takes back what that digit had added.
+//! The walk divides once per request, not once per page.
 
 use nvmtypes::convert::{u32_from, u64_from_usize, usize_from_u32};
 use nvmtypes::{DieIndex, SsdGeometry};
@@ -84,6 +94,12 @@ pub struct StripeMap {
     geometry: SsdGeometry,
     order: [Dim; 4],
     sizes: [u64; 4],
+    /// Change of the flat die index when digit `i` of a stripe position
+    /// steps up by one (0 for a dimension of size 1, whose digit never
+    /// steps).
+    die_stride: [u32; 4],
+    /// Change of the plane index when digit `i` steps up by one.
+    plane_stride: [u32; 4],
 }
 
 impl StripeMap {
@@ -112,11 +128,26 @@ impl StripeMap {
                 Dim::Plane => u64::from(geometry.planes_per_die),
             }
         };
-        StripeMap {
+        let mut map = StripeMap {
             geometry,
             order,
             sizes: order.map(size_of),
+            die_stride: [0; 4],
+            plane_stride: [0; 4],
+        };
+        // Placement is linear in the digits and puts all-zero digits at
+        // die 0, plane 0, so digit `i`'s stride is the slot whose digits
+        // are all 0 but digit `i`, which is 1.
+        for i in 0..4 {
+            if map.sizes[i] > 1 {
+                let mut unit = [0; 4];
+                unit[i] = 1;
+                let (die, plane) = map.place(unit);
+                map.die_stride[i] = die.0;
+                map.plane_stride[i] = plane;
+            }
         }
+        map
     }
 
     /// Map with the default order.
@@ -137,12 +168,27 @@ impl StripeMap {
     /// Physical slot of stripe position `pos` (`0 <= pos < stripe_width`):
     /// returns the die and the plane within it.
     pub fn locate(&self, pos: u64) -> (DieIndex, u32) {
+        self.place(self.digits(pos))
+    }
+
+    /// Mixed-radix digits of stripe position `pos`, fastest dimension of
+    /// `order` first.
+    fn digits(&self, pos: u64) -> [u64; 4] {
         debug_assert!(pos < self.stripe_width());
         let mut rem = pos;
+        let mut digits = [0; 4];
+        for (digit, size) in digits.iter_mut().zip(self.sizes) {
+            *digit = rem % size;
+            rem /= size;
+        }
+        digits
+    }
+
+    /// The die and plane of the slot whose digits along `order` are
+    /// `digits`: the one definition of the layout.
+    fn place(&self, digits: [u64; 4]) -> (DieIndex, u32) {
         let (mut ch, mut pkg, mut die, mut plane) = (0u64, 0u64, 0u64, 0u64);
-        for (i, d) in self.order.iter().enumerate() {
-            let idx = rem % self.sizes[i];
-            rem /= self.sizes[i];
+        for (d, idx) in self.order.iter().zip(digits) {
             match d {
                 Dim::Channel => ch = idx,
                 Dim::Package => pkg = idx,
@@ -173,6 +219,14 @@ impl StripeMap {
     /// Allocation-free decomposition: accumulates into `scratch` and
     /// leaves the result in `scratch.runs` (cleared first). Buffers are
     /// resized to the die count once and reused thereafter.
+    ///
+    /// Whole stripes credit every die at once. The pages left over, fewer
+    /// than one stripe, are walked slot by slot from the first one's
+    /// position as a mixed-radix counter over `order` (see the module
+    /// docs): a step moves the die and plane by the fastest digit's
+    /// stride, and a digit that wraps to 0 carries into the next one. A
+    /// walk past the last slot of the stripe wraps to slot 0, exactly as
+    /// `(start_lpn + i) % stripe_width` would.
     pub fn decompose_into(&self, start_lpn: u64, count: u64, scratch: &mut DecomposeScratch) {
         let n_dies = usize_from_u32(self.geometry.total_dies());
         scratch.reset(n_dies);
@@ -192,11 +246,29 @@ impl StripeMap {
                 scratch.plane_mask[d] |= (1u32 << planes_per_die) - 1;
             }
         }
-        for i in 0..rem {
-            let pos = (start_lpn + full_rows * w + i) % w;
-            let (die, plane) = self.locate(pos);
-            scratch.pages[usize_from_u32(die.0)] += 1;
-            scratch.plane_mask[usize_from_u32(die.0)] |= 1 << plane;
+        if rem > 0 {
+            // `start_lpn + full_rows * w` sits at the same position as
+            // `start_lpn`: whole stripes do not move the walk's start.
+            let mut digits = self.digits(start_lpn % w);
+            let (first_die, first_plane) = self.place(digits);
+            let (mut die, mut plane) = (first_die.0, first_plane);
+            for _ in 0..rem {
+                scratch.pages[usize_from_u32(die)] += 1;
+                scratch.plane_mask[usize_from_u32(die)] |= 1 << plane;
+                for (i, digit) in digits.iter_mut().enumerate() {
+                    if *digit + 1 < self.sizes[i] {
+                        *digit += 1;
+                        die += self.die_stride[i];
+                        plane += self.plane_stride[i];
+                        break;
+                    }
+                    // Carry: the digit wraps from its last value to 0.
+                    let span = u32_from(*digit);
+                    *digit = 0;
+                    die -= span * self.die_stride[i];
+                    plane -= span * self.plane_stride[i];
+                }
+            }
         }
 
         let start_row = start_lpn / w;

@@ -1,10 +1,130 @@
 //! Property tests on the FTL's allocator, garbage collector and the
 //! stripe map.
 
-use nvmtypes::{NvmKind, SsdGeometry};
+use nvmtypes::{DieIndex, NvmKind, SsdGeometry};
 use proptest::prelude::*;
-use ssd::mapping::{Dim, StripeMap};
+use ssd::mapping::{DecomposeScratch, DieRun, Dim, StripeMap};
 use ssd::{FtlMode, SsdConfig};
+
+/// The `perm`-th (mod 24) of the 24 orders of the four dimensions, by a
+/// Lehmer decode.
+fn order_of(perm: usize) -> [Dim; 4] {
+    let dims = [Dim::Channel, Dim::Package, Dim::Die, Dim::Plane];
+    let mut order = dims;
+    let mut pool: Vec<Dim> = dims.to_vec();
+    let mut p = perm;
+    for slot in &mut order {
+        let idx = p % pool.len();
+        p /= pool.len().max(1);
+        *slot = pool.remove(idx);
+    }
+    order
+}
+
+/// A geometry with the given parallelism and a token block layout (the
+/// stripe map never reads the block dimensions).
+fn odd_geometry(channels: u32, packages: u32, dies: u32, planes: u32) -> SsdGeometry {
+    SsdGeometry {
+        channels,
+        packages_per_channel: packages,
+        dies_per_package: dies,
+        planes_per_die: planes,
+        blocks_per_plane: 16,
+        pages_per_block: 8,
+    }
+}
+
+/// The geometries the stripe-walk oracle runs over: the unit-test device,
+/// the paper's device for every medium, and odd sizes, including
+/// dimensions of size 1 whose digit never steps.
+fn walk_geometries() -> Vec<SsdGeometry> {
+    let mut geometries = vec![SsdGeometry::tiny()];
+    for kind in [NvmKind::Slc, NvmKind::Mlc, NvmKind::Tlc, NvmKind::Pcm] {
+        geometries.push(SsdGeometry::paper(kind));
+    }
+    geometries.extend([
+        odd_geometry(3, 5, 3, 1),
+        odd_geometry(1, 1, 1, 1),
+        odd_geometry(5, 1, 2, 4),
+        odd_geometry(7, 3, 1, 3),
+        odd_geometry(1, 4, 3, 2),
+        odd_geometry(2, 1, 5, 1),
+    ]);
+    geometries
+}
+
+/// Reference decomposition: the per-page loop that `decompose_into`
+/// replaced, kept verbatim apart from its own accumulators. Every page
+/// of the partial stripe is placed by `locate`.
+fn reference_decompose(map: &StripeMap, start_lpn: u64, count: u64) -> Vec<DieRun> {
+    let n_dies = map.geometry().total_dies() as usize;
+    let mut pages = vec![0u64; n_dies];
+    let mut plane_mask = vec![0u32; n_dies];
+    let mut runs = Vec::new();
+    if count == 0 {
+        return runs;
+    }
+    let w = map.stripe_width();
+    let full_rows = count / w;
+    let rem = count % w;
+    let planes_per_die = map.geometry().planes_per_die;
+
+    if full_rows > 0 {
+        for d in 0..n_dies {
+            pages[d] += full_rows * u64::from(planes_per_die);
+            plane_mask[d] |= (1u32 << planes_per_die) - 1;
+        }
+    }
+    for i in 0..rem {
+        let pos = (start_lpn + full_rows * w + i) % w;
+        let (die, plane) = map.locate(pos);
+        pages[die.0 as usize] += 1;
+        plane_mask[die.0 as usize] |= 1 << plane;
+    }
+
+    let start_row = start_lpn / w;
+    for d in 0..n_dies {
+        if pages[d] > 0 {
+            runs.push(DieRun {
+                die: DieIndex(d as u32),
+                planes: plane_mask[d].count_ones().max(1),
+                pages: pages[d],
+                start_row,
+            });
+        }
+    }
+    runs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn stripe_walk_matches_the_per_page_locate_loop(
+        perm in 0usize..24,
+        geometry in 0usize..11,
+        calls in prop::collection::vec((0u64..(1 << 40), 0u64..(1 << 20)), 1..8),
+    ) {
+        // One scratch carries a sequence of differently shaped calls, so
+        // state left by one walk must not leak into the next.
+        let map = StripeMap::new(walk_geometries()[geometry], order_of(perm));
+        let w = map.stripe_width();
+        let mut scratch = DecomposeScratch::new();
+        for (start, c) in calls {
+            // From empty to past three whole stripes.
+            let count = c % (3 * w + w / 2 + 2);
+            map.decompose_into(start, count, &mut scratch);
+            prop_assert_eq!(
+                &scratch.runs,
+                &reference_decompose(&map, start, count),
+                "order {:?}, start {}, count {}",
+                order_of(perm),
+                start,
+                count
+            );
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -15,17 +135,7 @@ proptest! {
         start in 0u64..10_000,
         count in 1u64..2_000,
     ) {
-        // Enumerate the 24 permutations of the four dimensions.
-        let dims = [Dim::Channel, Dim::Package, Dim::Die, Dim::Plane];
-        let mut order = dims;
-        // Simple Lehmer decode of `perm`.
-        let mut pool: Vec<Dim> = dims.to_vec();
-        let mut p = perm;
-        for slot in 0..4 {
-            let idx = p % pool.len();
-            p /= pool.len().max(1);
-            order[slot] = pool.remove(idx);
-        }
+        let order = order_of(perm);
         let map = StripeMap::new(SsdGeometry::tiny(), order);
         let runs = map.decompose(start, count);
         let total: u64 = runs.iter().map(|r| r.pages).sum();

@@ -18,6 +18,12 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
+    /// The largest [`TraceRecord::end`] a parsed record may have. POSIX
+    /// file offsets (`off_t`) are signed 64-bit, so no file reaches past
+    /// `i64::MAX`; the bound also leaves room to round any end up to a
+    /// whole file-system block in a `u64`.
+    pub const MAX_END: u64 = u64::MAX >> 1;
+
     /// Exclusive end offset.
     pub fn end(&self) -> u64 {
         self.offset + self.len
@@ -101,7 +107,9 @@ impl PosixTrace {
     }
 
     /// Parses the [`PosixTrace::to_text`] format. Lines that are empty or
-    /// start with `#` are skipped.
+    /// start with `#` are skipped. A line with fields past `len`, or whose
+    /// `offset + len` exceeds [`TraceRecord::MAX_END`], is a parse error
+    /// naming that line.
     pub fn from_text(text: &str) -> Result<PosixTrace, SimError> {
         let mut trace = PosixTrace::new();
         for (i, line) in text.lines().enumerate() {
@@ -124,6 +132,16 @@ impl PosixTrace {
             let file: u32 = next("file")?.parse().map_err(|e| fail(format!("{e}")))?;
             let offset: u64 = next("offset")?.parse().map_err(|e| fail(format!("{e}")))?;
             let len: u64 = next("len")?.parse().map_err(|e| fail(format!("{e}")))?;
+            if let Some(extra) = it.next() {
+                return Err(fail(format!("unexpected field `{extra}` after len")));
+            }
+            let end = offset.checked_add(len);
+            if end.filter(|&end| end <= TraceRecord::MAX_END).is_none() {
+                return Err(fail(format!(
+                    "offset {offset} + len {len} ends past the largest file offset {}",
+                    TraceRecord::MAX_END
+                )));
+            }
             trace.push(TraceRecord {
                 t,
                 op,
@@ -202,5 +220,37 @@ mod tests {
         assert_eq!(tr.len(), 2);
         assert!(PosixTrace::from_text("0 X 0 0 10").is_err());
         assert!(PosixTrace::from_text("0 R 0 0").is_err());
+    }
+
+    #[test]
+    fn from_text_rejects_an_end_past_the_largest_file_offset() {
+        for line in [
+            "0 R 0 18446744073709551615 4096",
+            "0 R 0 18446744073709547519 4096",
+            "0 R 0 9223372036854771712 4096",
+        ] {
+            let err = PosixTrace::from_text(&format!("0 R 0 0 4096\n{line}\n"))
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("line 2"), "{err}");
+            assert!(err.contains("largest file offset"), "{err}");
+        }
+        // An end of exactly `MAX_END` still parses, and rounds up to any
+        // power-of-two `u32` block size without overflow.
+        let tr = PosixTrace::from_text("0 R 0 9223372036854771711 4096").unwrap();
+        assert_eq!(tr.records[0].end(), TraceRecord::MAX_END);
+        assert_eq!(
+            TraceRecord::MAX_END.checked_next_multiple_of(1 << 31),
+            Some(1 << 63)
+        );
+    }
+
+    #[test]
+    fn from_text_rejects_extra_fields() {
+        let err = PosixTrace::from_text("# header\n0 R 0 0 4096 extra junk\n")
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("line 2"), "{err}");
+        assert!(err.contains("`extra`"), "{err}");
     }
 }

@@ -23,8 +23,12 @@ use std::fmt::Write as _;
 /// when the trace next *reads* that file, and at end of trace — the
 /// laziest schedule that keeps read-your-writes through the device
 /// honest. Reads of never-written ranges materialise the file as zeros
-/// first (the preprocessing pass of an out-of-core run always writes
-/// before the solver reads, so this path is rare).
+/// first. That path is common, not rare: a trace that reads input it
+/// never wrote, such as every file the solver only reads, materialises
+/// all of it. In `checkpoint_trace` file 0 is only ever read, and the
+/// materialising writes make about 70% of the replay's copy-on-write
+/// bytes (152 of 216 MiB over the four seed-42 traces of the
+/// benchmark's journaled_ckpt workload).
 ///
 /// Host cost: the filesystem stages only the bytes written since a
 /// file's last fsync (the staged window of [`crate::fs`]), so the

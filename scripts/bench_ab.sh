@@ -10,7 +10,10 @@
 # first alternates from pair to pair, so drift and warm-up fall on both
 # sides alike. Each run's `--json` document is appended to old.jsonl
 # (BASE_REV) or new.jsonl (working tree) in OUT, and the script ends with
-# `benchmark --compare old.jsonl new.jsonl`.
+# `benchmark --compare old.jsonl new.jsonl`, whose exit status it keeps,
+# then prints the gain verdict of `scripts/ab_verdict.py`: per end-to-end
+# metric, the working tree's wins out of the pairs and whether the
+# medians differ by more than the base's interquartile range.
 #
 # Defaults: WORKLOAD journaled_ckpt, PAIRS 10, SECONDS 5. Environment:
 # SEED (default 42) is passed to both sides; OUT (default
@@ -72,4 +75,7 @@ for i in $(seq 1 "$pairs"); do
     fi
 done
 
-"$new_bin" --compare "$out/old.jsonl" "$out/new.jsonl"
+status=0
+"$new_bin" --compare "$out/old.jsonl" "$out/new.jsonl" || status=$?
+python3 "$root/scripts/ab_verdict.py" "$out/old.jsonl" "$out/new.jsonl"
+exit "$status"

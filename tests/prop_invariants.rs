@@ -300,10 +300,16 @@ proptest! {
 
     #[test]
     fn stripe_decomposition_conserves_pages_and_respects_geometry(
+        kind in 0usize..4,
         start in 0u64..100_000,
-        count in 1u64..5_000,
+        count in 1u64..40_000,
     ) {
-        let g = SsdGeometry::paper(NvmKind::Tlc);
+        // The paper geometry has the same 256-slot stripe on every medium
+        // (only blocks per plane differ), so the medium changes the
+        // capacity, not the walk. Counts reach past a 2 MiB piece of
+        // PCM's 64 B pages: many whole stripes plus a remainder.
+        let kind = [NvmKind::Slc, NvmKind::Mlc, NvmKind::Tlc, NvmKind::Pcm][kind];
+        let g = SsdGeometry::paper(kind);
         let map = StripeMap::default_order(g);
         let runs = map.decompose(start, count);
         let total: u64 = runs.iter().map(|r| r.pages).sum();

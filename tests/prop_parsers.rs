@@ -1,16 +1,19 @@
-//! Robustness of the two parsers the gates read their own inputs back
-//! through: `simobs::json::parse` (committed baselines and exports) and
-//! `nvmtypes::fault::FaultPlan::parse` (fault-plan files).
+//! Robustness of the parsers that read input back in:
+//! `simobs::json::parse` (committed baselines and exports),
+//! `nvmtypes::fault::FaultPlan::parse` (fault-plan files) and
+//! `ooctrace::PosixTrace::from_text` (POSIX trace files).
 //!
 //! Truncated, byte-mutated and random input must come back as a typed
 //! error, never a panic. Damaged text that is still well-formed may
 //! parse; a JSON value that does must then be a real document, one that
 //! renders and reparses to itself. A fault plan's probabilities must
 //! lie in `[0, 1]` and its wear factor be finite and non-negative; any
-//! other number is an error on the line that holds it.
+//! other number is an error on the line that holds it. Every POSIX
+//! trace record that parses ends at or below `TraceRecord::MAX_END`.
 
 use nvmtypes::fault::FaultPlan;
-use nvmtypes::SimError;
+use nvmtypes::{IoOp, SimError};
+use ooctrace::{PosixTrace, TraceRecord};
 use proptest::prelude::*;
 use simobs::json::{self, Json};
 
@@ -54,6 +57,29 @@ checkpoint_every = 8
 power_loss_at_write = 17
 torn_write_prob = 0.5
 ";
+
+/// A POSIX trace in `to_text` form whose last records end at or just
+/// below `TraceRecord::MAX_END`, so that one mutated digit can push an
+/// end past it.
+fn posix_text() -> String {
+    let max = TraceRecord::MAX_END;
+    let mut trace = PosixTrace::new();
+    for (t, op, file, offset, len) in [
+        (0, IoOp::Read, 0, 0, 4096),
+        (250, IoOp::Write, 7, 1 << 40, 1 << 20),
+        (9_000, IoOp::Read, 3, max - 4096, 4096),
+        (9_001, IoOp::Write, 4_000_000_000, max - 9, 9),
+    ] {
+        trace.push(TraceRecord {
+            t,
+            op,
+            file,
+            offset,
+            len,
+        });
+    }
+    trace.to_text()
+}
 
 /// Overwrites the byte at each `(position mod len, value)` and repairs
 /// the result to valid UTF-8.
@@ -100,6 +126,43 @@ fn plan_parses(text: &str) -> bool {
                 if what == "fault plan" && (1..=text.lines().count()).contains(line));
             assert!(typed, "{e:?} is not a fault-plan error inside {text:?}");
             false
+        }
+    }
+}
+
+/// Parses `text` as a POSIX trace and reports whether it parsed. Every
+/// parsed record must end at or below `TraceRecord::MAX_END`; a failure
+/// must be a parse error whose line lies inside the input.
+fn posix_parses(text: &str) -> bool {
+    match PosixTrace::from_text(text) {
+        Ok(trace) => {
+            for r in &trace.records {
+                let end = r.offset.checked_add(r.len);
+                assert!(
+                    end.is_some_and(|end| end <= TraceRecord::MAX_END),
+                    "{r:?} from {text:?} ends past the largest file offset"
+                );
+            }
+            true
+        }
+        Err(e) => {
+            let typed = matches!(&e, SimError::Parse { what, line, .. }
+                if what == "posix trace" && (1..=text.lines().count()).contains(line));
+            assert!(typed, "{e:?} is not a posix-trace error inside {text:?}");
+            false
+        }
+    }
+}
+
+#[test]
+fn truncated_posix_traces_never_panic() {
+    let text = posix_text();
+    assert!(posix_parses(&text));
+    for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+        let prefix = &text[..cut];
+        let parsed = posix_parses(prefix);
+        if prefix.is_empty() || prefix.ends_with('\n') {
+            assert!(parsed, "whole records {prefix:?} failed");
         }
     }
 }
@@ -200,10 +263,27 @@ proptest! {
     }
 
     #[test]
+    fn mutated_posix_traces_never_panic(edits in prop::collection::vec((0usize..4096, 0u8..=255), 1..8)) {
+        posix_parses(&mutate(&posix_text(), &edits));
+    }
+
+    #[test]
+    fn posix_trace_digit_edits_never_yield_an_unrepresentable_end(
+        edits in prop::collection::vec((0usize..4096, 0u8..10), 1..4),
+    ) {
+        // Digits only: most edits keep every line well-formed and move
+        // an offset or a length, often past `TraceRecord::MAX_END` in
+        // total.
+        let edits: Vec<(usize, u8)> = edits.iter().map(|&(at, d)| (at, b'0' + d)).collect();
+        posix_parses(&mutate(&posix_text(), &edits));
+    }
+
+    #[test]
     fn random_bytes_never_panic(bytes in prop::collection::vec(0u8..=255, 0..96)) {
         let text = String::from_utf8_lossy(&bytes);
         json_parses(&text);
         plan_parses(&text);
+        posix_parses(&text);
     }
 
     #[test]
@@ -211,5 +291,6 @@ proptest! {
         let text = from_alphabet(&picks);
         json_parses(&text);
         plan_parses(&text);
+        posix_parses(&text);
     }
 }
