@@ -25,10 +25,6 @@
 //!   timelines and exact reuse-distance profiles;
 //! * [`format`] — fixed-width table rendering for the figure/table
 //!   regeneration binaries.
-// Burn-down lint debt: legacy `unwrap`/`expect` sites in this crate are
-// inventoried per-file in `simlint.allow` (counts may only decrease).
-// New code must return typed errors; see docs/INVARIANTS.md.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -28,10 +28,6 @@
 //! * [`checkpoint`] — solver checkpoint/restart under simulated node
 //!   loss, driven by the deterministic fault plan in `nvmtypes::fault`
 //!   (docs/FAULT_MODEL.md).
-// Burn-down lint debt: legacy `unwrap`/`expect` sites in this crate are
-// inventoried per-file in `simlint.allow` (counts may only decrease).
-// New code must return typed errors; see docs/INVARIANTS.md.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -1,7 +1,7 @@
 // Fixture: violations only the AST engine and the semantic passes can
-// see. Under the same rule scoping, the legacy per-line engine
-// (`simlint::rules`, kept as the comparison baseline) finds NOTHING in
-// this file — the selftest pins that gap. Expected findings:
+// see. No single line carries a whole violating token sequence, so a
+// substring scan of each line would find NOTHING here; the selftest
+// pins each finding's line. Expected findings:
 //   no_panic x1       (an `.unwrap()` split across lines: no single
 //                      line carries the `.unwrap()` token)
 //   thread_spawn x1   (`spawn` called through a `use`-alias: the

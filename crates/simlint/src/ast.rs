@@ -2095,109 +2095,109 @@ fn expand_use(trees: &[&Tree], prefix: &[String], entries: &mut Vec<UseEntry>) {
     }
 }
 
-/// Walks every expression in a block, depth-first.
+/// Walks every expression in a block, depth-first, nested `fn` items
+/// included.
 pub fn visit_exprs<'a>(block: &'a Block, f: &mut impl FnMut(&'a Expr)) {
+    block_exprs(block, true, &mut |e| visit_expr(e, f));
+}
+
+/// Walks one expression tree, depth-first, calling `f` on every node
+/// (nested `fn` items included).
+pub fn visit_expr<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
+    f(expr);
+    expr_children(expr, true, &mut |child| visit_expr(child, f));
+}
+
+/// Calls `f` on the top-level expression of each statement in `block`:
+/// `let` initialisers and expression statements. With `into_fns`, a
+/// nested `fn` item's body counts as part of the block; without it,
+/// nested items are skipped.
+pub fn block_exprs<'a>(block: &'a Block, into_fns: bool, f: &mut impl FnMut(&'a Expr)) {
     for stmt in &block.stmts {
         match stmt {
-            Stmt::Let { init, .. } => {
-                if let Some(e) = init {
-                    visit_expr(e, f);
-                }
-            }
-            Stmt::Expr { expr, .. } => visit_expr(expr, f),
-            Stmt::Item(item) => {
-                if let ItemKind::Fn(fd) = &item.kind {
-                    if let Some(b) = &fd.body {
-                        visit_exprs(b, f);
-                    }
-                }
-            }
+            Stmt::Let { init: Some(e), .. } => f(e),
+            Stmt::Expr { expr, .. } => f(expr),
+            Stmt::Item(Item {
+                kind: ItemKind::Fn(FnDef { body: Some(b), .. }),
+                ..
+            }) if into_fns => block_exprs(b, into_fns, f),
+            Stmt::Let { init: None, .. } | Stmt::Item(_) => {}
         }
     }
 }
 
-/// Walks one expression tree, depth-first, calling `f` on every node.
-pub fn visit_expr<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
-    f(expr);
+/// Calls `f` on each direct child of `expr`, in source order. A block's
+/// children are its statements' expressions (see [`block_exprs`]).
+/// This is the one definition of an expression's children; every
+/// recursive walk builds on it.
+pub fn expr_children<'a>(expr: &'a Expr, into_fns: bool, f: &mut impl FnMut(&'a Expr)) {
     match &expr.kind {
         ExprKind::Path(_) | ExprKind::Lit(_) => {}
-        ExprKind::Call { callee, args } => {
-            visit_expr(callee, f);
-            for a in args {
-                visit_expr(a, f);
-            }
+        ExprKind::Call {
+            callee: first,
+            args,
         }
-        ExprKind::MethodCall { recv, args, .. } => {
-            visit_expr(recv, f);
-            for a in args {
-                visit_expr(a, f);
-            }
+        | ExprKind::MethodCall {
+            recv: first, args, ..
+        } => {
+            f(first);
+            args.iter().for_each(f);
         }
-        ExprKind::Field { base, .. } => visit_expr(base, f),
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
-            visit_expr(lhs, f);
-            visit_expr(rhs, f);
+        ExprKind::Field { base: e, .. }
+        | ExprKind::Unary { operand: e, .. }
+        | ExprKind::Cast { operand: e, .. }
+        | ExprKind::Closure { body: e, .. }
+        | ExprKind::Try(e) => f(e),
+        ExprKind::Binary { lhs, rhs, .. }
+        | ExprKind::Assign { lhs, rhs, .. }
+        | ExprKind::Index {
+            base: lhs,
+            index: rhs,
+        } => {
+            f(lhs);
+            f(rhs);
         }
-        ExprKind::Unary { operand, .. } | ExprKind::Cast { operand, .. } => {
-            visit_expr(operand, f);
-        }
-        ExprKind::Macro { args, .. } => {
-            for a in args {
-                visit_expr(a, f);
-            }
-        }
+        ExprKind::Macro { args: es, .. }
+        | ExprKind::Tuple(es)
+        | ExprKind::Array(es)
+        | ExprKind::Unknown(es) => es.iter().for_each(f),
         ExprKind::Match { scrutinee, arms } => {
-            visit_expr(scrutinee, f);
+            f(scrutinee);
             for arm in arms {
                 if let Some(g) = &arm.guard {
-                    visit_expr(g, f);
+                    f(g);
                 }
-                visit_expr(&arm.body, f);
+                f(&arm.body);
             }
         }
         ExprKind::If { cond, then, els } => {
-            visit_expr(cond, f);
-            visit_exprs(then, f);
+            f(cond);
+            block_exprs(then, into_fns, f);
             if let Some(e) = els {
-                visit_expr(e, f);
+                f(e);
             }
         }
-        ExprKind::While { cond, body } => {
-            visit_expr(cond, f);
-            visit_exprs(body, f);
+        ExprKind::While { cond: head, body }
+        | ExprKind::For {
+            iter: head, body, ..
+        } => {
+            f(head);
+            block_exprs(body, into_fns, f);
         }
-        ExprKind::For { iter, body, .. } => {
-            visit_expr(iter, f);
-            visit_exprs(body, f);
-        }
-        ExprKind::Loop { body } | ExprKind::Block(body) => visit_exprs(body, f),
-        ExprKind::Closure { body, .. } => visit_expr(body, f),
-        ExprKind::Try(e) => visit_expr(e, f),
-        ExprKind::Index { base, index } => {
-            visit_expr(base, f);
-            visit_expr(index, f);
-        }
-        ExprKind::Tuple(es) | ExprKind::Array(es) | ExprKind::Unknown(es) => {
-            for e in es {
-                visit_expr(e, f);
-            }
-        }
+        ExprKind::Loop { body } | ExprKind::Block(body) => block_exprs(body, into_fns, f),
         ExprKind::StructLit { fields, .. } => {
             for (_, e) in fields {
-                visit_expr(e, f);
+                f(e);
             }
         }
         ExprKind::Return(e) | ExprKind::Break(e) => {
             if let Some(e) = e {
-                visit_expr(e, f);
+                f(e);
             }
         }
         ExprKind::Range { lo, hi } => {
-            if let Some(e) = lo {
-                visit_expr(e, f);
-            }
-            if let Some(e) = hi {
-                visit_expr(e, f);
+            for e in [lo, hi].into_iter().flatten() {
+                f(e);
             }
         }
     }

@@ -1,41 +1,56 @@
-//! The eight classic rules, re-implemented over token trees and the
-//! AST instead of per-line substring scans.
+//! The eight per-file rules, matched over a file's token trees and AST.
 //!
-//! Messages are byte-identical with the legacy engine in `rules` (the
-//! selftests compare the two), but the matching is structural, which
-//! kills the remaining false-positive/negative classes:
+//! Matching is structural, so the classes of miss a substring scan has
+//! cannot occur:
 //!
 //! * tokens split across lines (`.unwrap\n()`, `x as\n    u64`) are
 //!   seen as one construct;
 //! * identifier boundaries are exact (`LinkedHashMap` is not a
-//!   `HashMap`; `SystemTimeline` is not `SystemTime`);
+//!   `HashMap`; `SystemTimeline` is not `SystemTime`; `eprintln!` is
+//!   not also a `println!`);
 //! * `use std::thread::spawn; spawn(..)` and aliased imports are
-//!   resolved through the file's `use`-map;
-//! * `match` arms come from the parser, not a brace-depth heuristic.
+//!   resolved through the file's `use` entries;
+//! * `match` arms come from the parser, not a brace-depth heuristic;
+//! * comments and string contents were blanked by the lexer, and
+//!   `#[cfg(test)]` code is exempt from every rule.
 
-use crate::ast::{self, Expr, ExprKind, File, ItemKind, UseEntry};
-use crate::lexer::CleanFile;
+use crate::ast::{self, Expr, ExprKind, ItemKind, UseEntry};
 use crate::parser::{Span, Tree};
+use crate::resolve::FileAst;
 use crate::rules::{Finding, Rule, WATCHED_ENUMS};
 
 /// Panicking macro names for [`Rule::NoPanic`].
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 
-/// Numeric cast targets for [`Rule::BareCast`] (mirrors the legacy
-/// list: `u8` stays exempt — it is the byte type, not a unit).
+/// Numeric cast targets for [`Rule::BareCast`]. `u8` stays exempt: it
+/// is the byte type, not a unit.
 const CAST_TARGETS: [&str; 9] = [
     "u16", "u32", "u64", "u128", "usize", "i64", "i128", "f32", "f64",
 ];
 
-fn in_test(clean: &CleanFile, span: Span) -> bool {
-    clean
-        .lines
-        .get(span.line.saturating_sub(1))
-        .is_some_and(|l| l.in_test)
+/// Runs one per-file rule over a parsed file. The semantic rules need
+/// the cross-file index and run in [`crate::scan_workspace`]; here they
+/// yield nothing.
+pub fn check(rule: Rule, file: &FileAst) -> Vec<Finding> {
+    match rule {
+        Rule::NoPanic => no_panic(file),
+        Rule::NondeterministicCollection => nondeterministic_collection(file),
+        Rule::WallClock => wall_clock(file),
+        Rule::BareCast => bare_cast(file),
+        Rule::EnumWildcard => enum_wildcard(file),
+        Rule::LetUnderscoreResult => let_underscore_result(file),
+        Rule::NoPrintlnInLib => no_println_in_lib(file),
+        Rule::ThreadSpawn => thread_spawn(file),
+        Rule::NondetTaint
+        | Rule::UnitMismatch
+        | Rule::AtomicOrdering
+        | Rule::LockOrder
+        | Rule::HotPathAlloc => Vec::new(),
+    }
 }
 
-fn push(findings: &mut Vec<Finding>, clean: &CleanFile, rule: Rule, span: Span, message: String) {
-    if !in_test(clean, span) {
+fn push(findings: &mut Vec<Finding>, file: &FileAst, rule: Rule, span: Span, message: String) {
+    if !file.line_in_test(span.line) {
         findings.push(Finding {
             rule,
             line: span.line,
@@ -46,9 +61,9 @@ fn push(findings: &mut Vec<Finding>, clean: &CleanFile, rule: Rule, span: Span, 
 }
 
 /// `.unwrap()`, `.expect(..)` and the panicking macros.
-pub fn no_panic(clean: &CleanFile, trees: &[Tree]) -> Vec<Finding> {
+fn no_panic(file: &FileAst) -> Vec<Finding> {
     let mut findings = Vec::new();
-    crate::parser::walk_sibling_slices(trees, &mut |slice| {
+    crate::parser::walk_sibling_slices(&file.trees, &mut |slice| {
         for (i, t) in slice.iter().enumerate() {
             if t.is_punct(".") {
                 let (Some(name), Some(g)) = (
@@ -70,7 +85,7 @@ pub fn no_panic(clean: &CleanFile, trees: &[Tree]) -> Vec<Finding> {
                     };
                     push(
                         &mut findings,
-                        clean,
+                        file,
                         Rule::NoPanic,
                         t.span(),
                         format!(
@@ -85,7 +100,7 @@ pub fn no_panic(clean: &CleanFile, trees: &[Tree]) -> Vec<Finding> {
                 {
                     push(
                         &mut findings,
-                        clean,
+                        file,
                         Rule::NoPanic,
                         t.span(),
                         format!(
@@ -100,9 +115,9 @@ pub fn no_panic(clean: &CleanFile, trees: &[Tree]) -> Vec<Finding> {
 }
 
 /// Wall-clock and OS-entropy constructs.
-pub fn wall_clock(clean: &CleanFile, trees: &[Tree]) -> Vec<Finding> {
+fn wall_clock(file: &FileAst) -> Vec<Finding> {
     let mut findings = Vec::new();
-    crate::parser::walk_sibling_slices(trees, &mut |slice| {
+    crate::parser::walk_sibling_slices(&file.trees, &mut |slice| {
         for (i, t) in slice.iter().enumerate() {
             let Some(name) = t.ident() else { continue };
             let token = match name {
@@ -120,7 +135,7 @@ pub fn wall_clock(clean: &CleanFile, trees: &[Tree]) -> Vec<Finding> {
             if let Some(tok) = token {
                 push(
                     &mut findings,
-                    clean,
+                    file,
                     Rule::WallClock,
                     t.span(),
                     format!(
@@ -134,15 +149,15 @@ pub fn wall_clock(clean: &CleanFile, trees: &[Tree]) -> Vec<Finding> {
 }
 
 /// `HashMap`/`HashSet` mentions in simulator-state crates.
-pub fn nondeterministic_collection(clean: &CleanFile, trees: &[Tree]) -> Vec<Finding> {
+fn nondeterministic_collection(file: &FileAst) -> Vec<Finding> {
     let mut findings = Vec::new();
-    crate::parser::walk_sibling_slices(trees, &mut |slice| {
+    crate::parser::walk_sibling_slices(&file.trees, &mut |slice| {
         for t in slice {
             let Some(name) = t.ident() else { continue };
             if name == "HashMap" || name == "HashSet" {
                 push(
                     &mut findings,
-                    clean,
+                    file,
                     Rule::NondeterministicCollection,
                     t.span(),
                     format!(
@@ -157,9 +172,9 @@ pub fn nondeterministic_collection(clean: &CleanFile, trees: &[Tree]) -> Vec<Fin
 }
 
 /// Bare `as <numeric>` casts — including ones split across lines.
-pub fn bare_cast(clean: &CleanFile, trees: &[Tree]) -> Vec<Finding> {
+fn bare_cast(file: &FileAst) -> Vec<Finding> {
     let mut findings = Vec::new();
-    crate::parser::walk_sibling_slices(trees, &mut |slice| {
+    crate::parser::walk_sibling_slices(&file.trees, &mut |slice| {
         for (i, t) in slice.iter().enumerate() {
             if t.ident() != Some("as") {
                 continue;
@@ -175,7 +190,7 @@ pub fn bare_cast(clean: &CleanFile, trees: &[Tree]) -> Vec<Finding> {
             if CAST_TARGETS.contains(&target) {
                 push(
                     &mut findings,
-                    clean,
+                    file,
                     Rule::BareCast,
                     t.span(),
                     format!(
@@ -198,11 +213,11 @@ fn in_use_statement(slice: &[Tree], i: usize) -> bool {
 }
 
 /// Direct `thread::spawn(..)` calls, plus calls through a `use`-import
-/// of `spawn` (possibly aliased) — the dodge the legacy rule missed.
-pub fn thread_spawn(clean: &CleanFile, trees: &[Tree], ast: &File) -> Vec<Finding> {
+/// of `spawn` (possibly aliased).
+fn thread_spawn(file: &FileAst) -> Vec<Finding> {
     // Names bound to `std::thread::spawn` by imports in this file.
     let mut spawn_aliases: Vec<String> = Vec::new();
-    collect_use_entries(&ast.items, &mut |entry| {
+    collect_use_entries(&file.ast.items, &mut |entry| {
         let p = &entry.path;
         if p.len() >= 2 && p[p.len() - 2] == "thread" && p[p.len() - 1] == "spawn" {
             spawn_aliases.push(entry.alias.clone());
@@ -215,7 +230,7 @@ pub fn thread_spawn(clean: &CleanFile, trees: &[Tree], ast: &File) -> Vec<Findin
             .to_string()
     };
     let mut findings = Vec::new();
-    crate::parser::walk_sibling_slices(trees, &mut |slice| {
+    crate::parser::walk_sibling_slices(&file.trees, &mut |slice| {
         for (i, t) in slice.iter().enumerate() {
             let Some(name) = t.ident() else { continue };
             if name == "thread"
@@ -223,7 +238,7 @@ pub fn thread_spawn(clean: &CleanFile, trees: &[Tree], ast: &File) -> Vec<Findin
                 && slice.get(i + 2).and_then(Tree::ident) == Some("spawn")
                 && slice.get(i + 3).is_some_and(|n| n.group_of('(').is_some())
             {
-                push(&mut findings, clean, Rule::ThreadSpawn, t.span(), message());
+                push(&mut findings, file, Rule::ThreadSpawn, t.span(), message());
             } else if spawn_aliases.iter().any(|a| a == name)
                 && slice.get(i + 1).is_some_and(|n| n.group_of('(').is_some())
             {
@@ -232,7 +247,7 @@ pub fn thread_spawn(clean: &CleanFile, trees: &[Tree], ast: &File) -> Vec<Findin
                 // were handled (or exempted) above.
                 let preceded = i > 0 && (slice[i - 1].is_punct(".") || slice[i - 1].is_punct("::"));
                 if !preceded {
-                    push(&mut findings, clean, Rule::ThreadSpawn, t.span(), message());
+                    push(&mut findings, file, Rule::ThreadSpawn, t.span(), message());
                 }
             }
         }
@@ -251,9 +266,9 @@ fn collect_use_entries(items: &[ast::Item], f: &mut impl FnMut(&UseEntry)) {
 }
 
 /// `println!`/`eprintln!` in library code.
-pub fn no_println_in_lib(clean: &CleanFile, trees: &[Tree]) -> Vec<Finding> {
+fn no_println_in_lib(file: &FileAst) -> Vec<Finding> {
     let mut findings = Vec::new();
-    crate::parser::walk_sibling_slices(trees, &mut |slice| {
+    crate::parser::walk_sibling_slices(&file.trees, &mut |slice| {
         for (i, t) in slice.iter().enumerate() {
             let Some(name) = t.ident() else { continue };
             if (name == "println" || name == "eprintln")
@@ -262,7 +277,7 @@ pub fn no_println_in_lib(clean: &CleanFile, trees: &[Tree]) -> Vec<Finding> {
             {
                 push(
                     &mut findings,
-                    clean,
+                    file,
                     Rule::NoPrintlnInLib,
                     t.span(),
                     format!(
@@ -276,9 +291,9 @@ pub fn no_println_in_lib(clean: &CleanFile, trees: &[Tree]) -> Vec<Finding> {
 }
 
 /// `let _ = expr;` wildcard discards.
-pub fn let_underscore_result(clean: &CleanFile, trees: &[Tree]) -> Vec<Finding> {
+fn let_underscore_result(file: &FileAst) -> Vec<Finding> {
     let mut findings = Vec::new();
-    crate::parser::walk_sibling_slices(trees, &mut |slice| {
+    crate::parser::walk_sibling_slices(&file.trees, &mut |slice| {
         for (i, t) in slice.iter().enumerate() {
             if t.ident() == Some("let")
                 && slice.get(i + 1).and_then(Tree::ident) == Some("_")
@@ -286,7 +301,7 @@ pub fn let_underscore_result(clean: &CleanFile, trees: &[Tree]) -> Vec<Finding> 
             {
                 push(
                     &mut findings,
-                    clean,
+                    file,
                     Rule::LetUnderscoreResult,
                     t.span(),
                     "`let _ = ..` silently discards the value — and any `Err` in it; \
@@ -301,9 +316,9 @@ pub fn let_underscore_result(clean: &CleanFile, trees: &[Tree]) -> Vec<Finding> 
 }
 
 /// Wildcard `_ =>` arms in `match`es over (or into) watched enums.
-pub fn enum_wildcard(clean: &CleanFile, ast: &File) -> Vec<Finding> {
+fn enum_wildcard(file: &FileAst) -> Vec<Finding> {
     let mut findings = Vec::new();
-    ast::visit_fns(&ast.items, false, &mut |fd, _, _, _| {
+    ast::visit_fns(&file.ast.items, false, &mut |fd, _, _, _| {
         let Some(body) = &fd.body else { return };
         ast::visit_exprs(body, &mut |e| {
             let ExprKind::Match { arms, .. } = &e.kind else {
@@ -316,7 +331,7 @@ pub fn enum_wildcard(clean: &CleanFile, ast: &File) -> Vec<Finding> {
                 if arm.is_wild {
                     push(
                         &mut findings,
-                        clean,
+                        file,
                         Rule::EnumWildcard,
                         arm.span,
                         "wildcard `_ =>` arm on a watched enum; list every variant so new media kinds cannot silently fall through".to_string(),
@@ -357,167 +372,226 @@ fn path_is_watched(segs: &[String]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::clean_source;
-    use crate::parser::parse_trees;
-    use crate::rules;
 
-    fn prep(src: &str) -> (CleanFile, Vec<Tree>, File) {
-        let clean = clean_source(src);
-        let trees = parse_trees(&clean);
-        let file = ast::parse_file(&trees);
-        (clean, trees, file)
+    /// The per-file rules, in report order.
+    const PER_FILE: [Rule; 8] = [
+        Rule::NoPanic,
+        Rule::NondeterministicCollection,
+        Rule::WallClock,
+        Rule::BareCast,
+        Rule::EnumWildcard,
+        Rule::LetUnderscoreResult,
+        Rule::NoPrintlnInLib,
+        Rule::ThreadSpawn,
+    ];
+
+    fn parse(src: &str) -> FileAst {
+        FileAst::parse("crates/ssd/src/lib.rs", "ssd", src)
     }
 
-    /// The AST port must agree with the legacy engine on everything the
-    /// legacy engine can see (messages included, byte for byte).
+    fn hits(rule: Rule, src: &str) -> Vec<(usize, usize, String)> {
+        check(rule, &parse(src))
+            .into_iter()
+            .map(|f| (f.line, f.col, f.message))
+            .collect()
+    }
+
+    // The report's messages, spelled out byte for byte.
+    fn panics(tok: &str) -> String {
+        format!("`{tok}` can panic; return a typed error or use a non-panicking accessor")
+    }
+    fn unordered(ty: &str, sorted: &str) -> String {
+        format!("`{ty}` iteration order is nondeterministic; use `{sorted}` or a sorted drain")
+    }
+    fn clock(tok: &str) -> String {
+        format!(
+            "`{tok}` breaks reproducibility; simulators must use simulated time and seeded RNGs"
+        )
+    }
+    fn printing(mac: &str) -> String {
+        format!("`{mac}` in library code; return or render a `String` and let the binary print it")
+    }
+    const CAST_U64: &str = "bare `as u64` cast in unit arithmetic; use `u64::from`/`f64::from` for lossless widening or the audited helpers in `nvmtypes::convert` (`usize_from`, `u64_from_usize`, `approx_f64`, `trunc_u64`, `try_u32`)";
+    const WILDCARD: &str = "wildcard `_ =>` arm on a watched enum; list every variant so new media kinds cannot silently fall through";
+    const DISCARD: &str = "`let _ = ..` silently discards the value — and any `Err` in it; handle or propagate the `Result`, or make a deliberate discard explicit with `drop(..)`";
+    const SPAWN: &str = "direct `thread::spawn` bypasses the vendored work-sharing pool; use `rayon::par_iter`/`join` so `RAYON_NUM_THREADS` and the ordered-collect determinism contract apply (docs/PARALLELISM.md)";
+
+    /// Every per-file construct with its near-misses, one rule per line:
+    /// `BTreeMap`, `as MyType`, `as u8`, `let _guard`, `let _: u32` and
+    /// `scope.spawn` must stay silent, and `eprintln!` counts once.
+    const ALL: &str = "fn f(k: NvmKind) -> u32 {\n\
+        x.unwrap(); y.expect(\"m\"); panic!(\"n\");\n\
+        let m: HashMap<u32, BTreeMap<u32, u32>> = HashSet::new();\n\
+        let t = Instant::now(); let s = SystemTime::now();\n\
+        let a = x as u64; let b = y as MyType; let c = z as u8;\n\
+        let _ = tx.send(1); let _guard = lock(); let _: u32 = g();\n\
+        println!(\"x\"); eprintln!(\"y\");\n\
+        std::thread::spawn(|| {}); scope.spawn(|| {});\n\
+        match k { NvmKind::Slc => 1, _ => 0 }\n\
+        }\n";
+
     #[test]
-    fn agrees_with_legacy_on_single_line_constructs() {
-        let src = "fn f() { x.unwrap(); y.expect(\"m\"); panic!(\"n\"); }\n\
-                   fn g() { let m: HashMap<u32, u32> = HashMap::new(); }\n\
-                   fn h() { let t = Instant::now(); let s = SystemTime::now(); }\n\
-                   fn i(x: u32) -> u64 { x as u64 }\n\
-                   fn j() { let _ = k(); println!(\"x\"); std::thread::spawn(|| {}); }\n";
-        let (clean, trees, file) = prep(src);
-        let pairs: Vec<(Vec<Finding>, Vec<Finding>)> = vec![
-            (no_panic(&clean, &trees), rules::no_panic(&clean)),
+    fn per_file_rules_report_exact_findings() {
+        let gated = format!("#[cfg(test)]\nmod t {{\n{ALL}}}\n");
+        let commented: String = ALL.lines().map(|l| format!("// {l}\n")).collect();
+        let quoted = format!("const S: &str = \"{}\";\n", ALL.replace('"', "\\\""));
+        let raw = format!("const S: &str = r#\"{ALL}\"#;\n");
+        let mut table: Vec<(&str, Rule, Vec<(usize, usize, String)>)> = vec![
             (
-                nondeterministic_collection(&clean, &trees),
-                rules::nondeterministic_collection(&clean),
-            ),
-            (wall_clock(&clean, &trees), rules::wall_clock(&clean)),
-            (bare_cast(&clean, &trees), rules::bare_cast(&clean)),
-            (
-                let_underscore_result(&clean, &trees),
-                rules::let_underscore_result(&clean),
+                ALL,
+                Rule::NoPanic,
+                vec![
+                    (2, 2, panics("unwrap()")),
+                    (2, 14, panics("expect")),
+                    (2, 27, panics("panic!")),
+                ],
             ),
             (
-                no_println_in_lib(&clean, &trees),
-                rules::no_println_in_lib(&clean),
+                ALL,
+                Rule::NondeterministicCollection,
+                vec![
+                    (3, 8, unordered("HashMap", "BTreeMap")),
+                    (3, 43, unordered("HashSet", "BTreeSet")),
+                ],
             ),
             (
-                thread_spawn(&clean, &trees, &file),
-                rules::thread_spawn(&clean),
+                ALL,
+                Rule::WallClock,
+                vec![(4, 9, clock("Instant::now")), (4, 33, clock("SystemTime"))],
+            ),
+            (ALL, Rule::BareCast, vec![(5, 11, CAST_U64.to_string())]),
+            (
+                ALL,
+                Rule::LetUnderscoreResult,
+                vec![(6, 1, DISCARD.to_string())],
+            ),
+            (
+                ALL,
+                Rule::NoPrintlnInLib,
+                vec![(7, 1, printing("println!")), (7, 15, printing("eprintln!"))],
+            ),
+            (ALL, Rule::ThreadSpawn, vec![(8, 6, SPAWN.to_string())]),
+            (ALL, Rule::EnumWildcard, vec![(9, 30, WILDCARD.to_string())]),
+            (
+                "fn f() { let m = LinkedHashMap::new(); let t = SystemTimeline::new(); }\n",
+                Rule::NondeterministicCollection,
+                vec![],
+            ),
+            (
+                "fn f() { let m = LinkedHashMap::new(); let t = SystemTimeline::new(); }\n",
+                Rule::WallClock,
+                vec![],
+            ),
+            (
+                "use foo::bar as u64_helper;\nfn f() {}\n",
+                Rule::BareCast,
+                vec![],
+            ),
+            (
+                "fn f() { outlet _ = 1; }\n",
+                Rule::LetUnderscoreResult,
+                vec![],
+            ),
+            (
+                "fn f() {\n todo!();\n unreachable!(\"x\");\n unimplemented!();\n}\n",
+                Rule::NoPanic,
+                vec![
+                    (2, 2, panics("todo!")),
+                    (3, 2, panics("unreachable!")),
+                    (4, 2, panics("unimplemented!")),
+                ],
             ),
         ];
-        for (ast_hits, legacy_hits) in pairs {
-            assert_eq!(
-                ast_hits.len(),
-                legacy_hits.len(),
-                "{ast_hits:?}\n{legacy_hits:?}"
-            );
-            for (a, l) in ast_hits.iter().zip(&legacy_hits) {
-                assert_eq!(a.message, l.message);
-                assert_eq!(a.line, l.line);
+        // Test code, comments and string contents are exempt from every
+        // rule.
+        for src in [&gated, &commented, &quoted, &raw] {
+            table.extend(PER_FILE.map(|rule| (src.as_str(), rule, vec![])));
+        }
+        for (src, rule, want) in table {
+            assert_eq!(hits(rule, src), want, "{} on:\n{src}", rule.id());
+        }
+    }
+
+    #[test]
+    fn semantic_rules_have_no_per_file_findings() {
+        for rule in Rule::ALL {
+            if !PER_FILE.contains(&rule) {
+                assert!(hits(rule, ALL).is_empty(), "{}", rule.id());
             }
         }
     }
 
     #[test]
-    fn multiline_unwrap_is_caught_where_legacy_misses() {
+    fn multiline_unwrap_is_caught() {
         let src = "fn f() {\n  x\n    .unwrap\n    ();\n}\n";
-        let (clean, trees, _) = prep(src);
-        assert!(rules::no_panic(&clean).is_empty(), "legacy blind spot");
-        let hits = no_panic(&clean, &trees);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].line, 3);
+        assert_eq!(hits(Rule::NoPanic, src), vec![(3, 5, panics("unwrap()"))]);
     }
 
     #[test]
-    fn multiline_cast_is_caught_where_legacy_misses() {
+    fn multiline_cast_is_caught() {
         let src = "fn f(x: u32) -> u64 {\n  x as\n    u64\n}\n";
-        let (clean, trees, _) = prep(src);
-        assert!(rules::bare_cast(&clean).is_empty(), "legacy blind spot");
-        let hits = bare_cast(&clean, &trees);
-        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(
+            hits(Rule::BareCast, src),
+            vec![(2, 5, CAST_U64.to_string())]
+        );
     }
 
     #[test]
-    fn imported_spawn_is_caught_where_legacy_misses() {
+    fn imported_spawn_is_caught() {
         let src = "use std::thread::spawn;\nfn f() { spawn(|| {}); }\n";
-        let (clean, trees, file) = prep(src);
-        assert!(rules::thread_spawn(&clean).is_empty(), "legacy blind spot");
-        let hits = thread_spawn(&clean, &trees, &file);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].line, 2);
+        assert_eq!(
+            hits(Rule::ThreadSpawn, src),
+            vec![(2, 10, SPAWN.to_string())]
+        );
     }
 
     #[test]
     fn aliased_spawn_import_is_caught() {
         let src = "use std::thread::spawn as go;\nfn f() { go(|| {}); }\n";
-        let (clean, trees, file) = prep(src);
-        let hits = thread_spawn(&clean, &trees, &file);
-        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(
+            hits(Rule::ThreadSpawn, src),
+            vec![(2, 10, SPAWN.to_string())]
+        );
     }
 
     #[test]
     fn scoped_spawn_and_use_alias_do_not_fire() {
         let src = "use std::thread::spawn as go;\nfn f(scope: &S) { scope.go(|| {}); }\n";
-        let (clean, trees, file) = prep(src);
-        assert!(thread_spawn(&clean, &trees, &file).is_empty());
+        assert!(hits(Rule::ThreadSpawn, src).is_empty());
     }
 
     #[test]
-    fn linked_hash_map_is_not_flagged() {
-        let src = "fn f() { let m = LinkedHashMap::new(); let t = SystemTimeline::new(); }\n";
-        let (clean, trees, _) = prep(src);
-        assert!(nondeterministic_collection(&clean, &trees).is_empty());
-        assert!(wall_clock(&clean, &trees).is_empty());
-    }
-
-    #[test]
-    fn use_as_alias_is_not_a_cast() {
-        let src = "use foo::bar as u64_helper;\nfn f() {}\n";
-        let (clean, trees, _) = prep(src);
-        assert!(bare_cast(&clean, &trees).is_empty());
-    }
-
-    #[test]
-    fn enum_wildcard_matches_legacy_on_fixtures() {
+    fn enum_wildcard_hits_the_wildcard_arm_line() {
         for (src, want) in [
             (
                 "fn f(k: NvmKind) -> u32 {\n match k {\n  NvmKind::Slc => 1,\n  _ => 0,\n }\n}\n",
-                1,
+                vec![4],
             ),
             (
                 "fn f(n: u8) -> u32 {\n match n {\n  0 => 1,\n  _ => 0,\n }\n}\n",
-                0,
+                vec![],
             ),
             (
                 "fn f(k: IoOp) -> u32 {\n match k {\n  IoOp::Read => 1,\n  IoOp::Write => 2,\n }\n}\n",
-                0,
+                vec![],
             ),
             (
                 "fn f(i: u32) -> PageClass {\n match i % 3 {\n  0 => PageClass::Lsb,\n  1 => PageClass::Csb,\n  _ => PageClass::Msb,\n }\n}\n",
-                1,
+                vec![5],
             ),
             (
                 "fn f(k: IoOp) -> u32 {\n match (k, 1) {\n  (IoOp::Read, _) => 1,\n  (IoOp::Write, _) => 2,\n }\n}\n",
-                0,
+                vec![],
             ),
             (
                 "fn f(k: OpKind, n: u8) -> u32 {\n match (k, n) {\n  (OpKind::Read, x) if x > 3 => { 1 }\n  (OpKind::Write, _) => 2,\n  _ => 3,\n }\n}\n",
-                1,
+                vec![5],
             ),
         ] {
-            let (clean, _, file) = prep(src);
-            let ast_hits = enum_wildcard(&clean, &file);
-            let legacy_hits = rules::enum_wildcard(&clean);
-            assert_eq!(ast_hits.len(), want, "{src}\n{ast_hits:?}");
-            assert_eq!(legacy_hits.len(), want, "legacy drifted: {src}");
-            for (a, l) in ast_hits.iter().zip(&legacy_hits) {
-                assert_eq!(a.line, l.line, "{src}");
-                assert_eq!(a.message, l.message);
-            }
+            let found = hits(Rule::EnumWildcard, src);
+            let lines: Vec<usize> = found.iter().map(|h| h.0).collect();
+            assert_eq!(lines, want, "{src}\n{found:?}");
+            assert!(found.iter().all(|h| h.2 == WILDCARD));
         }
-    }
-
-    #[test]
-    fn string_and_comment_false_positives_stay_dead() {
-        let src = "// x.unwrap()\nconst S: &str = \"panic!( let _ = a() as u64 HashMap\";\n";
-        let (clean, trees, _) = prep(src);
-        assert!(no_panic(&clean, &trees).is_empty());
-        assert!(bare_cast(&clean, &trees).is_empty());
-        assert!(let_underscore_result(&clean, &trees).is_empty());
-        assert!(nondeterministic_collection(&clean, &trees).is_empty());
     }
 }

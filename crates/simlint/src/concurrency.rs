@@ -45,7 +45,7 @@
 //! `drop(guard)` releases the binding; guards bound by `let` live to
 //! the end of their block.
 
-use crate::ast::{Arm, Block, Expr, ExprKind, FnDef, Item, ItemKind, Stmt};
+use crate::ast::{self, Block, Expr, ExprKind, FnDef, Item, ItemKind, Stmt};
 use crate::parser::Span;
 use crate::resolve::{FileAst, Index};
 use crate::rules::{Finding, Rule};
@@ -170,7 +170,9 @@ fn atomic_ordering(files: &[FileAst], in_scope: &dyn Fn(&str) -> bool) -> Vec<Lo
             &mut |fd, self_ty, _| {
                 let Some(body) = &fd.body else { return };
                 check_publish(body, self_ty, &mut findings);
-                check_consume_block(body, self_ty, &mut findings);
+                ast::block_exprs(body, false, &mut |e| {
+                    check_consume(e, self_ty, &mut findings);
+                });
             },
         );
         findings.sort_by_key(|f| (f.line, f.col));
@@ -190,7 +192,9 @@ fn atomic_ordering(files: &[FileAst], in_scope: &dyn Fn(&str) -> bool) -> Vec<Lo
 /// Publish side: a `Relaxed` store preceded by a write elsewhere.
 fn check_publish(body: &Block, self_ty: Option<&str>, findings: &mut Vec<Finding>) {
     let mut accesses = Vec::new();
-    collect_accesses_block(body, self_ty, &mut accesses);
+    ast::block_exprs(body, false, &mut |e| {
+        collect_accesses(e, self_ty, &mut accesses)
+    });
     let mut written: Vec<String> = Vec::new();
     for access in accesses {
         match access {
@@ -210,16 +214,6 @@ fn check_publish(body: &Block, self_ty: Option<&str>, findings: &mut Vec<Finding
                     });
                 }
             }
-        }
-    }
-}
-
-fn collect_accesses_block(block: &Block, self_ty: Option<&str>, out: &mut Vec<Access>) {
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::Let { init: Some(e), .. } => collect_accesses(e, self_ty, out),
-            Stmt::Expr { expr, .. } => collect_accesses(expr, self_ty, out),
-            _ => {}
         }
     }
 }
@@ -247,23 +241,15 @@ fn collect_accesses(expr: &Expr, self_ty: Option<&str>, out: &mut Vec<Access>) {
             }
         }
         _ => {
-            for_each_child(expr, &mut |child| collect_accesses(child, self_ty, out));
+            ast::expr_children(expr, false, &mut |child| {
+                collect_accesses(child, self_ty, out);
+            });
         }
     }
 }
 
 /// Consume side: a `Relaxed` load guarding a branch that reads other
 /// state.
-fn check_consume_block(block: &Block, self_ty: Option<&str>, findings: &mut Vec<Finding>) {
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::Let { init: Some(e), .. } => check_consume(e, self_ty, findings),
-            Stmt::Expr { expr, .. } => check_consume(expr, self_ty, findings),
-            _ => {}
-        }
-    }
-}
-
 fn check_consume(expr: &Expr, self_ty: Option<&str>, findings: &mut Vec<Finding>) {
     if let ExprKind::If { cond, then, .. } | ExprKind::While { cond, body: then } = &expr.kind {
         let mut loads = Vec::new();
@@ -284,7 +270,9 @@ fn check_consume(expr: &Expr, self_ty: Option<&str>, findings: &mut Vec<Finding>
             }
         }
     }
-    for_each_child(expr, &mut |child| check_consume(child, self_ty, findings));
+    ast::expr_children(expr, false, &mut |child| {
+        check_consume(child, self_ty, findings);
+    });
 }
 
 /// Collects `place.load(Ordering::Relaxed)` occurrences in `expr`.
@@ -296,7 +284,7 @@ fn relaxed_loads(expr: &Expr, self_ty: Option<&str>, out: &mut Vec<(String, Span
             }
         }
     }
-    for_each_child(expr, &mut |child| relaxed_loads(child, self_ty, out));
+    ast::expr_children(expr, false, &mut |child| relaxed_loads(child, self_ty, out));
 }
 
 /// Finds a read of some place other than `flag` inside `block`: a field
@@ -319,111 +307,22 @@ fn foreign_read(block: &Block, flag: &str, self_ty: Option<&str>) -> Option<Stri
             }
         }
     };
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::Let { init: Some(e), .. } => walk_exprs(e, &mut visit),
-            Stmt::Expr { expr, .. } => walk_exprs(expr, &mut visit),
-            _ => {}
-        }
-    }
+    walk_block(block, &mut visit);
     found
 }
 
-/// Applies `f` to `expr` and every descendant expression.
+/// Applies `f` to `expr` and every descendant expression. Unlike
+/// [`ast::visit_expr`], the walk does not enter nested `fn` items: code
+/// in them runs only when called, not where it is written.
 fn walk_exprs(expr: &Expr, f: &mut impl FnMut(&Expr)) {
     f(expr);
-    for_each_child(expr, &mut |child| walk_exprs(child, f));
+    ast::expr_children(expr, false, &mut |child| walk_exprs(child, f));
 }
 
-/// Invokes `f` on each direct child expression (blocks included via
-/// their statements).
-fn block_children(b: &Block, f: &mut impl FnMut(&Expr)) {
-    for stmt in &b.stmts {
-        match stmt {
-            Stmt::Let { init: Some(e), .. } => f(e),
-            Stmt::Expr { expr, .. } => f(expr),
-            _ => {}
-        }
-    }
-}
-
-fn for_each_child(expr: &Expr, f: &mut impl FnMut(&Expr)) {
-    match &expr.kind {
-        ExprKind::Path(_) | ExprKind::Lit(_) => {}
-        ExprKind::Call { callee, args } => {
-            f(callee);
-            args.iter().for_each(f);
-        }
-        ExprKind::MethodCall { recv, args, .. } => {
-            f(recv);
-            args.iter().for_each(f);
-        }
-        ExprKind::Field { base, .. } => f(base),
-        ExprKind::Binary { lhs, rhs, .. } => {
-            f(lhs);
-            f(rhs);
-        }
-        ExprKind::Unary { operand, .. } => f(operand),
-        ExprKind::Cast { operand, .. } => f(operand),
-        ExprKind::Macro { args, .. } => args.iter().for_each(f),
-        ExprKind::Match { scrutinee, arms } => {
-            f(scrutinee);
-            for Arm { guard, body, .. } in arms {
-                if let Some(g) = guard {
-                    f(g);
-                }
-                f(body);
-            }
-        }
-        ExprKind::If { cond, then, els } => {
-            f(cond);
-            block_children(then, f);
-            if let Some(e) = els {
-                f(e);
-            }
-        }
-        ExprKind::While { cond, body } => {
-            f(cond);
-            block_children(body, f);
-        }
-        ExprKind::For { iter, body, .. } => {
-            f(iter);
-            block_children(body, f);
-        }
-        ExprKind::Loop { body } => block_children(body, f),
-        ExprKind::Block(b) => block_children(b, f),
-        ExprKind::Closure { body, .. } => f(body),
-        ExprKind::Try(inner) => f(inner),
-        ExprKind::Index { base, index } => {
-            f(base);
-            f(index);
-        }
-        ExprKind::Tuple(items) | ExprKind::Array(items) | ExprKind::Unknown(items) => {
-            items.iter().for_each(f);
-        }
-        ExprKind::StructLit { fields, .. } => {
-            for (_, e) in fields {
-                f(e);
-            }
-        }
-        ExprKind::Assign { lhs, rhs, .. } => {
-            f(lhs);
-            f(rhs);
-        }
-        ExprKind::Return(e) | ExprKind::Break(e) => {
-            if let Some(e) = e {
-                f(e);
-            }
-        }
-        ExprKind::Range { lo, hi } => {
-            if let Some(e) = lo {
-                f(e);
-            }
-            if let Some(e) = hi {
-                f(e);
-            }
-        }
-    }
+/// Applies `f` to every expression of `block`'s statements, nested
+/// `fn` items excluded (see [`walk_exprs`]).
+fn walk_block(block: &Block, f: &mut impl FnMut(&Expr)) {
+    ast::block_exprs(block, false, &mut |e| walk_exprs(e, f));
 }
 
 // ---------------------------------------------------------------------
@@ -577,13 +476,7 @@ fn collect_lock_summary(
             }
         }
     };
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::Let { init: Some(e), .. } => walk_exprs(e, &mut visit),
-            Stmt::Expr { expr, .. } => walk_exprs(expr, &mut visit),
-            _ => {}
-        }
-    }
+    walk_block(block, &mut visit);
 }
 
 /// Resolves a call expression to its canonical target path, if the
@@ -700,7 +593,7 @@ impl LockWalker<'_> {
             ExprKind::Loop { body } => self.block(body),
             ExprKind::Block(b) => self.block(b),
             _ => {
-                for_each_child(expr, &mut |child| self.expr(child));
+                ast::expr_children(expr, false, &mut |child| self.expr(child));
                 if let Some(path) = callee_path(expr, self.file, self.index) {
                     if let Some(locks) = self.summaries.get(&path) {
                         for lock in locks.clone() {
@@ -745,11 +638,10 @@ fn dropped_guard(expr: &Expr) -> Option<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::clean_source;
     use crate::resolve::{FileAst, Index};
 
     fn scan(src: &str) -> Vec<Located> {
-        let file = FileAst::parse("crates/ssd/src/lib.rs", "ssd", &clean_source(src));
+        let file = FileAst::parse("crates/ssd/src/lib.rs", "ssd", src);
         let files = [file];
         let index = Index::build(&files);
         run(&files, &index, &|_| true, &|_| true)
@@ -782,6 +674,52 @@ mod tests {
         assert_eq!(atomic.len(), 2, "{atomic:?}");
         assert!(atomic[0].finding.message.contains("publishes"));
         assert!(atomic[1].finding.message.contains("guards a read"));
+    }
+
+    /// A nested `fn` item runs only when called: the concurrency walks
+    /// skip its body, while `ast::visit_exprs` (the taint and
+    /// wildcard walks) enters it. Each nested fn would otherwise close a
+    /// `Relaxed` publish or consume, at a block's top level and inside
+    /// a nested block alike.
+    #[test]
+    fn nested_fn_bodies_are_skipped_here_and_entered_by_visit_exprs() {
+        let src = "pub fn publish(d: &mut Slot, ready: &AtomicBool) {\n\
+             fn fill(d: &mut Slot) { d.value = 7; }\n\
+             fn poll(r: &AtomicBool, d: &Slot) -> u64 { if r.load(Ordering::Relaxed) { d.value } else { 0 } }\n\
+             loop {\n\
+             fn refill(d: &mut Slot) { d.value = 8; }\n\
+             fn repoll(r: &AtomicBool, d: &Slot) -> u64 { if r.load(Ordering::Relaxed) { d.value } else { 0 } }\n\
+             break;\n\
+             }\n\
+             ready.store(true, Ordering::Relaxed);\n\
+             }\n\
+             pub fn consume(ready: &AtomicBool) {\n\
+             if ready.load(Ordering::Relaxed) {\n\
+             fn peek(d: &Slot) -> u64 { d.value }\n\
+             loop { fn poke(d: &Slot) -> u64 { d.value } break; }\n\
+             }\n\
+             }\n";
+        let found = scan(src);
+        assert!(found.is_empty(), "{found:?}");
+        let file = FileAst::parse("crates/ssd/src/lib.rs", "ssd", src);
+        let mut seen = Vec::new();
+        ast::visit_fns(&file.ast.items, false, &mut |fd, _, _, _| {
+            if let Some(body) = &fd.body {
+                ast::visit_exprs(body, &mut |e| match &e.kind {
+                    ExprKind::Assign { .. } => seen.push("=".to_string()),
+                    ExprKind::MethodCall { method, .. } => seen.push(method.clone()),
+                    ExprKind::Field { name, .. } => seen.push(name.clone()),
+                    _ => {}
+                });
+            }
+        });
+        assert_eq!(
+            seen,
+            [
+                "=", "value", "load", "value", "=", "value", "load", "value", "store", "load",
+                "value", "value"
+            ]
+        );
     }
 
     #[test]

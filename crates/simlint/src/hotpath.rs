@@ -744,12 +744,11 @@ fn collect_struct_fields(items: &[Item], out: &mut BTreeMap<String, String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::clean_source;
 
     fn analyse(files: &[(&str, &str, &str)], roots: &[&str]) -> Analysis {
         let parsed: Vec<FileAst> = files
             .iter()
-            .map(|(path, krate, src)| FileAst::parse(path, krate, &clean_source(src)))
+            .map(|(path, krate, src)| FileAst::parse(path, krate, src))
             .collect();
         let index = Index::build(&parsed);
         run_with_roots(&parsed, &index, &|_| true, roots)

@@ -19,15 +19,11 @@ pub struct CleanLine {
     pub in_test: bool,
 }
 
-/// A cleaned file: per-line view plus the concatenated text for
-/// multi-line (match-block) scanning.
+/// A cleaned file, line by line.
 #[derive(Debug)]
 pub struct CleanFile {
     /// Cleaned lines, 0-indexed (line `i` is source line `i + 1`).
     pub lines: Vec<CleanLine>,
-    /// All cleaned lines joined with `\n`, test regions *included*
-    /// (callers needing test-exclusion consult [`CleanFile::lines`]).
-    pub text: String,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,7 +41,6 @@ enum State {
 pub fn clean_source(src: &str) -> CleanFile {
     let mut state = State::Code;
     let mut lines: Vec<CleanLine> = Vec::new();
-    let mut cleaned_all = String::with_capacity(src.len());
 
     // cfg(test) region tracking over the cleaned stream.
     let mut brace_depth: i64 = 0;
@@ -216,15 +211,10 @@ pub fn clean_source(src: &str) -> CleanFile {
                 pending_test = true;
             }
         }
-        cleaned_all.push_str(&out);
-        cleaned_all.push('\n');
         lines.push(CleanLine { text: out, in_test });
     }
 
-    CleanFile {
-        lines,
-        text: cleaned_all,
-    }
+    CleanFile { lines }
 }
 
 /// Is the char before `i` part of an identifier (so `r`/`b` is a suffix
@@ -290,43 +280,49 @@ fn is_char_literal(bytes: &[char], i: usize) -> bool {
 mod tests {
     use super::*;
 
+    /// The cleaned lines joined back into one text.
+    fn text(f: &CleanFile) -> String {
+        let lines: Vec<&str> = f.lines.iter().map(|l| l.text.as_str()).collect();
+        lines.join("\n")
+    }
+
     #[test]
     fn strips_line_and_block_comments() {
         let f = clean_source("let x = 1; // unwrap()\n/* panic!() */ let y = 2;");
         assert!(f.lines[0].text.contains("let x = 1;"));
-        assert!(!f.text.contains("unwrap"));
-        assert!(!f.text.contains("panic"));
+        assert!(!text(&f).contains("unwrap"));
+        assert!(!text(&f).contains("panic"));
         assert!(f.lines[1].text.contains("let y = 2;"));
     }
 
     #[test]
     fn strips_nested_block_comments() {
         let f = clean_source("a /* x /* y */ z */ b");
-        assert!(f.text.contains('a') && f.text.contains('b'));
-        assert!(!f.text.contains('y') && !f.text.contains('z'));
+        assert!(text(&f).contains('a') && text(&f).contains('b'));
+        assert!(!text(&f).contains('y') && !text(&f).contains('z'));
     }
 
     #[test]
     fn blanks_string_contents() {
         let f = clean_source(r#"let s = "call .unwrap() now"; s.len();"#);
-        assert!(!f.text.contains("unwrap"));
-        assert!(f.text.contains("s.len()"));
+        assert!(!text(&f).contains("unwrap"));
+        assert!(text(&f).contains("s.len()"));
     }
 
     #[test]
     fn blanks_raw_strings_with_fences() {
         let f = clean_source(r###"let s = r#"has "quotes" and panic!()"#; x();"###);
-        assert!(!f.text.contains("panic"));
-        assert!(f.text.contains("x()"));
+        assert!(!text(&f).contains("panic"));
+        assert!(text(&f).contains("x()"));
     }
 
     #[test]
     fn char_literals_and_lifetimes() {
         let f = clean_source("fn f<'a>(x: &'a str) { let q = '\"'; let n = '\\n'; g(x) }");
-        assert!(f.text.contains("fn f<'a>"));
-        assert!(f.text.contains("g(x)"));
+        assert!(text(&f).contains("fn f<'a>"));
+        assert!(text(&f).contains("g(x)"));
         // The quote inside the char literal must not open a string.
-        assert!(f.text.contains("let n ="));
+        assert!(text(&f).contains("let n ="));
     }
 
     #[test]
@@ -342,7 +338,7 @@ mod tests {
     fn multiline_strings_stay_closed() {
         let src = "let s = \"line one\nstill string .unwrap()\nend\"; code();";
         let f = clean_source(src);
-        assert!(!f.text.contains("unwrap"));
-        assert!(f.text.contains("code()"));
+        assert!(!text(&f).contains("unwrap"));
+        assert!(text(&f).contains("code()"));
     }
 }

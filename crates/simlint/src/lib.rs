@@ -258,40 +258,30 @@ pub fn source_crate(path: &str) -> Option<&str> {
     None
 }
 
-/// Scans one file's source text under the rules for its path. Rules run
-/// over the token trees/AST (see [`astrules`]); the legacy per-line
-/// engine in [`rules`] is kept as a comparison baseline for selftests.
+/// Scans one file's source text under the per-file rules for its path
+/// (see [`astrules`]). The semantic passes need the whole workspace and
+/// run only in [`scan_workspace`].
 pub fn scan_source(path: &str, source: &str) -> Vec<Located> {
-    let clean = lexer::clean_source(source);
-    let trees = parser::parse_trees(&clean);
-    let file = ast::parse_file(&trees);
-    let mut out = Vec::new();
-    for rule in rules_for(path) {
-        let findings = match rule {
-            Rule::NoPanic => astrules::no_panic(&clean, &trees),
-            Rule::NondeterministicCollection => {
-                astrules::nondeterministic_collection(&clean, &trees)
-            }
-            Rule::WallClock => astrules::wall_clock(&clean, &trees),
-            Rule::BareCast => astrules::bare_cast(&clean, &trees),
-            Rule::EnumWildcard => astrules::enum_wildcard(&clean, &file),
-            Rule::LetUnderscoreResult => astrules::let_underscore_result(&clean, &trees),
-            Rule::NoPrintlnInLib => astrules::no_println_in_lib(&clean, &trees),
-            Rule::ThreadSpawn => astrules::thread_spawn(&clean, &trees, &file),
-            // Semantic passes need the cross-file index; they run in
-            // `scan_workspace`, not per-file.
-            Rule::NondetTaint
-            | Rule::UnitMismatch
-            | Rule::AtomicOrdering
-            | Rule::LockOrder
-            | Rule::HotPathAlloc => Vec::new(),
-        };
-        out.extend(findings.into_iter().map(|finding| Located {
-            path: path.to_string(),
-            finding,
-        }));
+    match source_crate(path) {
+        Some(krate) => file_findings(&resolve::FileAst::parse(path, krate, source)),
+        None => Vec::new(),
     }
-    out.sort_by(|a, b| a.finding.line.cmp(&b.finding.line));
+}
+
+/// Runs the per-file rules in scope for `file.path`, in line order.
+fn file_findings(file: &resolve::FileAst) -> Vec<Located> {
+    let mut out = Vec::new();
+    for rule in rules_for(&file.path) {
+        out.extend(
+            astrules::check(rule, file)
+                .into_iter()
+                .map(|finding| Located {
+                    path: file.path.clone(),
+                    finding,
+                }),
+        );
+    }
+    out.sort_by_key(|l| l.finding.line);
     out
 }
 
@@ -303,22 +293,21 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Report> {
     let mut report = Report::default();
     let mut file_asts = Vec::new();
     for rel in files {
-        if rules_for(&rel).is_empty() {
+        // Exactly the paths with a crate have rules in scope.
+        let Some(krate) = source_crate(&rel) else {
             continue;
-        }
+        };
         let source = std::fs::read_to_string(root.join(&rel))?;
         report.files_scanned += 1;
-        for located in scan_source(&rel, &source) {
+        let file = resolve::FileAst::parse(&rel, krate, &source);
+        for located in file_findings(&file) {
             *report
                 .counts
                 .entry((located.finding.rule, located.path.clone()))
                 .or_insert(0) += 1;
             report.findings.push(located);
         }
-        if let Some(krate) = source_crate(&rel) {
-            let clean = lexer::clean_source(&source);
-            file_asts.push(resolve::FileAst::parse(&rel, krate, &clean));
-        }
+        file_asts.push(file);
     }
     // Semantic passes: workspace-wide dataflow over the symbol index.
     let index = resolve::Index::build(&file_asts);

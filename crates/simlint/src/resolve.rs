@@ -8,8 +8,8 @@
 //! `crates/fs/src/transform.rs` meet at the same key.
 
 use crate::ast::{self, File, FnDef, Item, ItemKind, Param, TyInfo, UseEntry};
-use crate::lexer::CleanFile;
-use crate::parser::{self, Span};
+use crate::lexer;
+use crate::parser::{self, Span, Tree};
 use std::collections::BTreeMap;
 
 /// Maps a crate's import name (as written in `use` paths) to its
@@ -47,7 +47,8 @@ pub fn module_path(path: &str, krate: &str) -> Vec<String> {
     segs
 }
 
-/// One parsed in-scope file, with everything the semantic passes need.
+/// One parsed in-scope file: the single front-end result that both the
+/// per-file rules and the semantic passes read.
 pub struct FileAst {
     /// Workspace-relative path.
     pub path: String,
@@ -55,6 +56,9 @@ pub struct FileAst {
     pub krate: String,
     /// Module path segments (starting with the crate name).
     pub module: Vec<String>,
+    /// The token trees the AST was parsed from (the per-file rules
+    /// match token sequences in them).
+    pub trees: Vec<Tree>,
     /// The parsed item tree.
     pub ast: File,
     /// Per-line `#[cfg(test)]` flags (1-based line `n` is `in_test[n-1]`).
@@ -64,9 +68,11 @@ pub struct FileAst {
 }
 
 impl FileAst {
-    /// Parses one cleaned file into its AST + import map.
-    pub fn parse(path: &str, krate: &str, clean: &CleanFile) -> FileAst {
-        let trees = parser::parse_trees(clean);
+    /// The one front-end pass over a file's source: cleans it, then
+    /// parses token trees, the AST and the import map.
+    pub fn parse(path: &str, krate: &str, source: &str) -> FileAst {
+        let clean = lexer::clean_source(source);
+        let trees = parser::parse_trees(&clean);
         let file = ast::parse_file(&trees);
         let module = module_path(path, krate);
         let mut uses = BTreeMap::new();
@@ -75,6 +81,7 @@ impl FileAst {
             path: path.to_string(),
             krate: krate.to_string(),
             module,
+            trees,
             ast: file,
             in_test: clean.lines.iter().map(|l| l.in_test).collect(),
             uses,
@@ -329,10 +336,9 @@ pub fn visit_fns_with_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::clean_source;
 
     fn file_ast(path: &str, krate: &str, src: &str) -> FileAst {
-        FileAst::parse(path, krate, &clean_source(src))
+        FileAst::parse(path, krate, src)
     }
 
     #[test]

@@ -1,9 +1,7 @@
-//! The lint rules: each inspects one cleaned file and yields findings.
-//!
-//! Rules are scoped by crate (see [`crate::scope`]); this module only
-//! concerns itself with recognising violations in cleaned source text.
-
-use crate::lexer::CleanFile;
+//! The rule catalogue every pass shares: rule identifiers, the finding
+//! record, and the watched-enum list. Rules are scoped by crate (see
+//! [`crate::rules_for`]); the per-file rules are recognised in
+//! [`crate::astrules`], the semantic ones in their own passes.
 
 /// Rule identifiers — stable strings used in reports and `simlint.allow`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -134,35 +132,6 @@ pub struct Finding {
     pub message: String,
 }
 
-/// Panicking constructs flagged by [`Rule::NoPanic`]. Matched against
-/// cleaned text, so occurrences in comments/strings never fire.
-const PANIC_TOKENS: [&str; 6] = [
-    ".unwrap()",
-    ".expect(",
-    "panic!(",
-    "unreachable!(",
-    "todo!(",
-    "unimplemented!(",
-];
-
-/// Wall-clock / entropy constructs flagged by [`Rule::WallClock`].
-const WALL_CLOCK_TOKENS: [&str; 4] = ["Instant::now", "SystemTime", "thread_rng", "from_entropy"];
-
-/// Console-printing macros flagged by [`Rule::NoPrintlnInLib`]. The
-/// left-boundary check in [`token_rule`] keeps `eprintln!(` from also
-/// counting as `println!(`.
-const PRINTLN_TOKENS: [&str; 2] = ["println!(", "eprintln!("];
-
-/// Ad-hoc threading flagged by [`Rule::ThreadSpawn`]. `scope.spawn` and
-/// the pool's own workers live in `vendor/` (out of scope); everything
-/// else routes through `par_iter`/`join`.
-const SPAWN_TOKENS: [&str; 1] = ["thread::spawn("];
-
-/// Numeric types whose bare `as` casts are flagged by [`Rule::BareCast`].
-const CAST_TARGETS: [&str; 9] = [
-    "u16", "u32", "u64", "u128", "usize", "i64", "i128", "f32", "f64",
-];
-
 /// Enums that must be matched exhaustively ([`Rule::EnumWildcard`]):
 /// adding a PCM/media/filesystem variant must be a compile error at every
 /// match, never a silent fall-through.
@@ -182,500 +151,3 @@ pub const WATCHED_ENUMS: [&str; 14] = [
     "Controller",
     "TrendSeries",
 ];
-
-/// Runs the no-panic rule over non-test lines.
-pub fn no_panic(file: &CleanFile) -> Vec<Finding> {
-    token_rule(file, Rule::NoPanic, &PANIC_TOKENS, |tok| {
-        format!(
-            "`{}` can panic; return a typed error or use a non-panicking accessor",
-            tok.trim_matches(['.', '('])
-        )
-    })
-}
-
-/// Runs the no-println-in-lib rule over non-test lines (callers apply
-/// it to library paths only; see `crate::rules_for`).
-pub fn no_println_in_lib(file: &CleanFile) -> Vec<Finding> {
-    token_rule(file, Rule::NoPrintlnInLib, &PRINTLN_TOKENS, |tok| {
-        format!(
-            "`{}` in library code; return or render a `String` and let the binary print it",
-            tok.trim_end_matches('(')
-        )
-    })
-}
-
-/// Runs the thread-spawn rule over non-test lines.
-pub fn thread_spawn(file: &CleanFile) -> Vec<Finding> {
-    token_rule(file, Rule::ThreadSpawn, &SPAWN_TOKENS, |_| {
-        "direct `thread::spawn` bypasses the vendored work-sharing pool; use \
-         `rayon::par_iter`/`join` so `RAYON_NUM_THREADS` and the ordered-collect \
-         determinism contract apply (docs/PARALLELISM.md)"
-            .to_string()
-    })
-}
-
-/// Runs the nondeterministic-collection rule over non-test lines.
-pub fn nondeterministic_collection(file: &CleanFile) -> Vec<Finding> {
-    token_rule(
-        file,
-        Rule::NondeterministicCollection,
-        &["HashMap", "HashSet"],
-        |tok| {
-            format!(
-                "`{tok}` iteration order is nondeterministic; use `BTree{}` or a sorted drain",
-                &tok[4..]
-            )
-        },
-    )
-}
-
-/// Runs the wall-clock rule over non-test lines.
-pub fn wall_clock(file: &CleanFile) -> Vec<Finding> {
-    token_rule(file, Rule::WallClock, &WALL_CLOCK_TOKENS, |tok| {
-        format!(
-            "`{tok}` breaks reproducibility; simulators must use simulated time and seeded RNGs"
-        )
-    })
-}
-
-/// Shared scanner for simple token rules.
-fn token_rule(
-    file: &CleanFile,
-    rule: Rule,
-    tokens: &[&str],
-    message: impl Fn(&str) -> String,
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for tok in tokens {
-            let mut at = 0;
-            while let Some(pos) = line.text[at..].find(tok) {
-                let abs = at + pos;
-                // Token boundary on the left for identifier-like tokens,
-                // so e.g. `LinkedHashMap` or `MyInstant::nowhere` based
-                // false positives cannot occur.
-                let boundary = tok.starts_with(['.', '(']) || {
-                    let before = line.text[..abs].chars().next_back();
-                    !before.is_some_and(|c| c.is_alphanumeric() || c == '_')
-                };
-                if boundary {
-                    findings.push(Finding {
-                        rule,
-                        line: idx + 1,
-                        col: abs + 1,
-                        message: message(tok),
-                    });
-                }
-                at = abs + tok.len();
-            }
-        }
-    }
-    findings
-}
-
-/// Runs the let-underscore rule: `let _ = expr;` outside test code.
-///
-/// The wildcard-discard binding is how a `Result` disappears without a
-/// trace — `let _ = tx.send(x);` compiles silently after the channel
-/// closes. A plain `_` pattern followed by `=` is flagged; named
-/// partial discards (`let _guard = ..`) and typed discards
-/// (`let _: T = ..`, which document intent) are not.
-pub fn let_underscore_result(file: &CleanFile) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for (pos, pat) in line.text.match_indices("let _") {
-            // Left boundary: reject `outlet _`, `inlet _`, etc.
-            let before = line.text[..pos].chars().next_back();
-            if before.is_some_and(|c| c.is_alphanumeric() || c == '_') {
-                continue;
-            }
-            let rest = &line.text[pos + pat.len()..];
-            // `_` must be the entire pattern: `let _x`/`let __` are named
-            // bindings, `let _:` is a typed (deliberate) discard.
-            if rest.starts_with(|c: char| c.is_alphanumeric() || c == '_') {
-                continue;
-            }
-            let after = rest.trim_start();
-            if after.starts_with('=') && !after.starts_with("==") {
-                findings.push(Finding {
-                    rule: Rule::LetUnderscoreResult,
-                    line: idx + 1,
-                    col: pos + 1,
-                    message: "`let _ = ..` silently discards the value — and any `Err` in it; \
-                              handle or propagate the `Result`, or make a deliberate discard \
-                              explicit with `drop(..)`"
-                        .to_string(),
-                });
-            }
-        }
-    }
-    findings
-}
-
-/// Runs the bare-cast rule: ` as <numeric>` outside test code.
-pub fn bare_cast(file: &CleanFile) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for (pos, _) in line.text.match_indices(" as ") {
-            let rest = line.text[pos + 4..].trim_start();
-            let target: String = rest
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || *c == '_')
-                .collect();
-            if CAST_TARGETS.contains(&target.as_str()) {
-                findings.push(Finding {
-                    rule: Rule::BareCast,
-                    line: idx + 1,
-                    col: pos + 1,
-                    message: format!(
-                        "bare `as {target}` cast in unit arithmetic; use `u64::from`/`f64::from` for lossless widening or the audited helpers in `nvmtypes::convert` (`usize_from`, `u64_from_usize`, `approx_f64`, `trunc_u64`, `try_u32`)"
-                    ),
-                });
-            }
-        }
-    }
-    findings
-}
-
-/// Runs the enum-wildcard rule: finds `match` blocks whose arm patterns
-/// name a watched enum and which also contain an unguarded `_ =>` arm.
-pub fn enum_wildcard(file: &CleanFile) -> Vec<Finding> {
-    let text = &file.text;
-    let bytes = text.as_bytes();
-    let mut findings = Vec::new();
-    let mut search = 0usize;
-    while let Some(rel) = text[search..].find("match") {
-        let kw = search + rel;
-        search = kw + 5;
-        // Word boundaries: reject `rematch`, `match_all`, etc.
-        let left_ok = kw == 0 || !(bytes[kw - 1].is_ascii_alphanumeric() || bytes[kw - 1] == b'_');
-        let right_ok = bytes
-            .get(kw + 5)
-            .is_none_or(|c| !(c.is_ascii_alphanumeric() || *c == b'_'));
-        if !left_ok || !right_ok {
-            continue;
-        }
-        // Find the arm block: first `{` at zero bracket/paren depth.
-        let Some(open) = find_block_open(text, kw + 5) else {
-            continue;
-        };
-        let Some(close) = find_matching_brace(text, open) else {
-            continue;
-        };
-        let body = &text[open + 1..close];
-        // A match is "watched" when it matches *on* a watched enum (arm
-        // patterns name `Enum::Variant`) or *classifies into* one (arm
-        // bodies produce `Enum::Variant`, e.g. a modulo or string-name
-        // dispatch). Either way, a `_ =>` arm would let a new variant
-        // slip through silently.
-        let watched = WATCHED_ENUMS.iter().any(|e| {
-            let needle = format!("{e}::");
-            body.match_indices(&needle).any(|(at, _)| {
-                at == 0 || {
-                    let before = body[..at].chars().next_back();
-                    !before.is_some_and(|c| c.is_alphanumeric() || c == '_')
-                }
-            })
-        });
-        if !watched {
-            continue;
-        }
-        let arms = split_arms(body);
-        for arm in &arms {
-            let pat = arm.pattern.trim();
-            if pat == "_" {
-                let line = text[..open + 1 + arm.offset].matches('\n').count() + 1;
-                if !line_in_test(file, line) {
-                    findings.push(Finding {
-                        rule: Rule::EnumWildcard,
-                        line,
-                        col: 0,
-                        message: "wildcard `_ =>` arm on a watched enum; list every variant so new media kinds cannot silently fall through".to_string(),
-                    });
-                }
-            }
-        }
-    }
-    findings
-}
-
-fn line_in_test(file: &CleanFile, line: usize) -> bool {
-    file.lines.get(line - 1).is_some_and(|l| l.in_test)
-}
-
-/// One match arm: its pattern text (before `=>`, guard excluded) and the
-/// byte offset of the pattern start within the arm block.
-struct Arm {
-    pattern: String,
-    offset: usize,
-}
-
-/// Finds the `{` opening the match's arm block, skipping over any
-/// parens/brackets in the scrutinee expression. Struct-literal
-/// scrutinees (`match Foo { .. } {`) are rare enough to ignore; `match`
-/// in expression position with a brace-free scrutinee covers this
-/// workspace.
-fn find_block_open(text: &str, from: usize) -> Option<usize> {
-    let mut depth = 0i64;
-    for (i, c) in text[from..].char_indices() {
-        match c {
-            '(' | '[' => depth += 1,
-            ')' | ']' => depth -= 1,
-            '{' if depth == 0 => return Some(from + i),
-            ';' if depth == 0 => return None, // statement ended: not a match expr
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Returns the index of the `}` matching the `{` at `open`.
-fn find_matching_brace(text: &str, open: usize) -> Option<usize> {
-    let mut depth = 0i64;
-    for (i, c) in text[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(open + i);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Splits a match body into arms at depth-0 commas / arm boundaries and
-/// extracts each arm's pattern (text before the top-level `=>`, guard
-/// stripped).
-fn split_arms(body: &str) -> Vec<Arm> {
-    let mut arms = Vec::new();
-    let mut depth = 0i64;
-    let mut arm_start = 0usize;
-    let mut arrow_at: Option<usize> = None;
-    let mut block_body = false; // arm body is `{ ... }` — ends without comma
-    let chars: Vec<(usize, char)> = body.char_indices().collect();
-    let mut i = 0usize;
-    while i < chars.len() {
-        let (pos, c) = chars[i];
-        match c {
-            '(' | '[' | '{' => {
-                if c == '{' && depth == 0 && arrow_at.is_some() {
-                    block_body = true;
-                }
-                depth += 1;
-            }
-            ')' | ']' | '}' => {
-                depth -= 1;
-                if c == '}' && depth == 0 && block_body {
-                    // End of a `=> { ... }` arm (trailing comma optional).
-                    push_arm(body, arm_start, arrow_at.take(), &mut arms);
-                    block_body = false;
-                    // Skip an optional trailing comma.
-                    let mut j = i + 1;
-                    while j < chars.len() && chars[j].1.is_whitespace() {
-                        j += 1;
-                    }
-                    if j < chars.len() && chars[j].1 == ',' {
-                        i = j;
-                    }
-                    arm_start = chars.get(i + 1).map_or(body.len(), |&(p, _)| p);
-                }
-            }
-            '=' if depth == 0 && arrow_at.is_none() => {
-                if chars.get(i + 1).map(|&(_, c)| c) == Some('>') {
-                    arrow_at = Some(pos);
-                    i += 1;
-                }
-            }
-            ',' if depth == 0 && arrow_at.is_some() && !block_body => {
-                push_arm(body, arm_start, arrow_at.take(), &mut arms);
-                arm_start = chars.get(i + 1).map_or(body.len(), |&(p, _)| p);
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    // Final arm without trailing comma.
-    push_arm(body, arm_start, arrow_at, &mut arms);
-    arms
-}
-
-fn push_arm(body: &str, start: usize, arrow: Option<usize>, arms: &mut Vec<Arm>) {
-    let Some(arrow) = arrow else { return };
-    let raw = &body[start..arrow];
-    // Strip a guard: pattern `P if cond` — find a top-level ` if `.
-    let pattern = match find_top_level_if(raw) {
-        Some(at) => &raw[..at],
-        None => raw,
-    };
-    // Anchor the offset at the first pattern char, not the whitespace
-    // (often a newline) separating it from the previous arm.
-    let lead = raw.len() - raw.trim_start().len();
-    arms.push(Arm {
-        pattern: pattern.trim().to_string(),
-        offset: start + lead,
-    });
-}
-
-/// Finds a top-level ` if ` (guard separator) in an arm pattern.
-fn find_top_level_if(pat: &str) -> Option<usize> {
-    let mut depth = 0i64;
-    let bytes = pat.as_bytes();
-    for i in 0..bytes.len() {
-        match bytes[i] {
-            b'(' | b'[' | b'{' => depth += 1,
-            b')' | b']' | b'}' => depth -= 1,
-            b'i' if depth == 0
-                && i > 0
-                && bytes[i - 1].is_ascii_whitespace()
-                && pat[i..].starts_with("if")
-                && bytes.get(i + 2).is_none_or(|c| c.is_ascii_whitespace()) =>
-            {
-                return Some(i);
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::lexer::clean_source;
-
-    #[test]
-    fn no_panic_fires_outside_tests_only() {
-        let src = "fn f() { x.unwrap(); }\n#[cfg(test)]\nmod t {\n fn g() { y.unwrap(); }\n}\n";
-        let f = clean_source(src);
-        let hits = no_panic(&f);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].line, 1);
-    }
-
-    #[test]
-    fn no_panic_ignores_comments_and_strings() {
-        let f = clean_source("// x.unwrap()\nlet s = \"panic!(\"; \n");
-        assert!(no_panic(&f).is_empty());
-    }
-
-    #[test]
-    fn println_rule_counts_each_macro_once() {
-        let src = "fn f() { println!(\"x\"); eprintln!(\"y\"); }\n// println!(\"z\")\n#[cfg(test)]\nmod t {\n fn g() { println!(\"t\"); }\n}\n";
-        let f = clean_source(src);
-        let hits = no_println_in_lib(&f);
-        assert_eq!(hits.len(), 2, "eprintln must not double-count as println");
-        assert!(hits[0].message.contains("`println!`"));
-        assert!(hits[1].message.contains("`eprintln!`"));
-    }
-
-    #[test]
-    fn spawn_rule_sees_direct_spawns_only() {
-        let src = "fn f() { std::thread::spawn(|| {}); scope.spawn(|| {}); }\n\
-                   // thread::spawn(..)\n\
-                   #[cfg(test)]\nmod t {\n fn g() { std::thread::spawn(|| {}); }\n}\n";
-        let f = clean_source(src);
-        let hits = thread_spawn(&f);
-        assert_eq!(hits.len(), 1, "scoped spawns, comments and tests exempt");
-        assert_eq!(hits[0].line, 1);
-    }
-
-    #[test]
-    fn collection_rule_spares_btree() {
-        let f = clean_source("use std::collections::{BTreeMap, HashMap};\n");
-        let hits = nondeterministic_collection(&f);
-        assert_eq!(hits.len(), 1);
-    }
-
-    #[test]
-    fn cast_rule_sees_numeric_targets_only() {
-        let f = clean_source("let a = x as u64; let b = y as MyType; let c = z as u8;\n");
-        let hits = bare_cast(&f);
-        assert_eq!(hits.len(), 1, "only `as u64` is a flagged target");
-    }
-
-    #[test]
-    fn let_underscore_fires_on_wildcard_discards_only() {
-        let src = "fn f() {\n let _ = tx.send(1);\n let _guard = lock();\n let _: u32 = g();\n let x = h();\n}\n";
-        let f = clean_source(src);
-        let hits = let_underscore_result(&f);
-        assert_eq!(hits.len(), 1, "only the bare `let _ =` discard");
-        assert_eq!(hits[0].line, 2);
-    }
-
-    #[test]
-    fn let_underscore_exempts_tests_comments_and_strings() {
-        let src = "// let _ = a();\nconst S: &str = \"let _ = b()\";\n#[cfg(test)]\nmod t {\n fn g() { let _ = c(); }\n}\n";
-        let f = clean_source(src);
-        assert!(let_underscore_result(&f).is_empty());
-    }
-
-    #[test]
-    fn let_underscore_respects_word_boundaries() {
-        let f = clean_source("fn f() { outlet _ = 1; }\n");
-        assert!(let_underscore_result(&f).is_empty());
-    }
-
-    #[test]
-    fn wildcard_on_watched_enum_is_flagged() {
-        let src = "fn f(k: NvmKind) -> u32 {\n match k {\n  NvmKind::Slc => 1,\n  _ => 0,\n }\n}\n";
-        let f = clean_source(src);
-        let hits = enum_wildcard(&f);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].line, 4);
-    }
-
-    #[test]
-    fn wildcard_on_unwatched_match_is_fine() {
-        let src = "fn f(n: u8) -> u32 {\n match n {\n  0 => 1,\n  _ => 0,\n }\n}\n";
-        let f = clean_source(src);
-        assert!(enum_wildcard(&f).is_empty());
-    }
-
-    #[test]
-    fn exhaustive_watched_match_is_fine() {
-        let src =
-            "fn f(k: IoOp) -> u32 {\n match k {\n  IoOp::Read => 1,\n  IoOp::Write => 2,\n }\n}\n";
-        let f = clean_source(src);
-        assert!(enum_wildcard(&f).is_empty());
-    }
-
-    #[test]
-    fn guarded_arms_and_block_bodies_parse() {
-        let src = "fn f(k: OpKind, n: u8) -> u32 {\n match (k, n) {\n  (OpKind::Read, x) if x > 3 => { 1 }\n  (OpKind::Write, _) => 2,\n  _ => 3,\n }\n}\n";
-        let f = clean_source(src);
-        let hits = enum_wildcard(&f);
-        assert_eq!(hits.len(), 1, "the lone top-level `_` arm");
-        assert_eq!(hits[0].line, 5);
-    }
-
-    #[test]
-    fn classification_into_watched_enum_is_flagged() {
-        // Matching *on* an integer but producing a watched enum: a new
-        // variant (e.g. a 4-bit cell class) would silently fall through.
-        let src = "fn f(i: u32) -> PageClass {\n match i % 3 {\n  0 => PageClass::Lsb,\n  1 => PageClass::Csb,\n  _ => PageClass::Msb,\n }\n}\n";
-        let f = clean_source(src);
-        let hits = enum_wildcard(&f);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].line, 5);
-    }
-
-    #[test]
-    fn nested_tuple_underscore_is_not_a_wildcard_arm() {
-        let src = "fn f(k: IoOp) -> u32 {\n match (k, 1) {\n  (IoOp::Read, _) => 1,\n  (IoOp::Write, _) => 2,\n }\n}\n";
-        let f = clean_source(src);
-        assert!(enum_wildcard(&f).is_empty());
-    }
-}

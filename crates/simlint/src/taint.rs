@@ -641,10 +641,9 @@ fn visit_structs(items: &[Item], f: &mut impl FnMut(&[crate::ast::Param])) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::clean_source;
 
     fn scan(src: &str) -> Vec<Located> {
-        let file = FileAst::parse("crates/fs/src/x.rs", "fs", &clean_source(src));
+        let file = FileAst::parse("crates/fs/src/x.rs", "fs", src);
         let files = vec![file];
         let index = Index::build(&files);
         run(&files, &index, &|_| true)

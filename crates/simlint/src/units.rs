@@ -544,21 +544,16 @@ impl Ctx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::clean_source;
 
     fn scan(src: &str) -> Vec<Located> {
         scan2(src, None)
     }
 
     fn scan2(src: &str, extra: Option<(&str, &str)>) -> Vec<Located> {
-        let mut files = vec![FileAst::parse(
-            "crates/ssd/src/x.rs",
-            "ssd",
-            &clean_source(src),
-        )];
+        let mut files = vec![FileAst::parse("crates/ssd/src/x.rs", "ssd", src)];
         if let Some((path, other)) = extra {
             let krate = path.split('/').nth(1).unwrap_or("fs").to_string();
-            files.push(FileAst::parse(path, &krate, &clean_source(other)));
+            files.push(FileAst::parse(path, &krate, other));
         }
         let index = Index::build(&files);
         run(&files, &index, &|p| p == "crates/ssd/src/x.rs")

@@ -6,10 +6,11 @@
 //!    files each trigger specific rules. The scanner must find exactly
 //!    the planted violations — no more (negative cases: test code,
 //!    comments, strings, word boundaries, out-of-scope crates).
-//! 2. **Engine comparison**: the core fixture plants violations the
-//!    legacy per-line engine provably misses (multiline tokens, aliased
+//! 2. **Structure and dataflow**: the core fixture plants violations no
+//!    substring scan of single lines can see (multiline tokens, aliased
 //!    imports, cross-function dataflow, cross-crate unit contracts);
-//!    the AST engine and the semantic passes must catch every one.
+//!    the AST rules and the semantic passes must catch every one, at
+//!    its pinned line.
 //! 3. **Gate behaviour**: the `simlint` binary must exit nonzero on the
 //!    fixture corpus and clean on the real workspace.
 //! 4. **Ratchet**: `simlint.allow` may only burn down — totals are
@@ -18,10 +19,9 @@
 //!    budget at all.
 
 use simlint::allow::Allowlist;
-use simlint::lexer::clean_source;
-use simlint::rules::{self, Rule};
+use simlint::rules::Rule;
 use simlint::{
-    check, rules_for, scan_source, scan_workspace, source_crate, STRICT_LET_UNDERSCORE_CRATES,
+    check, scan_source, scan_workspace, source_crate, STRICT_LET_UNDERSCORE_CRATES,
     STRICT_NO_PANIC_CRATES, STRICT_NO_PRINTLN_CRATES,
 };
 use std::path::{Path, PathBuf};
@@ -127,8 +127,8 @@ fn fixture_corpus_triggers_every_rule_exactly() {
         Some(&1)
     );
     // AST-only classics (core fixture): the multiline `.unwrap\n()` and
-    // the `use`-aliased spawn — each invisible to the per-line engine
-    // (see `semantic_fixture_is_invisible_to_the_legacy_engine`).
+    // the `use`-aliased spawn (see
+    // `core_fixture_is_caught_by_ast_rules_and_semantic_passes`).
     assert_eq!(
         report
             .counts
@@ -403,7 +403,7 @@ fn allowlist_totals_stay_below_seed_baselines() {
     // Library printing was burned down when the rule landed (banners
     // render strings now): zero budget from day one.
     assert_eq!(allow.total(Rule::NoPrintlnInLib), 0);
-    // Pool discipline: the four legacy `ooc::dooc` spawn sites migrated
+    // Pool discipline: the four old `ooc::dooc` spawn sites migrated
     // onto the vendored pool; the budget is zero for good.
     assert_eq!(allow.total(Rule::ThreadSpawn), 0);
     // The semantic passes are never allowlistable, so they can never
@@ -423,46 +423,26 @@ fn allowlist_totals_stay_below_seed_baselines() {
     );
 }
 
-/// The core fixture plants violations structured so the legacy per-line
-/// engine — run under the same rule scoping — sees an entirely clean
-/// file, while the AST engine and the semantic passes catch all nine.
-/// This is the regression test for why simlint grew an AST.
+/// The core fixture plants violations that only structure or dataflow
+/// reveal: the AST rules catch the two per-file ones at their exact
+/// lines, and the semantic passes catch all seven dataflow ones. This
+/// is the regression test for why simlint has an AST.
 #[test]
-fn semantic_fixture_is_invisible_to_the_legacy_engine() {
+fn core_fixture_is_caught_by_ast_rules_and_semantic_passes() {
     let path = "crates/core/src/lib.rs";
     let source = std::fs::read_to_string(fixture_root().join(path)).expect("core fixture");
-    let clean = clean_source(&source);
 
-    // Legacy engine, same scope (core: no wall_clock / bare_cast): zero.
-    let mut legacy = Vec::new();
-    for rule in rules_for(path) {
-        legacy.extend(match rule {
-            Rule::NoPanic => rules::no_panic(&clean),
-            Rule::NondeterministicCollection => rules::nondeterministic_collection(&clean),
-            Rule::EnumWildcard => rules::enum_wildcard(&clean),
-            Rule::LetUnderscoreResult => rules::let_underscore_result(&clean),
-            Rule::NoPrintlnInLib => rules::no_println_in_lib(&clean),
-            Rule::ThreadSpawn => rules::thread_spawn(&clean),
-            // The per-line engine has no dataflow: these rules simply
-            // do not exist there.
-            _ => Vec::new(),
-        });
-    }
-    assert!(
-        legacy.is_empty(),
-        "the per-line engine must stay blind to this file: {legacy:?}"
+    // Per-file rules: the `.unwrap` split across lines 22-23 and the
+    // spawn called through its `use` alias on line 27.
+    let per_file: Vec<(Rule, usize)> = scan_source(path, &source)
+        .iter()
+        .map(|l| (l.finding.rule, l.finding.line))
+        .collect();
+    assert_eq!(
+        per_file,
+        vec![(Rule::NoPanic, 22), (Rule::ThreadSpawn, 27)],
+        "{per_file:?}"
     );
-
-    // AST engine (per-file rules): the multiline unwrap and the aliased
-    // spawn.
-    let ast_findings = scan_source(path, &source);
-    assert_eq!(ast_findings.len(), 2, "{ast_findings:?}");
-    assert!(ast_findings
-        .iter()
-        .any(|l| l.finding.rule == Rule::NoPanic && l.finding.message.contains("unwrap")));
-    assert!(ast_findings
-        .iter()
-        .any(|l| l.finding.rule == Rule::ThreadSpawn));
 
     // Semantic passes (workspace scan): the planted dataflow violations,
     // with messages naming the mechanism each one needed.

@@ -13,10 +13,6 @@
 //! crate's out-of-core store writes into while the eigensolver runs, access
 //! pattern statistics (sequentiality, request-size distribution), and the
 //! `(sequence, address)` scatter data behind Figure 6.
-// Burn-down lint debt: legacy `unwrap`/`expect` sites in this crate are
-// inventoried per-file in `simlint.allow` (counts may only decrease).
-// New code must return typed errors; see docs/INVARIANTS.md.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
