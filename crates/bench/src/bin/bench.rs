@@ -27,7 +27,7 @@
 //! To regenerate the baseline after an intentional scenario change:
 //! `cargo run --release -p oocnvm-bench --bin bench -- --json results/BENCH_core.json`.
 
-use oocnvm_bench::cli::StudyArgs;
+use oocnvm_bench::cli::{self, StudyArgs};
 use oocnvm_bench::perf::{render_report, BenchScenario, WallClock, DEFAULT_TOL_PCT};
 use simobs::json::Json;
 use std::process::ExitCode;
@@ -115,7 +115,7 @@ fn main() -> ExitCode {
     let before = raw.len();
     raw.retain(|a| a != "--alloc-stats");
     let alloc_stats = raw.len() != before;
-    let args = match StudyArgs::parse(&raw) {
+    let args = match StudyArgs::parse(&raw, cli::BENCH_FLAGS) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("bench: {e}");

@@ -9,7 +9,7 @@
 //! schema (`oocnvm.headline/2`) for downstream tooling. The whole
 //! computation lives in [`oocnvm_bench::headline`] so the determinism
 //! tests can pin it byte-identical at every thread count.
-use oocnvm_bench::cli::StudyArgs;
+use oocnvm_bench::cli::{self, StudyArgs};
 use oocnvm_bench::{banner, headline, standard_trace};
 use std::process::ExitCode;
 
@@ -18,7 +18,7 @@ fn main() -> ExitCode {
         "{}",
         banner("§7 headline", "average improvements across NVM media")
     );
-    let args = match StudyArgs::from_env() {
+    let args = match StudyArgs::from_env(cli::HEADLINE_FLAGS) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("headline: {e}");

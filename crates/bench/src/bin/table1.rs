@@ -4,7 +4,7 @@ use oocnvm_bench::banner;
 use oocnvm_core::format::Table;
 
 fn us(ns: u64) -> String {
-    if ns % 1000 == 0 {
+    if ns.is_multiple_of(1000) {
         format!("{}", ns / 1000)
     } else {
         format!("{:.3}", ns as f64 / 1000.0)

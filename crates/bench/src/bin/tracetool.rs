@@ -8,10 +8,13 @@
 //! ```
 //!
 //! Traces use the one-line-per-record text format of
-//! [`ooctrace::PosixTrace::to_text`].
-use nvmtypes::MIB;
+//! [`ooctrace::PosixTrace::to_text`]. `gen` checks its workload with
+//! [`synthetic_shape`] first: an empty workload, a record below 4 KiB,
+//! a byte count that overflows `u64` or more than
+//! [`MAX_SYNTHETIC_RECORDS`](oocnvm_core::workload::MAX_SYNTHETIC_RECORDS)
+//! records is a usage error (exit 2).
 use oocfs::FsKind;
-use oocnvm_core::workload::{lobpcg_posix_trace, synthetic_ooc_trace};
+use oocnvm_core::workload::{lobpcg_posix_trace, synthetic_ooc_trace, synthetic_shape};
 use ooctrace::{AccessStats, PosixTrace};
 use std::process::ExitCode;
 
@@ -74,13 +77,20 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let parse = |s: &String| s.parse::<u64>().ok();
     match args.first().map(String::as_str) {
-        Some("gen") if args.len() >= 4 => {
+        Some("gen") if (4..=5).contains(&args.len()) => {
             let (Some(mib), Some(rec), Some(seed)) =
                 (parse(&args[1]), parse(&args[2]), parse(&args[3]))
             else {
                 return usage();
             };
-            let trace = synthetic_ooc_trace(mib * MIB, rec * 1024, seed);
+            let (total, record) = match synthetic_shape(mib, rec) {
+                Ok(shape) => shape,
+                Err(e) => {
+                    eprintln!("tracetool: {e}");
+                    return usage();
+                }
+            };
+            let trace = synthetic_ooc_trace(total, record, seed);
             if emit(&trace, args.get(4).map(String::as_str)).is_err() {
                 return ExitCode::FAILURE;
             }

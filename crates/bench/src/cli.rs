@@ -1,22 +1,38 @@
 //! Shared command-line parsing for the study bins.
 //!
 //! Every study binary (`headline`, `reliability`, `obsreport`, `ufs`,
-//! `bench`, `tenants`) takes the same small flag vocabulary; each used
-//! to carry its own copy-pasted `--key value` scanner. [`StudyArgs`]
-//! is the one parser they all share:
+//! `bench`, `tenants`) draws its flags from one small vocabulary; each
+//! used to carry its own copy-pasted `--key value` scanner. [`StudyArgs`]
+//! is the one parser they all share, and each bin names the flags it
+//! takes (the `*_FLAGS` constants):
 //!
-//! | flag               | meaning                                       |
-//! |--------------------|-----------------------------------------------|
-//! | `--smoke`          | shrink the workload for CI                    |
-//! | `--seed N`         | workload / fault seed (per-bin default)       |
-//! | `--json PATH`      | write the versioned JSON document to `PATH`   |
-//! | `--out PATH`       | write the auxiliary artifact (trace export)   |
-//! | `--baseline PATH`  | committed baseline to diff against            |
-//! | `--tolerance PCT`  | host-time tolerance band for baseline diffs   |
+//! | flag               | meaning                                       | taken by |
+//! |--------------------|-----------------------------------------------|----------|
+//! | `--smoke`          | shrink the workload for CI                    | all but `headline` |
+//! | `--seed N`         | workload / fault seed (per-bin default)       | `reliability`, `obsreport`, `ufs`, `tenants` |
+//! | `--json PATH`      | write the versioned JSON document to `PATH`   | all |
+//! | `--out PATH`       | write the auxiliary artifact (trace export)   | `obsreport` |
+//! | `--baseline PATH`  | committed baseline to diff against            | `bench`, `tenants` |
+//! | `--tolerance PCT`  | host-time tolerance band for baseline diffs   | `bench` |
 //!
-//! Unknown flags and malformed values are *errors*, not silent no-ops:
-//! a typoed `--sed 7` must fail the invocation rather than quietly run
-//! the default seed through a CI gate.
+//! Unknown flags, flags the bin does not take, and malformed values are
+//! *errors*, not silent no-ops: a typoed `--sed 7`, or a `--seed 7` to a
+//! bin with a fixed seed, must fail the invocation rather than quietly
+//! run the default through a CI gate.
+
+/// Flags `headline` takes.
+pub const HEADLINE_FLAGS: &[&str] = &["--json"];
+/// Flags `reliability` takes.
+pub const RELIABILITY_FLAGS: &[&str] = &["--smoke", "--seed", "--json"];
+/// Flags `obsreport` takes.
+pub const OBSREPORT_FLAGS: &[&str] = &["--smoke", "--seed", "--json", "--out"];
+/// Flags `ufs` takes.
+pub const UFS_FLAGS: &[&str] = &["--smoke", "--seed", "--json"];
+/// Flags `bench` takes through [`StudyArgs`] (it strips its own
+/// `--alloc-stats` first).
+pub const BENCH_FLAGS: &[&str] = &["--smoke", "--json", "--baseline", "--tolerance"];
+/// Flags `tenants` takes.
+pub const TENANTS_FLAGS: &[&str] = &["--smoke", "--seed", "--json", "--baseline"];
 
 /// Parsed study-bin flags. Every field is optional except `smoke`
 /// (absent means off); the bins apply their own defaults.
@@ -37,17 +53,24 @@ pub struct StudyArgs {
 }
 
 impl StudyArgs {
-    /// Parses a flag vector (the program name already stripped).
+    /// Parses a flag vector (the program name already stripped),
+    /// accepting only the flags in `takes`.
     ///
     /// # Errors
-    /// Returns a printable message naming the offending flag when an
-    /// unknown flag appears, a value-taking flag is missing its value,
+    /// Returns a printable message naming the offending flag when a flag
+    /// outside `takes` appears, a value-taking flag is missing its value,
     /// or a numeric value does not parse.
-    pub fn parse(args: &[String]) -> Result<StudyArgs, String> {
+    pub fn parse(args: &[String], takes: &[&str]) -> Result<StudyArgs, String> {
         let mut out = StudyArgs::default();
         let mut i = 0;
         while i < args.len() {
             let flag = args[i].as_str();
+            if !takes.contains(&flag) {
+                return Err(format!(
+                    "unknown flag {flag:?}: this bin takes {}",
+                    takes.join(" ")
+                ));
+            }
             let value = |i: usize| -> Result<&String, String> {
                 args.get(i + 1)
                     .ok_or_else(|| format!("{flag} requires a value"))
@@ -82,7 +105,7 @@ impl StudyArgs {
                     })?);
                     i += 1;
                 }
-                other => return Err(format!("unknown flag {other:?} (see the bin's docs)")),
+                other => return Err(format!("unknown flag {other:?}")),
             }
             i += 1;
         }
@@ -94,9 +117,9 @@ impl StudyArgs {
     ///
     /// # Errors
     /// See [`StudyArgs::parse`].
-    pub fn from_env() -> Result<StudyArgs, String> {
+    pub fn from_env(takes: &[&str]) -> Result<StudyArgs, String> {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        StudyArgs::parse(&args)
+        StudyArgs::parse(&args, takes)
     }
 
     /// The seed, or the bin's default.
@@ -110,13 +133,23 @@ impl StudyArgs {
 mod tests {
     use super::*;
 
+    /// Every flag the parser knows.
+    const ALL: &[&str] = &[
+        "--smoke",
+        "--seed",
+        "--json",
+        "--out",
+        "--baseline",
+        "--tolerance",
+    ];
+
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|a| a.to_string()).collect()
     }
 
     #[test]
     fn empty_args_are_all_defaults() {
-        let a = StudyArgs::parse(&[]).expect("empty is fine");
+        let a = StudyArgs::parse(&[], ALL).expect("empty is fine");
         assert_eq!(a, StudyArgs::default());
         assert!(!a.smoke);
         assert_eq!(a.seed_or(42), 42);
@@ -124,19 +157,22 @@ mod tests {
 
     #[test]
     fn every_flag_parses() {
-        let a = StudyArgs::parse(&argv(&[
-            "--smoke",
-            "--seed",
-            "7",
-            "--json",
-            "a.json",
-            "--out",
-            "b.trace",
-            "--baseline",
-            "results/B.json",
-            "--tolerance",
-            "150",
-        ]))
+        let a = StudyArgs::parse(
+            &argv(&[
+                "--smoke",
+                "--seed",
+                "7",
+                "--json",
+                "a.json",
+                "--out",
+                "b.trace",
+                "--baseline",
+                "results/B.json",
+                "--tolerance",
+                "150",
+            ]),
+            ALL,
+        )
         .expect("all flags valid");
         assert!(a.smoke);
         assert_eq!(a.seed, Some(7));
@@ -149,31 +185,67 @@ mod tests {
 
     #[test]
     fn order_does_not_matter() {
-        let a = StudyArgs::parse(&argv(&["--json", "x", "--smoke"])).expect("valid");
-        let b = StudyArgs::parse(&argv(&["--smoke", "--json", "x"])).expect("valid");
+        let a = StudyArgs::parse(&argv(&["--json", "x", "--smoke"]), ALL).expect("valid");
+        let b = StudyArgs::parse(&argv(&["--smoke", "--json", "x"]), ALL).expect("valid");
         assert_eq!(a, b);
     }
 
     #[test]
     fn unknown_flags_are_errors() {
-        let err = StudyArgs::parse(&argv(&["--sed", "7"])).expect_err("typo must fail");
+        let err = StudyArgs::parse(&argv(&["--sed", "7"]), ALL).expect_err("typo must fail");
         assert!(err.contains("--sed"), "message names the flag: {err}");
     }
 
     #[test]
     fn missing_values_are_errors() {
         for flag in ["--seed", "--json", "--out", "--baseline", "--tolerance"] {
-            let err = StudyArgs::parse(&argv(&[flag])).expect_err("dangling flag must fail");
+            let err = StudyArgs::parse(&argv(&[flag]), ALL).expect_err("dangling flag must fail");
             assert!(err.contains(flag), "message names {flag}: {err}");
         }
     }
 
     #[test]
     fn malformed_numbers_are_errors() {
-        assert!(StudyArgs::parse(&argv(&["--seed", "seven"])).is_err());
-        assert!(StudyArgs::parse(&argv(&["--tolerance", "wide"])).is_err());
+        assert!(StudyArgs::parse(&argv(&["--seed", "seven"]), ALL).is_err());
+        assert!(StudyArgs::parse(&argv(&["--tolerance", "wide"]), ALL).is_err());
         // Both are integers: fractional values must be rejected loudly.
-        assert!(StudyArgs::parse(&argv(&["--tolerance", "2.5"])).is_err());
-        assert!(StudyArgs::parse(&argv(&["--seed", "2.5"])).is_err());
+        assert!(StudyArgs::parse(&argv(&["--tolerance", "2.5"]), ALL).is_err());
+        assert!(StudyArgs::parse(&argv(&["--seed", "2.5"]), ALL).is_err());
+    }
+
+    /// Each bin accepts exactly its own flags: anything else from the
+    /// vocabulary is an error naming the flag, before any value is read.
+    #[test]
+    fn each_bin_rejects_the_flags_it_ignores() {
+        let bins: [(&str, &[&str]); 6] = [
+            ("headline", HEADLINE_FLAGS),
+            ("reliability", RELIABILITY_FLAGS),
+            ("obsreport", OBSREPORT_FLAGS),
+            ("ufs", UFS_FLAGS),
+            ("bench", BENCH_FLAGS),
+            ("tenants", TENANTS_FLAGS),
+        ];
+        for (bin, takes) in bins {
+            for &flag in ALL {
+                let args = if flag == "--smoke" {
+                    argv(&[flag])
+                } else {
+                    argv(&[flag, "5"])
+                };
+                let parsed = StudyArgs::parse(&args, takes);
+                if takes.contains(&flag) {
+                    assert!(parsed.is_ok(), "{bin} takes {flag}: {parsed:?}");
+                } else {
+                    let err = parsed.expect_err("an ignored flag must fail");
+                    assert!(err.contains(flag), "{bin}: message names {flag}: {err}");
+                }
+            }
+        }
+        // The cases that used to exit 0 with the flag ignored.
+        assert!(StudyArgs::parse(&argv(&["--seed", "7"]), HEADLINE_FLAGS).is_err());
+        let ufs = argv(&["--baseline", "X", "--tolerance", "5", "--out", "Y"]);
+        assert!(StudyArgs::parse(&ufs, UFS_FLAGS).is_err());
+        let reliability = argv(&["--out", "Y", "--baseline", "Z"]);
+        assert!(StudyArgs::parse(&reliability, RELIABILITY_FLAGS).is_err());
     }
 }

@@ -26,7 +26,7 @@ use oocnvm_core::config::SystemConfig;
 use oocnvm_core::experiment::ExperimentSpec;
 use oocnvm_core::workload::synthetic_ooc_trace;
 use simobs::json::Json;
-use simobs::HdrHistogram;
+use simobs::{HdrHistogram, Metric};
 use simprof::{HostClock, Profiler, SimSpanProfile};
 
 /// Schema tag of the bench JSON document.
@@ -216,11 +216,11 @@ pub fn render_report(sc: &BenchScenario, clock: Box<dyn HostClock>) -> BenchRepo
     // same deterministic values, one less full-trace replay per bench.
     prof.enter("journal");
     let wa = ufs::WriteAmp {
-        user_bytes: log.metrics.counter("ufs.user_bytes"),
-        cow_bytes: log.metrics.counter("ufs.cow_bytes"),
-        journal_bytes: log.metrics.counter("ufs.journal_bytes"),
-        apply_bytes: log.metrics.counter("ufs.apply_bytes"),
-        commits: log.metrics.counter("ufs.commits"),
+        user_bytes: log.metrics.counter(Metric::UfsUserBytes),
+        cow_bytes: log.metrics.counter(Metric::UfsCowBytes),
+        journal_bytes: log.metrics.counter(Metric::UfsJournalBytes),
+        apply_bytes: log.metrics.counter(Metric::UfsApplyBytes),
+        commits: log.metrics.counter(Metric::UfsCommits),
         recovery_replays: 0,
     };
     prof.exit();

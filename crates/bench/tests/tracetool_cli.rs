@@ -66,3 +66,35 @@ fn a_record_ending_at_the_largest_file_offset_transforms() {
         assert!(stdout.contains("(data 4095)"), "{fs}: {stdout}");
     }
 }
+
+/// `tracetool gen` rejects a workload it cannot build — exit 2 with the
+/// usage text, before any trace is generated: an empty workload, a
+/// record below 4 KiB, a byte count that overflows `u64`, more records
+/// than the cap, or a number that does not parse.
+#[test]
+fn gen_rejects_workloads_it_cannot_build() {
+    for args in [
+        ["0", "64", "7"],
+        ["4", "1", "7"],
+        ["4", "3", "7"],
+        ["18446744073709551615", "64", "7"],
+        ["17592186044416", "64", "7"],
+        ["4", "18014398509481984", "7"],
+        ["4097", "4", "7"],
+        ["abc", "64", "7"],
+        ["4", "64", "-1"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tracetool"))
+            .arg("gen")
+            .args(args)
+            .output()
+            .expect("run tracetool");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("usage:"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: printed a trace");
+    }
+}

@@ -1,11 +1,45 @@
 //! Workload builders: synthetic out-of-core sweeps and real LOBPCG traces.
 
-use nvmtypes::{IoOp, SimError};
+use nvmtypes::{IoOp, SimError, MIB};
 use ooc::lobpcg::{Lobpcg, LobpcgOptions};
 use ooc::{HamiltonianSpec, UfsMatrix, UfsOperator};
 use ooctrace::{PosixTrace, TraceCapture, TraceRecord};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+/// The most records a command line may ask [`synthetic_ooc_trace`] for,
+/// counted as the workload's bytes over the record size (the ±12%
+/// jitter adds at most a seventh more): 2^20 records.
+pub const MAX_SYNTHETIC_RECORDS: u64 = 1 << 20;
+
+/// Checks a command line's synthetic workload — `mib` MiB read in
+/// `record_kib` KiB records — before any trace is built, and returns
+/// the `(total_bytes, record_size)` pair [`synthetic_ooc_trace`] takes.
+///
+/// # Errors
+/// [`SimError::InvalidConfig`] naming the flag when the workload is
+/// empty, a record is below 4 KiB, a byte count overflows `u64`, or the
+/// workload needs more than [`MAX_SYNTHETIC_RECORDS`] records.
+pub fn synthetic_shape(mib: u64, record_kib: u64) -> Result<(u64, u64), SimError> {
+    let bad = |field: &str, reason: String| Err(SimError::invalid_config(field, reason));
+    let Some(total) = mib.checked_mul(MIB).filter(|&b| b > 0) else {
+        return bad("--mib", format!("{mib} MiB is not a byte count above zero"));
+    };
+    let Some(record) = record_kib.checked_mul(1024).filter(|&b| b >= 4096) else {
+        return bad(
+            "--record-kib",
+            format!("{record_kib} KiB is not a record of at least 4 KiB"),
+        );
+    };
+    let records = total.div_ceil(record);
+    if records > MAX_SYNTHETIC_RECORDS {
+        return bad(
+            "--mib",
+            format!("{mib} MiB in {record_kib} KiB records is {records} records, above the cap of {MAX_SYNTHETIC_RECORDS}"),
+        );
+    }
+    Ok((total, record))
+}
 
 /// A fast synthetic stand-in for the out-of-core eigensolver's I/O: a
 /// read-only sequential panel sweep over one large file, repeated until

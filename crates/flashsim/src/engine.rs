@@ -6,6 +6,7 @@ use crate::op::{DieOp, OpKind};
 use crate::stats::RawStats;
 use nvmtypes::convert::usize_from_u32;
 use nvmtypes::Nanos;
+use simobs::Metric;
 
 /// Start/end times of one executed die-op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,10 +236,10 @@ impl MediaSim {
                 [("die", u64::from(op.die.0)), ("pages", op.pages)],
             );
             // Throughput counters for the profiler: ops and busy-ns per
-            // media op kind, cheap integer adds behind the enabled gate.
-            obs.count("media.die_ops", 1);
-            obs.count("media.pages", op.pages);
-            obs.count("media.busy_ns", out.end.saturating_sub(out.start));
+            // media op kind, one slot add each behind the enabled gate.
+            obs.count(Metric::MediaDieOps, 1);
+            obs.count(Metric::MediaPages, op.pages);
+            obs.count(Metric::MediaBusyNs, out.end.saturating_sub(out.start));
         }
         out
     }

@@ -85,11 +85,9 @@ impl DieOp {
                 // Base latency per batch plus the deterministic jitter
                 // spread (mean of the span across a long run), plus the
                 // amortised read-retry overhead if enabled.
-                let retries = if t.read_retry_every > 0 {
-                    self.pages * t.t_read / t.read_retry_every
-                } else {
-                    0
-                };
+                let retries = (self.pages * t.t_read)
+                    .checked_div(t.read_retry_every)
+                    .unwrap_or(0);
                 b * t.t_read + (b * t.t_read_span) / 2 + retries
             }
             OpKind::Write => sum_write_latency(t, self.start_page, b),

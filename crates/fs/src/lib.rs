@@ -64,8 +64,8 @@ pub trait FileSystemModel {
                 0,
                 [("requests", requests), ("sync", syncs)],
             );
-            obs.count("fs.requests", requests);
-            obs.count("fs.sync_requests", syncs);
+            obs.count(simobs::Metric::FsRequests, requests);
+            obs.count(simobs::Metric::FsSyncRequests, syncs);
         }
         block
     }

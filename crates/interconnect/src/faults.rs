@@ -17,6 +17,7 @@
 
 use nvmtypes::fault::{FaultRng, LinkFaultProfile};
 use nvmtypes::Nanos;
+use simobs::Metric;
 
 /// Cap on the exponential-backoff shift so pathological `max_replays`
 /// configs cannot overflow the shift.
@@ -85,7 +86,10 @@ impl LinkFaultSim {
             extra += replay_cost;
             self.stats.replay_ns += replay_cost;
             if self.profile.retrain_every > 0
-                && self.stats.crc_errors % self.profile.retrain_every == 0
+                && self
+                    .stats
+                    .crc_errors
+                    .is_multiple_of(self.profile.retrain_every)
             {
                 self.stats.retrains += 1;
                 extra += self.profile.retrain_ns;
@@ -121,9 +125,9 @@ impl LinkFaultSim {
                     ("retrains", self.stats.retrains - before.retrains),
                 ],
             );
-            obs.count("link.replays", self.stats.replays - before.replays);
-            obs.count("link.retrains", self.stats.retrains - before.retrains);
-            obs.count("link.penalty_ns", extra);
+            obs.count(Metric::LinkReplays, self.stats.replays - before.replays);
+            obs.count(Metric::LinkRetrains, self.stats.retrains - before.retrains);
+            obs.count(Metric::LinkPenaltyNs, extra);
         }
         extra
     }

@@ -171,7 +171,7 @@ pub fn solve_with_recovery(
         }
         solver.step(op, &mut st);
         let every = usize_from_u32(profile.checkpoint_every);
-        if every > 0 && !st.done() && st.iterations() % every == 0 {
+        if every > 0 && !st.done() && st.iterations().is_multiple_of(every) {
             let cp = SolverCheckpoint::capture(&st);
             stats.checkpoints += 1;
             stats.checkpoint_bytes += cp.bytes();

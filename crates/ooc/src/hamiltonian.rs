@@ -57,7 +57,7 @@ impl HamiltonianSpec {
         let mut rng = SmallRng::seed_from_u64(self.seed);
         // Collect the strict upper triangle, then mirror.
         let mut upper: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
-        for i in 0..n {
+        for (i, row) in upper.iter_mut().enumerate() {
             // Band coupling with decaying magnitude.
             for d in 1..=self.band {
                 let j = i + d;
@@ -65,7 +65,7 @@ impl HamiltonianSpec {
                     break;
                 }
                 let v = -1.0 / d as f64 * (1.0 + 0.1 * rng.gen_range(-1.0..1.0));
-                upper[i].push((j as u32, v));
+                row.push((j as u32, v));
             }
             // Scattered two-body couplings beyond the band.
             for _ in 0..self.couplings_per_row {
@@ -75,10 +75,10 @@ impl HamiltonianSpec {
                 }
                 let j = i + self.band + 1 + rng.gen_range(0..span - self.band);
                 let v = 0.2 * rng.gen_range(-1.0..1.0);
-                upper[i].push((j as u32, v));
+                row.push((j as u32, v));
             }
-            upper[i].sort_by_key(|&(c, _)| c);
-            upper[i].dedup_by_key(|&mut (c, _)| c);
+            row.sort_by_key(|&(c, _)| c);
+            row.dedup_by_key(|&mut (c, _)| c);
         }
         // Assemble full symmetric rows.
         let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];

@@ -12,6 +12,7 @@ use crate::dense::{jacobi_eigh, mgs_orthonormalize, DMatrix};
 use crate::sparse::CsrMatrix;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use simobs::Metric;
 
 /// A symmetric linear operator LOBPCG can iterate with.
 pub trait Operator {
@@ -332,15 +333,13 @@ impl Lobpcg {
             }
         }
         if obs.enabled() {
-            obs.count("solver.iterations", nvmtypes::u64_from_usize(st.iterations));
-            obs.count("solver.applies", nvmtypes::u64_from_usize(st.applies));
-            obs.count("solver.converged", u64::from(st.converged));
+            let iterations = nvmtypes::u64_from_usize(st.iterations);
+            obs.count(Metric::SolverIterations, iterations);
+            obs.count(Metric::SolverApplies, nvmtypes::u64_from_usize(st.applies));
+            obs.count(Metric::SolverConverged, u64::from(st.converged));
             // Logical-clock total for the profiler's sim-domain rollup:
             // one iteration is one microsecond tick.
-            obs.count(
-                "solver.sim_ns",
-                nvmtypes::u64_from_usize(st.iterations).saturating_mul(1_000),
-            );
+            obs.count(Metric::SolverSimNs, iterations.saturating_mul(1_000));
         }
         st.into_result()
     }

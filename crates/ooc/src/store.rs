@@ -148,7 +148,7 @@ fn serialize_panels(matrix: &CsrMatrix, rows_per_panel: usize) -> (Vec<u8>, Vec<
             data.extend_from_slice(&c.to_le_bytes());
         }
         // Pad to 8-byte alignment before the f64 values.
-        while data.len() % 8 != 0 {
+        while !data.len().is_multiple_of(8) {
             data.push(0);
         }
         for &v in &matrix.values[lo..hi] {

@@ -8,7 +8,7 @@
 //                      `thread::spawn(` token never appears)
 //   nondet_taint x3   (SystemTime through a local into a pub return;
 //                      an env::var read crossing a private fn into a
-//                      pub return; a tainted value into `Tracer::emit`)
+//                      pub return; a tainted value into `Tracer::count`)
 //   unit_mismatch x4  (ns + bytes addition; a `_ns` local initialised
 //                      with a bytes value; a bytes value passed for the
 //                      `deadline_ns` parameter of `admit` in the ssd
@@ -46,14 +46,14 @@ pub fn worker_count() -> usize {
 pub struct Tracer;
 
 impl Tracer {
-    pub fn emit(&mut self, value: u64) {
+    pub fn count(&mut self, value: u64) {
         let _sunk = value;
     }
 }
 
-pub fn log_latency(tracer: &mut Tracer) {
+pub fn log_latency(obs: &mut Tracer) {
     let t = std::time::SystemTime::now();
-    tracer.emit(t);
+    obs.count(t);
 }
 
 pub fn budget_left(t_ns: u64, len_bytes: u64) -> u64 {

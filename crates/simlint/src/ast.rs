@@ -1784,7 +1784,7 @@ fn parse_arms(g: &Group) -> Vec<Arm> {
 /// Collects `A::B`-style paths appearing anywhere in a pattern.
 fn collect_pat_paths(trees: &[&Tree]) -> Vec<Vec<String>> {
     let mut out = Vec::new();
-    collect_paths_rec(trees.iter().map(|t| *t), &mut out);
+    collect_paths_rec(trees.iter().copied(), &mut out);
     out
 }
 
@@ -1828,11 +1828,11 @@ fn parse_postfix(cur: &mut Cursor, mut lhs: Expr, _no_struct: bool) -> Expr {
                     cur.bump();
                     cur.bump();
                     // Optional turbofish.
-                    if cur.peek().is_some_and(|t| t.is_punct("::")) {
-                        if cur.peek_at(1).is_some_and(|t| t.is_punct("<")) {
-                            cur.bump();
-                            cur.skip_angles();
-                        }
+                    if cur.peek().is_some_and(|t| t.is_punct("::"))
+                        && cur.peek_at(1).is_some_and(|t| t.is_punct("<"))
+                    {
+                        cur.bump();
+                        cur.skip_angles();
                     }
                     if let Some(g) = cur.peek().and_then(|t| t.group_of('(')) {
                         cur.bump();

@@ -128,7 +128,7 @@ pub struct Located {
 }
 
 /// Result of scanning the workspace.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Report {
     /// Every finding, sorted by path then line.
     pub findings: Vec<Located>,

@@ -17,12 +17,11 @@
 //! allowlist total and a `hotpath` section; the baseline diff fails on
 //! any growth (new `(rule, path)` pairs, higher counts, a larger
 //! allowlist, or more hot-path allocation sites per crate) and treats
-//! shrinkage as an advisory to refresh the baseline. Counts, not line
-//! numbers, so unrelated edits don't churn the committed file.
-//! Baselines written by the v1/v2 schemas still parse: the rule set
-//! only grew, so an older document is a valid (if rule-poorer) count
-//! table, and a missing `hotpath` section just means the inventory
-//! ratchet starts from this scan.
+//! shrinkage as an advisory to refresh the baseline. `--write-baseline`
+//! writes only what the diff reads — the counts, the allowlist total
+//! and the per-crate hot-path inventory — so unrelated edits (a moved
+//! line, a new file) don't churn the committed file; any `--json`
+//! export is a valid baseline too.
 //!
 //! `--json --baseline F` composes: the export goes to stdout, the diff
 //! to stderr, and regressions still fail the exit code.
@@ -41,17 +40,6 @@ use std::process::ExitCode;
 
 /// Schema tag for the findings export.
 const SCHEMA: &str = "oocnvm.simlint/3";
-
-/// Prior schema tags, still accepted on the *read* side of the baseline
-/// diff: each bump only added rules (v2: `atomic_ordering`,
-/// `lock_order`; v3: `hotpath_alloc` + the `hotpath` inventory), so an
-/// older count table diffs cleanly — any finding under a new rule
-/// simply counts as growth from zero, and a missing `hotpath` section
-/// skips the inventory ratchet.
-const SCHEMA_V2: &str = "oocnvm.simlint/2";
-
-/// The original schema tag (pre-concurrency-pass), also accepted.
-const SCHEMA_V1: &str = "oocnvm.simlint/1";
 
 /// Workspace-relative path of the committed baseline.
 const BASELINE_PATH: &str = "results/simlint.baseline.json";
@@ -101,20 +89,9 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Builds the versioned findings export document.
+/// Builds the versioned findings export document: the baseline fields
+/// plus every finding, every hot-path site and the scan totals.
 fn export(report: &Report, allow: &Allowlist) -> String {
-    let counts = Json::Arr(
-        report
-            .counts
-            .iter()
-            .map(|((rule, path), count)| {
-                Json::obj()
-                    .field("rule", Json::str(rule.id()))
-                    .field("path", Json::str(path))
-                    .field("count", Json::u64(*count as u64))
-            })
-            .collect(),
-    );
     let findings = Json::Arr(
         report
             .findings
@@ -126,38 +103,6 @@ fn export(report: &Report, allow: &Allowlist) -> String {
                     .field("line", Json::u64(l.finding.line as u64))
                     .field("col", Json::u64(l.finding.col as u64))
                     .field("message", Json::str(&l.finding.message))
-            })
-            .collect(),
-    );
-    let payload = Json::obj()
-        .field("files_scanned", Json::u64(report.files_scanned as u64))
-        .field("allow_total", Json::u64(allow_total(allow)))
-        .field("counts", counts)
-        .field("findings", findings)
-        .field("hotpath", hotpath_json(report));
-    json::report(SCHEMA, payload)
-}
-
-/// The v3 `hotpath` section: declared roots, hot-fn count, per-crate
-/// allocation-site inventory (the ratcheted quantity), and the full
-/// site list for humans chasing a regression.
-fn hotpath_json(report: &Report) -> Json {
-    let mut per_crate: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    for site in &report.hot_sites {
-        let entry = per_crate.entry(site.krate.clone()).or_insert((0, 0));
-        match site.severity {
-            Severity::PerEvent => entry.0 += 1,
-            Severity::PerRun => entry.1 += 1,
-        }
-    }
-    let crates = Json::Arr(
-        per_crate
-            .iter()
-            .map(|(krate, (per_event, per_run))| {
-                Json::obj()
-                    .field("crate", Json::str(krate))
-                    .field("per_event", Json::u64(*per_event))
-                    .field("per_run", Json::u64(*per_run))
             })
             .collect(),
     );
@@ -177,19 +122,76 @@ fn hotpath_json(report: &Report) -> Json {
             })
             .collect(),
     );
-    Json::obj()
-        .field(
-            "roots",
-            Json::Arr(
-                simlint::hotpath::HOT_ROOTS
-                    .iter()
-                    .map(|r| Json::str(r))
-                    .collect(),
-            ),
-        )
+    let roots = simlint::hotpath::HOT_ROOTS.iter().map(|r| Json::str(r));
+    let hotpath = Json::obj()
+        .field("roots", Json::Arr(roots.collect()))
         .field("hot_fns", Json::u64(report.hot_fns as u64))
-        .field("crates", crates)
-        .field("sites", sites)
+        .field("crates", inventory_json(report))
+        .field("sites", sites);
+    let payload = Json::obj()
+        .field("files_scanned", Json::u64(report.files_scanned as u64))
+        .field("allow_total", Json::u64(allow_total(allow)))
+        .field("counts", counts_json(report))
+        .field("findings", findings)
+        .field("hotpath", hotpath);
+    json::report(SCHEMA, payload)
+}
+
+/// Builds the baseline document: exactly the fields [`diff_baseline`]
+/// reads.
+fn baseline(report: &Report, allow: &Allowlist) -> String {
+    let payload = Json::obj()
+        .field("allow_total", Json::u64(allow_total(allow)))
+        .field("counts", counts_json(report))
+        .field(
+            "hotpath",
+            Json::obj().field("crates", inventory_json(report)),
+        );
+    json::report(SCHEMA, payload)
+}
+
+/// Per-`(rule, path)` finding counts.
+fn counts_json(report: &Report) -> Json {
+    Json::Arr(
+        report
+            .counts
+            .iter()
+            .map(|((rule, path), count)| {
+                Json::obj()
+                    .field("rule", Json::str(rule.id()))
+                    .field("path", Json::str(path))
+                    .field("count", Json::u64(*count as u64))
+            })
+            .collect(),
+    )
+}
+
+/// Hot-path allocation sites per crate: `(per_event, per_run)`, the
+/// ratcheted quantity.
+fn inventory(report: &Report) -> BTreeMap<String, (u64, u64)> {
+    let mut per_crate: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+    for site in &report.hot_sites {
+        let entry = per_crate.entry(site.krate.clone()).or_insert((0, 0));
+        match site.severity {
+            Severity::PerEvent => entry.0 += 1,
+            Severity::PerRun => entry.1 += 1,
+        }
+    }
+    per_crate
+}
+
+fn inventory_json(report: &Report) -> Json {
+    Json::Arr(
+        inventory(report)
+            .iter()
+            .map(|(krate, (per_event, per_run))| {
+                Json::obj()
+                    .field("crate", Json::str(krate))
+                    .field("per_event", Json::u64(*per_event))
+                    .field("per_run", Json::u64(*per_run))
+            })
+            .collect(),
+    )
 }
 
 /// Total violations granted by the allowlist (the ratchet quantity).
@@ -210,13 +212,8 @@ struct BaselineDiff {
 fn diff_baseline(text: &str, report: &Report, allow: &Allowlist) -> Result<BaselineDiff, String> {
     let doc = json::parse(text).map_err(|e| format!("malformed baseline: {e}"))?;
     match doc.get("format") {
-        Some(Json::Str(s)) if s == SCHEMA || s == SCHEMA_V2 || s == SCHEMA_V1 => {}
-        other => {
-            return Err(format!(
-                "baseline schema is {other:?}, expected {SCHEMA:?} (or the \
-                 readable predecessors {SCHEMA_V2:?} / {SCHEMA_V1:?})"
-            ))
-        }
+        Some(Json::Str(s)) if s == SCHEMA => {}
+        other => return Err(format!("baseline schema is {other:?}, expected {SCHEMA:?}")),
     }
     let mut base: BTreeMap<(String, String), u64> = BTreeMap::new();
     if let Some(Json::Arr(items)) = doc.get("counts") {
@@ -271,55 +268,44 @@ fn diff_baseline(text: &str, report: &Report, allow: &Allowlist) -> Result<Basel
             "simlint.allow down to {now_allow} from {base_allow} — refresh with --write-baseline"
         ));
     }
-    // Hot-path inventory ratchet (v3 baselines only: v1/v2 documents
-    // have no `hotpath` section, so the inventory ratchet starts from
-    // the first v3 baseline; per-event *findings* still ratchet from
-    // zero through the count table above).
-    if let Some(hp) = doc.get("hotpath") {
-        let mut base_inv: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-        if let Some(Json::Arr(items)) = hp.get("crates") {
-            for item in items {
-                let (Some(Json::Str(krate)), Some(Json::Num(pe)), Some(Json::Num(pr))) = (
-                    item.get("crate"),
-                    item.get("per_event"),
-                    item.get("per_run"),
-                ) else {
-                    return Err("baseline hotpath entry missing crate/per_event/per_run".into());
-                };
-                let pe: u64 = pe
-                    .parse()
-                    .map_err(|_| format!("non-integer per_event {pe:?} in baseline"))?;
-                let pr: u64 = pr
-                    .parse()
-                    .map_err(|_| format!("non-integer per_run {pr:?} in baseline"))?;
-                base_inv.insert(krate.clone(), (pe, pr));
-            }
-        }
-        let mut now_inv: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-        for site in &report.hot_sites {
-            let entry = now_inv.entry(site.krate.clone()).or_insert((0, 0));
-            match site.severity {
-                Severity::PerEvent => entry.0 += 1,
-                Severity::PerRun => entry.1 += 1,
-            }
-        }
-        let crates: std::collections::BTreeSet<&String> =
-            base_inv.keys().chain(now_inv.keys()).collect();
-        for krate in crates {
-            let (base_pe, base_pr) = base_inv.get(krate).copied().unwrap_or((0, 0));
-            let (now_pe, now_pr) = now_inv.get(krate).copied().unwrap_or((0, 0));
-            if now_pe > base_pe || now_pr > base_pr {
-                diff.regressions.push(format!(
-                    "crate `{krate}`: hot-path allocation inventory grew to \
-                     {now_pe} per-event / {now_pr} per-run site(s), baseline has \
-                     {base_pe} / {base_pr} — hoist the buffer (docs/STATIC_ANALYSIS.md)"
-                ));
-            } else if now_pe < base_pe || now_pr < base_pr {
-                diff.improvements.push(format!(
-                    "crate `{krate}`: hot-path inventory down to {now_pe} per-event / \
-                     {now_pr} per-run from {base_pe} / {base_pr} — refresh with --write-baseline"
-                ));
-            }
+    // Hot-path inventory ratchet.
+    let mut base_inv: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+    let Some(Json::Arr(items)) = doc.get("hotpath").and_then(|hp| hp.get("crates")) else {
+        return Err("baseline is missing hotpath.crates".to_string());
+    };
+    for item in items {
+        let (Some(Json::Str(krate)), Some(Json::Num(pe)), Some(Json::Num(pr))) = (
+            item.get("crate"),
+            item.get("per_event"),
+            item.get("per_run"),
+        ) else {
+            return Err("baseline hotpath entry missing crate/per_event/per_run".into());
+        };
+        let pe: u64 = pe
+            .parse()
+            .map_err(|_| format!("non-integer per_event {pe:?} in baseline"))?;
+        let pr: u64 = pr
+            .parse()
+            .map_err(|_| format!("non-integer per_run {pr:?} in baseline"))?;
+        base_inv.insert(krate.clone(), (pe, pr));
+    }
+    let now_inv = inventory(report);
+    let crates: std::collections::BTreeSet<&String> =
+        base_inv.keys().chain(now_inv.keys()).collect();
+    for krate in crates {
+        let (base_pe, base_pr) = base_inv.get(krate).copied().unwrap_or((0, 0));
+        let (now_pe, now_pr) = now_inv.get(krate).copied().unwrap_or((0, 0));
+        if now_pe > base_pe || now_pr > base_pr {
+            diff.regressions.push(format!(
+                "crate `{krate}`: hot-path allocation inventory grew to \
+                 {now_pe} per-event / {now_pr} per-run site(s), baseline has \
+                 {base_pe} / {base_pr} — hoist the buffer (docs/STATIC_ANALYSIS.md)"
+            ));
+        } else if now_pe < base_pe || now_pr < base_pr {
+            diff.improvements.push(format!(
+                "crate `{krate}`: hot-path inventory down to {now_pe} per-event / \
+                 {now_pr} per-run from {base_pe} / {base_pr} — refresh with --write-baseline"
+            ));
         }
     }
     Ok(diff)
@@ -420,7 +406,7 @@ fn main() -> ExitCode {
 
     if opts.write_baseline {
         let path = opts.root.join(BASELINE_PATH);
-        if let Err(e) = std::fs::write(&path, export(&report, &allow) + "\n") {
+        if let Err(e) = std::fs::write(&path, baseline(&report, &allow) + "\n") {
             eprintln!("simlint: cannot write {}: {e}", path.display());
             return ExitCode::from(2);
         }
@@ -503,80 +489,14 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    /// A v1-schema baseline (the pre-concurrency-pass format) must
-    /// still parse and diff: the committed history contains such
-    /// documents, and a schema bump must not strand them.
-    #[test]
-    fn v1_baselines_still_diff() {
-        let v1 = concat!(
-            "{\"format\":\"oocnvm.simlint/1\",\"files_scanned\":107,",
-            "\"allow_total\":2,\"counts\":[{\"rule\":\"bare_cast\",",
-            "\"path\":\"crates/nvmtypes/src/convert.rs\",\"count\":2}],",
-            "\"findings\":[]}"
-        );
-        let mut report = Report::default();
-        report
-            .counts
-            .insert((Rule::BareCast, "crates/nvmtypes/src/convert.rs".into()), 2);
-        let allow = Allowlist::parse("bare_cast crates/nvmtypes/src/convert.rs 2\n")
-            .expect("allowlist parses");
-        let diff = diff_baseline(v1, &report, &allow).expect("v1 baseline parses");
-        assert!(diff.regressions.is_empty(), "{:?}", diff.regressions);
-        assert!(diff.improvements.is_empty(), "{:?}", diff.improvements);
-        // Growth against a v1 baseline is still a regression — findings
-        // under the new rules count from zero.
-        report
-            .counts
-            .insert((Rule::LockOrder, "crates/ssd/src/ftl.rs".into()), 1);
-        let diff = diff_baseline(v1, &report, &allow).expect("v1 baseline parses");
-        assert_eq!(diff.regressions.len(), 1, "{:?}", diff.regressions);
-        assert!(diff.regressions[0].contains("lock_order"));
-    }
-
-    /// A v2-schema baseline (pre-hotpath) must still parse and diff
-    /// after the `/3` bump, mirroring the v1 guarantee: the count table
-    /// diffs as usual and the absent `hotpath` section just skips the
-    /// inventory ratchet.
-    #[test]
-    fn v2_baselines_still_diff() {
-        let v2 = concat!(
-            "{\"format\":\"oocnvm.simlint/2\",\"files_scanned\":120,",
-            "\"allow_total\":0,\"counts\":[],\"findings\":[]}"
-        );
-        let mut report = Report::default();
-        report.hot_sites.push(simlint::hotpath::Site {
-            path: "crates/ssd/src/mapping.rs".into(),
-            krate: "ssd".into(),
-            fn_path: "ssd::mapping::StripeMap::decompose".into(),
-            line: 136,
-            col: 9,
-            kind: "Vec::new",
-            severity: Severity::PerRun,
-        });
-        let diff = diff_baseline(v2, &report, &Allowlist::default()).expect("v2 baseline parses");
-        // No `hotpath` section in a v2 document: the inventory is not
-        // ratcheted, so present-day sites are neither growth nor shrink.
-        assert!(diff.regressions.is_empty(), "{:?}", diff.regressions);
-        assert!(diff.improvements.is_empty(), "{:?}", diff.improvements);
-        // The per-(rule, path) count ratchet still applies.
-        report
-            .counts
-            .insert((Rule::HotPathAlloc, "crates/ssd/src/mapping.rs".into()), 1);
-        let diff = diff_baseline(v2, &report, &Allowlist::default()).expect("v2 baseline parses");
-        assert_eq!(diff.regressions.len(), 1, "{:?}", diff.regressions);
-        assert!(diff.regressions[0].contains("hotpath_alloc"));
-    }
-
     /// The v3 per-crate hot-path inventory ratchets: growth in either
     /// the per-event or per-run site count of any crate is a
     /// regression, shrinkage an improvement.
     #[test]
     fn hotpath_inventory_growth_is_a_regression() {
         let v3 = concat!(
-            "{\"format\":\"oocnvm.simlint/3\",\"files_scanned\":130,",
-            "\"allow_total\":0,\"counts\":[],\"findings\":[],",
-            "\"hotpath\":{\"roots\":[],\"hot_fns\":12,\"crates\":[",
-            "{\"crate\":\"ssd\",\"per_event\":0,\"per_run\":1}],\"sites\":[]}}"
+            "{\"format\":\"oocnvm.simlint/3\",\"allow_total\":0,\"counts\":[],",
+            "\"hotpath\":{\"crates\":[{\"crate\":\"ssd\",\"per_event\":0,\"per_run\":1}]}}"
         );
         let site = |severity| simlint::hotpath::Site {
             path: "crates/ssd/src/mapping.rs".into(),
@@ -604,37 +524,58 @@ mod tests {
         assert!(diff.improvements[0].contains("down to 0 per-event / 0 per-run"));
     }
 
-    /// The export is a valid baseline for the scan it came from: diffed
-    /// against that same scan it reports nothing, and one extra
-    /// per-event hot site is exactly one regression.
+    /// Both the baseline and the full export are valid baselines for the
+    /// scan they came from: diffed against that same scan they report
+    /// nothing; one planted new finding, or one extra per-event hot
+    /// site, is exactly one regression.
     #[test]
-    fn export_round_trips_through_its_own_baseline_diff() {
+    fn baseline_and_export_round_trip_through_the_diff() {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/ws");
-        let mut report = simlint::scan_workspace(&root).expect("fixture corpus scans");
+        let report = simlint::scan_workspace(&root).expect("fixture corpus scans");
         let allow = Allowlist::from_counts(&report.counts);
         assert!(!report.counts.is_empty() && !report.hot_sites.is_empty());
-        let doc = export(&report, &allow);
-        let diff = diff_baseline(&doc, &report, &allow).expect("export parses as a baseline");
-        assert!(diff.regressions.is_empty(), "{:?}", diff.regressions);
-        assert!(diff.improvements.is_empty(), "{:?}", diff.improvements);
+        let written = baseline(&report, &allow);
+        for line in [
+            "\"findings\"",
+            "\"line\"",
+            "\"files_scanned\"",
+            "\"hot_fns\"",
+        ] {
+            assert!(!written.contains(line), "{line} is not diffed: {written}");
+        }
+        for doc in [written, export(&report, &allow)] {
+            let diff = diff_baseline(&doc, &report, &allow).expect("parses as a baseline");
+            assert!(diff.regressions.is_empty(), "{:?}", diff.regressions);
+            assert!(diff.improvements.is_empty(), "{:?}", diff.improvements);
 
-        let mut extra = report.hot_sites[0].clone();
-        extra.severity = Severity::PerEvent;
-        report.hot_sites.push(extra);
-        let diff = diff_baseline(&doc, &report, &allow).expect("export parses as a baseline");
-        assert_eq!(diff.regressions.len(), 1, "{:?}", diff.regressions);
-        assert!(diff.regressions[0].contains("hot-path allocation inventory grew"));
-        assert!(diff.improvements.is_empty(), "{:?}", diff.improvements);
+            let mut planted = report.clone();
+            *planted
+                .counts
+                .entry((Rule::NondetTaint, "crates/ssd/src/device.rs".into()))
+                .or_insert(0) += 1;
+            let diff = diff_baseline(&doc, &planted, &allow).expect("parses as a baseline");
+            assert_eq!(diff.regressions.len(), 1, "{:?}", diff.regressions);
+            assert!(diff.regressions[0].contains("`nondet_taint`"));
+
+            let mut planted = report.clone();
+            let mut extra = planted.hot_sites[0].clone();
+            extra.severity = Severity::PerEvent;
+            planted.hot_sites.push(extra);
+            let diff = diff_baseline(&doc, &planted, &allow).expect("parses as a baseline");
+            assert_eq!(diff.regressions.len(), 1, "{:?}", diff.regressions);
+            assert!(diff.regressions[0].contains("hot-path allocation inventory grew"));
+            assert!(diff.improvements.is_empty(), "{:?}", diff.improvements);
+        }
     }
 
-    /// Unknown schemas are rejected, naming every accepted tag.
+    /// Any other schema is rejected, naming the accepted tag.
     #[test]
     fn unknown_baseline_schemas_are_rejected() {
-        let doc = "{\"format\":\"oocnvm.simlint/99\",\"allow_total\":0,\"counts\":[]}";
-        let err = diff_baseline(doc, &Report::default(), &Allowlist::default())
-            .expect_err("future schema must be rejected");
-        assert!(err.contains("oocnvm.simlint/3"), "{err}");
-        assert!(err.contains("oocnvm.simlint/2"), "{err}");
-        assert!(err.contains("oocnvm.simlint/1"), "{err}");
+        for tag in ["oocnvm.simlint/2", "oocnvm.simlint/99"] {
+            let doc = format!("{{\"format\":\"{tag}\",\"allow_total\":0,\"counts\":[]}}");
+            let err = diff_baseline(&doc, &Report::default(), &Allowlist::default())
+                .expect_err("only the current schema is read");
+            assert!(err.contains("oocnvm.simlint/3"), "{err}");
+        }
     }
 }

@@ -13,8 +13,9 @@
 //! and call returns (a workspace-wide fixpoint over function
 //! summaries), and reports when a tainted value:
 //! * is returned from a `pub` function (it can feed results), or
-//! * is passed to an observability sink (`Tracer` methods, `Event`
-//!   construction, `json_report`).
+//! * is passed to an observability sink (`Tracer`'s entry points on a
+//!   binding declared as a `Tracer`, `Event` construction,
+//!   `json_report`).
 //!
 //! Precision notes: `simobs::EventKind::Instant` is a simulated-time
 //! event tag, not `std::time::Instant` — sources key on the resolved
@@ -30,6 +31,17 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Hash-collection type names whose default iteration order is
 /// nondeterministic.
 const HASH_TYPES: [&str; 2] = ["HashMap", "HashSet"];
+
+/// `simobs::Tracer`'s recording entry points: each is a sink when called
+/// on a binding whose declared type is `Tracer`.
+const TRACER_METHODS: [&str; 6] = [
+    "span",
+    "instant",
+    "count",
+    "gauge",
+    "observe_ns",
+    "observe_hdr_ns",
+];
 
 /// Methods that observe a hash collection in iteration order.
 const HASH_ITER_METHODS: [&str; 9] = [
@@ -130,6 +142,8 @@ struct Env {
     tainted: BTreeMap<String, String>,
     /// Locals known to be hash collections (for iteration-order taint).
     hash_locals: BTreeSet<String>,
+    /// Parameters and locals declared as (or built as) a `Tracer`.
+    tracers: BTreeSet<String>,
 }
 
 impl<'a> Ctx<'a> {
@@ -147,7 +161,15 @@ impl<'a> Ctx<'a> {
         let Some(body) = &fd.body else {
             return;
         };
-        let env = self.flow_block(body, Env::default());
+        let tracers = fd
+            .params
+            .iter()
+            .filter(|p| self.is_ty(&p.ty.base, &["Tracer"]));
+        let env = Env {
+            tracers: tracers.map(|p| p.name.clone()).collect(),
+            ..Env::default()
+        };
+        let env = self.flow_block(body, env);
         self.scan_sinks_block(body, &env);
         if is_pub {
             if let Some(source) = self.block_return_taint(body, &env) {
@@ -178,10 +200,15 @@ impl<'a> Ctx<'a> {
     fn flow_stmt(&self, stmt: &Stmt, env: &mut Env) {
         match stmt {
             Stmt::Let { name, ty, init, .. } => {
-                let hashy = ty.as_ref().is_some_and(|t| self.is_hash_ty(&t.base))
-                    || init.as_ref().is_some_and(|e| self.inits_hash(e));
-                if let (true, Some(n)) = (hashy, name.as_ref()) {
+                let is = |names: &[&str]| {
+                    ty.as_ref().is_some_and(|t| self.is_ty(&t.base, names))
+                        || init.as_ref().is_some_and(|e| self.inits(e, names))
+                };
+                if let (true, Some(n)) = (is(&HASH_TYPES), name.as_ref()) {
                     env.hash_locals.insert(n.clone());
+                }
+                if let (true, Some(n)) = (is(&["Tracer"]), name.as_ref()) {
+                    env.tracers.insert(n.clone());
                 }
                 if let (Some(n), Some(e)) = (name.as_ref(), init.as_ref()) {
                     if let Some(src) = self.expr_taint(e, env) {
@@ -489,7 +516,7 @@ impl<'a> Ctx<'a> {
         let mut hit = false;
         visit_structs(&self.file.ast.items, &mut |fields| {
             for f in fields {
-                if f.name == field && self.is_hash_ty(&f.ty.base) {
+                if f.name == field && self.is_ty(&f.ty.base, &HASH_TYPES) {
                     hit = true;
                 }
             }
@@ -497,24 +524,25 @@ impl<'a> Ctx<'a> {
         hit
     }
 
-    /// Is this type name (possibly a `use`-alias) a hash collection?
-    fn is_hash_ty(&self, base: &str) -> bool {
-        if HASH_TYPES.contains(&base) {
+    /// Is this type name (possibly a `use`-alias) one of `names`?
+    fn is_ty(&self, base: &str, names: &[&str]) -> bool {
+        if names.contains(&base) {
             return true;
         }
         self.file
             .uses
             .get(base)
             .and_then(|path| path.last())
-            .is_some_and(|last| HASH_TYPES.contains(&last.as_str()))
+            .is_some_and(|last| names.contains(&last.as_str()))
     }
 
-    /// Does the init expression construct a hash collection?
-    fn inits_hash(&self, expr: &Expr) -> bool {
+    /// Does the init expression construct one of the types `names`
+    /// (a `Type::ctor` path)?
+    fn inits(&self, expr: &Expr, names: &[&str]) -> bool {
         let mut hit = false;
         crate::ast::visit_expr(expr, &mut |e| {
             if let ExprKind::Path(segs) = &e.kind {
-                if segs.len() >= 2 && self.is_hash_ty(&segs[segs.len() - 2]) {
+                if segs.len() >= 2 && self.is_ty(&segs[segs.len() - 2], names) {
                     hit = true;
                 }
             }
@@ -562,9 +590,11 @@ impl<'a> Ctx<'a> {
                 Some((sink, src))
             }
             ExprKind::MethodCall { recv, method, args } => {
-                let is_tracer_method = matches!(method.as_str(), "emit" | "event" | "record_event");
-                let recv_is_tracer = expr_mentions_name(recv, &["tracer", "Tracer"]);
-                if !(is_tracer_method && recv_is_tracer) {
+                let ExprKind::Path(segs) = &recv.kind else {
+                    return None;
+                };
+                let recv_is_tracer = matches!(segs.as_slice(), [n] if env.tracers.contains(n));
+                if !(recv_is_tracer && TRACER_METHODS.contains(&method.as_str())) {
                     return None;
                 }
                 let src = args.iter().find_map(|a| self.expr_taint(a, env))?;
@@ -603,26 +633,6 @@ fn expr_mentions_ptr(expr: &Expr) -> bool {
             hit = true;
         }
         ExprKind::Cast { ty, .. } if ty.text.starts_with('*') => hit = true,
-        _ => {}
-    });
-    hit
-}
-
-/// Does the expression mention one of these identifiers (path segment
-/// or field name)?
-fn expr_mentions_name(expr: &Expr, names: &[&str]) -> bool {
-    let mut hit = false;
-    crate::ast::visit_expr(expr, &mut |e| match &e.kind {
-        ExprKind::Path(segs) => {
-            if segs.iter().any(|s| names.contains(&s.as_str())) {
-                hit = true;
-            }
-        }
-        ExprKind::Field { name, .. } => {
-            if names.contains(&name.as_str()) {
-                hit = true;
-            }
-        }
         _ => {}
     });
     hit
@@ -699,10 +709,20 @@ mod tests {
     #[test]
     fn sink_flow_is_flagged_without_pub_return() {
         let hits = scan(
-            "fn log(tracer: &mut Tracer) {\n  let t = std::time::SystemTime::now();\n  tracer.emit(t);\n}\n",
+            "fn log(obs: &mut Tracer) {\n  let t = std::time::SystemTime::now();\n  obs.span(t);\n}\n",
         );
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert!(hits[0].finding.message.contains("Tracer"));
+    }
+
+    #[test]
+    fn tracer_entry_points_on_a_declared_tracer_are_sinks() {
+        let hits = scan(
+            "use simobs::{Metric, Tracer};\nfn wall_ns() -> u64 {\n  std::time::SystemTime::now().elapsed().map(|d| d.as_nanos() as u64).unwrap_or(0)\n}\nfn record(obs: &mut Tracer, tally: &mut Tally) {\n  let mut traced = Tracer::ring(8);\n  obs.count(Metric::SsdRequests, wall_ns());\n  traced.gauge(Metric::RunMakespanNs, wall_ns());\n  tally.count(Metric::SsdRequests, wall_ns());\n}\n",
+        );
+        let lines: Vec<usize> = hits.iter().map(|l| l.finding.line).collect();
+        assert_eq!(lines, vec![7, 8], "only the `Tracer` receivers: {hits:?}");
+        assert!(hits[0].finding.message.contains("`Tracer::count`"));
     }
 
     #[test]

@@ -146,7 +146,7 @@ fn fixture_corpus_triggers_every_rule_exactly() {
     // Taint pass: wall clocks reaching pub returns in the flashsim and
     // ooc fixtures, plus the three planted flows in the core fixture
     // (SystemTime via a local, env::var across a private fn, and a
-    // tainted Tracer::emit argument).
+    // tainted Tracer::count argument).
     assert_eq!(
         report
             .counts
@@ -468,10 +468,10 @@ fn core_fixture_is_caught_by_ast_rules_and_semantic_passes() {
         .iter()
         .any(|l| l.finding.message.contains("`pub fn worker_count`")
             && l.finding.message.contains("knob")));
-    // Sink flow: a tainted argument reaching `Tracer::emit`.
+    // Sink flow: a tainted argument reaching `Tracer::count`.
     assert!(taint
         .iter()
-        .any(|l| l.finding.message.contains("Tracer::emit")));
+        .any(|l| l.finding.message.contains("Tracer::count")));
     assert_eq!(units.len(), 4, "{units:?}");
     // Cross-crate contract: the callee's parameter is declared in the
     // ssd fixture; only the symbol index connects the two files.

@@ -169,7 +169,7 @@ mod tests {
     use super::*;
     use crate::event::NO_ARGS;
     use crate::sink::Tracer;
-    use crate::Layer;
+    use crate::{Layer, Metric};
 
     fn sample_log() -> TraceLog {
         let mut obs = Tracer::ring(16);
@@ -188,8 +188,8 @@ mod tests {
             [("bytes", 8192), ("", 0)],
         );
         obs.instant(Layer::Ftl, "gc", 42, NO_ARGS);
-        obs.count("ssd.requests", 1);
-        obs.observe_ns("ssd.latency_ns", 160_500);
+        obs.count(Metric::SsdRequests, 1);
+        obs.observe_ns(Metric::SsdLatencyNs, 160_500);
         obs.finish()
     }
 
@@ -238,8 +238,8 @@ mod tests {
             "no HDR block without observations"
         );
         let mut obs = Tracer::ring(16);
-        obs.observe_hdr_ns("ssd.latency_ns", 123_456);
-        obs.observe_hdr_ns("ssd.latency_ns", 654_321);
+        obs.observe_hdr_ns(Metric::SsdLatencyNs, 123_456);
+        obs.observe_hdr_ns(Metric::SsdLatencyNs, 654_321);
         let text = chrome_trace(&obs.finish());
         let doc = crate::json::parse(&text).expect("valid JSON");
         let hdr = doc

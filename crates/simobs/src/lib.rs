@@ -7,14 +7,16 @@
 //! hand-rolled per-crate tally:
 //!
 //! * **tracing** ([`Tracer`], [`sink`]) — structured spans and instants
-//!   keyed to *simulated* nanoseconds (never wall-clock), collected by a
-//!   pluggable [`sink::Sink`]. The default collector is a bounded ring
-//!   buffer ([`sink::RingSink`]); a disabled tracer ([`Tracer::off`])
-//!   skips every event before any argument is materialised, so tracing
-//!   compiles to a branch on the hot path and nothing more.
-//! * **metrics** ([`metrics`]) — integer-only counters, gauges and
-//!   fixed-bucket histograms. No floats, no wall clocks: equal runs
-//!   produce equal metrics byte for byte.
+//!   keyed to *simulated* nanoseconds (never wall-clock), collected into
+//!   a bounded ring buffer ([`Tracer::ring`]); a disabled tracer
+//!   ([`Tracer::off`]) skips every event before any argument is
+//!   materialised, so tracing compiles to a branch on the hot path and
+//!   nothing more.
+//! * **metrics** ([`metrics`]) — the [`Metric`] catalogue, one variant
+//!   per metric the simulator records, and its integer-only counters,
+//!   gauges and fixed-bucket histograms kept in one slot per variant. No
+//!   floats, no wall clocks: equal runs produce equal metrics byte for
+//!   byte.
 //! * **hdr** ([`hdr`]) — precision log-bucketed latency histograms
 //!   (HDR-style) with exact p50/p90/p99/p999 extraction and an
 //!   associative merge, so per-shard distributions combine
@@ -39,8 +41,8 @@
 //!
 //! * a [`Tracer`] only ever *reads* values the simulator already
 //!   computed — it draws no randomness and owns no clock;
-//! * every container is ordered ([`std::collections::BTreeMap`],
-//!   [`std::collections::VecDeque`]), every metric is an integer, and
+//! * every container is ordered (metric slots in catalogue order, the
+//!   event ring a [`std::collections::VecDeque`]), every metric is an integer, and
 //!   export renders timestamps with integer division — no float
 //!   formatting wobble can reach the output.
 //!
@@ -62,5 +64,5 @@ pub use attrib::{LatencyAttribution, RequestBreakdown};
 pub use event::{Event, EventKind, Layer};
 pub use export::{chrome_trace, rollup};
 pub use hdr::{HdrHistogram, HdrPercentiles};
-pub use metrics::{FixedHistogram, MetricSet};
-pub use sink::{NullSink, RingSink, Sink, TraceLog, Tracer};
+pub use metrics::{FixedHistogram, Metric, MetricSet};
+pub use sink::{TraceLog, Tracer};

@@ -1,6 +1,5 @@
-//! Event collection: the [`Sink`] trait, the bounded [`RingSink`], the
-//! zero-work [`NullSink`], and the [`Tracer`] handle the simulators
-//! thread events through.
+//! Event collection: the [`Tracer`] handle the simulators thread events
+//! through, and the bounded ring it collects into.
 //!
 //! The tracer is the only type instrumented code touches. Its disabled
 //! form ([`Tracer::off`]) answers [`Tracer::enabled`] with `false` and
@@ -11,37 +10,16 @@
 //! caller could use.
 
 use crate::event::{Event, EventArgs, EventKind, Layer};
-use crate::metrics::{FixedHistogram, MetricSet};
-use nvmtypes::Nanos;
+use crate::metrics::{FixedHistogram, Metric, MetricSet};
+use nvmtypes::{u64_from_usize, Nanos};
 use std::collections::VecDeque;
-
-/// Receives recorded events. Implementations must be deterministic:
-/// equal event sequences must leave equal sink states.
-pub trait Sink: std::fmt::Debug {
-    /// Accepts one event.
-    fn record(&mut self, event: &Event);
-    /// Drains the collected events (oldest first) and the count of
-    /// events dropped by bounding, if any.
-    fn drain(&mut self) -> (Vec<Event>, u64);
-}
-
-/// A sink that discards everything (the tracing-off collector).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn record(&mut self, _event: &Event) {}
-    fn drain(&mut self) -> (Vec<Event>, u64) {
-        (Vec::new(), 0)
-    }
-}
 
 /// A bounded ring buffer: keeps the most recent `capacity` events,
 /// counting (not silently losing) the oldest ones it evicts. The drop
 /// count is surfaced in the export header so a truncated trace can
 /// never masquerade as a complete one.
-#[derive(Debug, Clone)]
-pub struct RingSink {
+#[derive(Debug)]
+struct RingSink {
     capacity: usize,
     buf: VecDeque<Event>,
     dropped: u64,
@@ -49,7 +27,7 @@ pub struct RingSink {
 
 impl RingSink {
     /// New ring holding at most `capacity` events (minimum 1).
-    pub fn new(capacity: usize) -> RingSink {
+    fn new(capacity: usize) -> RingSink {
         let capacity = capacity.max(1);
         RingSink {
             capacity,
@@ -58,66 +36,36 @@ impl RingSink {
         }
     }
 
-    /// Events currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing is held.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events evicted so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl Sink for RingSink {
-    fn record(&mut self, event: &Event) {
+    fn record(&mut self, event: Event) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
         }
-        self.buf.push_back(*event);
+        self.buf.push_back(event);
     }
 
-    fn drain(&mut self) -> (Vec<Event>, u64) {
-        let events = self.buf.drain(..).collect();
-        let dropped = self.dropped;
-        self.dropped = 0;
-        (events, dropped)
+    /// Events recorded so far: the ones held plus the ones evicted.
+    fn emitted(&self) -> u64 {
+        u64_from_usize(self.buf.len()) + self.dropped
     }
-}
-
-/// Where a tracer sends its events.
-#[derive(Debug)]
-enum SinkSlot {
-    /// Tracing disabled: every record call returns immediately.
-    Off,
-    /// The default bounded collector.
-    Ring(RingSink),
-    /// A caller-supplied sink.
-    Custom(Box<dyn Sink>),
 }
 
 /// The handle instrumented code emits through.
 ///
 /// ```
-/// use simobs::{Layer, Tracer};
+/// use simobs::{Layer, Metric, Tracer};
 ///
 /// let mut obs = Tracer::ring(1024);
 /// obs.span(Layer::Ssd, "read", 0, 2_000, [("bytes", 4096), ("", 0)]);
-/// obs.count("ssd.requests", 1);
+/// obs.count(Metric::SsdRequests, 1);
 /// let log = obs.finish();
 /// assert_eq!(log.events.len(), 1);
-/// assert_eq!(log.metrics.counter("ssd.requests"), 1);
+/// assert_eq!(log.metrics.counter(Metric::SsdRequests), 1);
 /// ```
 #[derive(Debug)]
 pub struct Tracer {
-    slot: SinkSlot,
-    emitted: u64,
+    /// `None` when tracing is disabled.
+    ring: Option<RingSink>,
     metrics: MetricSet,
 }
 
@@ -125,26 +73,16 @@ impl Tracer {
     /// A disabled tracer: records nothing, allocates nothing.
     pub fn off() -> Tracer {
         Tracer {
-            slot: SinkSlot::Off,
-            emitted: 0,
+            ring: None,
             metrics: MetricSet::new(),
         }
     }
 
-    /// A tracer collecting into a [`RingSink`] of `capacity` events.
+    /// A tracer collecting into a bounded ring of `capacity` events
+    /// (minimum 1).
     pub fn ring(capacity: usize) -> Tracer {
         Tracer {
-            slot: SinkSlot::Ring(RingSink::new(capacity)),
-            emitted: 0,
-            metrics: MetricSet::new(),
-        }
-    }
-
-    /// A tracer collecting into a caller-supplied sink.
-    pub fn with_sink(sink: Box<dyn Sink>) -> Tracer {
-        Tracer {
-            slot: SinkSlot::Custom(sink),
-            emitted: 0,
+            ring: Some(RingSink::new(capacity)),
             metrics: MetricSet::new(),
         }
     }
@@ -153,22 +91,7 @@ impl Tracer {
     /// argument construction behind this so tracing-off costs one branch.
     #[inline]
     pub fn enabled(&self) -> bool {
-        !matches!(self.slot, SinkSlot::Off)
-    }
-
-    #[inline]
-    fn record(&mut self, event: Event) {
-        match &mut self.slot {
-            SinkSlot::Off => {}
-            SinkSlot::Ring(ring) => {
-                ring.record(&event);
-                self.emitted += 1;
-            }
-            SinkSlot::Custom(sink) => {
-                sink.record(&event);
-                self.emitted += 1;
-            }
-        }
+        self.ring.is_some()
     }
 
     /// Records a span covering `[start, end]` simulated ns.
@@ -181,58 +104,56 @@ impl Tracer {
         end: Nanos,
         args: EventArgs,
     ) {
-        if self.enabled() {
-            self.record(Event::span(layer, name, start, end).with_args(args));
+        if let Some(ring) = &mut self.ring {
+            ring.record(Event::span(layer, name, start, end).with_args(args));
         }
     }
 
     /// Records an instant marker at `ts` simulated ns.
     #[inline]
     pub fn instant(&mut self, layer: Layer, name: &'static str, ts: Nanos, args: EventArgs) {
-        if self.enabled() {
-            self.record(Event::instant(layer, name, ts).with_args(args));
+        if let Some(ring) = &mut self.ring {
+            ring.record(Event::instant(layer, name, ts).with_args(args));
         }
     }
 
-    /// Adds `delta` to counter `name`. Metrics are kept even when event
-    /// collection is off (they are cheap and deterministic), *unless*
-    /// the tracer is fully disabled.
+    /// Adds `delta` to counter `metric`. Like every tracer entry point,
+    /// a disabled tracer skips the work entirely.
     #[inline]
-    pub fn count(&mut self, name: &'static str, delta: u64) {
+    pub fn count(&mut self, metric: Metric, delta: u64) {
         if self.enabled() {
-            self.metrics.count(name, delta);
+            self.metrics.count(metric, delta);
         }
     }
 
-    /// Sets gauge `name`.
+    /// Sets gauge `metric`.
     #[inline]
-    pub fn gauge(&mut self, name: &'static str, value: u64) {
+    pub fn gauge(&mut self, metric: Metric, value: u64) {
         if self.enabled() {
-            self.metrics.gauge(name, value);
+            self.metrics.gauge(metric, value);
         }
     }
 
-    /// Records `value` into histogram `name`.
+    /// Records `value` into histogram `metric`.
     #[inline]
-    pub fn observe_ns(&mut self, name: &'static str, value: Nanos) {
+    pub fn observe_ns(&mut self, metric: Metric, value: Nanos) {
         if self.enabled() {
-            self.metrics.observe_ns(name, value);
+            self.metrics.observe_ns(metric, value);
         }
     }
 
-    /// Records `value` into the precision HDR histogram `name` (see
-    /// [`crate::hdr`]). Like every tracer entry point, a disabled tracer
-    /// skips the work entirely.
+    /// Records `value` into the precision HDR histogram `metric` (see
+    /// [`crate::hdr`]).
     #[inline]
-    pub fn observe_hdr_ns(&mut self, name: &'static str, value: Nanos) {
+    pub fn observe_hdr_ns(&mut self, metric: Metric, value: Nanos) {
         if self.enabled() {
-            self.metrics.observe_hdr_ns(name, value);
+            self.metrics.observe_hdr_ns(metric, value);
         }
     }
 
-    /// Events accepted by the sink so far.
+    /// Events recorded so far (collected + dropped).
     pub fn emitted(&self) -> u64 {
-        self.emitted
+        self.ring.as_ref().map_or(0, RingSink::emitted)
     }
 
     /// Read access to the collected metrics.
@@ -240,24 +161,18 @@ impl Tracer {
         &self.metrics
     }
 
-    /// Ends the session: drains the sink into a [`TraceLog`] ready for
+    /// Ends the session: drains the ring into a [`TraceLog`] ready for
     /// export.
     pub fn finish(self) -> TraceLog {
-        let Tracer {
-            slot,
-            emitted,
-            metrics,
-        } = self;
-        let (events, dropped) = match slot {
-            SinkSlot::Off => (Vec::new(), 0),
-            SinkSlot::Ring(mut ring) => ring.drain(),
-            SinkSlot::Custom(mut sink) => sink.drain(),
-        };
+        let emitted = self.emitted();
+        let (events, dropped) = self
+            .ring
+            .map_or((Vec::new(), 0), |ring| (ring.buf.into(), ring.dropped));
         TraceLog {
             events,
             emitted,
             dropped,
-            metrics,
+            metrics: self.metrics,
         }
     }
 }
@@ -305,37 +220,19 @@ impl TraceLog {
             .collect()
     }
 
-    /// Latency histogram by name, if recorded.
-    pub fn histogram(&self, name: &str) -> Option<&FixedHistogram> {
+    /// Latency histogram `metric`, if recorded.
+    pub fn histogram(&self, metric: Metric) -> Option<&FixedHistogram> {
         self.metrics
             .histograms()
-            .find(|(n, _)| *n == name)
+            .find(|(n, _)| *n == metric.name())
             .map(|(_, h)| h)
     }
 
-    /// Precision HDR histogram by name, if recorded.
-    pub fn hdr(&self, name: &str) -> Option<&crate::hdr::HdrHistogram> {
-        self.metrics.hdr(name)
+    /// Precision HDR histogram `metric`, if recorded.
+    pub fn hdr(&self, metric: Metric) -> Option<&crate::hdr::HdrHistogram> {
+        self.metrics.hdr(metric)
     }
 }
-
-/// A helper used by tests: a sink recording everything, unbounded.
-#[derive(Debug, Clone, Default)]
-pub struct VecSink {
-    events: Vec<Event>,
-}
-
-impl Sink for VecSink {
-    fn record(&mut self, event: &Event) {
-        self.events.push(*event);
-    }
-    fn drain(&mut self) -> (Vec<Event>, u64) {
-        (std::mem::take(&mut self.events), 0)
-    }
-}
-
-/// Re-export for instrumented code that wants explicit no-args.
-pub use crate::event::NO_ARGS as NO_EVENT_ARGS;
 
 #[cfg(test)]
 mod tests {
@@ -350,13 +247,11 @@ mod tests {
     fn ring_keeps_newest_and_counts_drops() {
         let mut ring = RingSink::new(3);
         for i in 0..10 {
-            ring.record(&ev(i));
+            ring.record(ev(i));
         }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 7);
-        let (events, dropped) = ring.drain();
-        assert_eq!(dropped, 7);
-        let ts: Vec<Nanos> = events.iter().map(|e| e.ts).collect();
+        assert_eq!(ring.dropped, 7);
+        assert_eq!(ring.emitted(), 10);
+        let ts: Vec<Nanos> = ring.buf.iter().map(|e| e.ts).collect();
         assert_eq!(ts, vec![7, 8, 9], "newest survive, oldest dropped");
     }
 
@@ -365,12 +260,12 @@ mod tests {
         let mut obs = Tracer::off();
         assert!(!obs.enabled());
         obs.span(Layer::Ssd, "read", 0, 100, NO_ARGS);
-        obs.count("c", 1);
-        obs.observe_ns("h", 5);
+        obs.count(Metric::SsdRequests, 1);
+        obs.observe_ns(Metric::SsdLatencyNs, 5);
         let log = obs.finish();
         assert!(log.events.is_empty());
         assert_eq!(log.emitted, 0);
-        assert_eq!(log.metrics.counter("c"), 0);
+        assert_eq!(log.metrics.counter(Metric::SsdRequests), 0);
     }
 
     #[test]
@@ -388,7 +283,7 @@ mod tests {
 
     #[test]
     fn span_totals_aggregate_by_layer_and_name() {
-        let mut obs = Tracer::with_sink(Box::new(VecSink::default()));
+        let mut obs = Tracer::ring(16);
         obs.span(Layer::Media, "die_read", 0, 10, NO_ARGS);
         obs.span(Layer::Media, "die_read", 10, 30, NO_ARGS);
         obs.span(Layer::Link, "host_dma", 0, 5, NO_ARGS);

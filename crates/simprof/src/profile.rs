@@ -515,6 +515,7 @@ impl SimSpanProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simobs::event::NO_ARGS;
     use simobs::Tracer;
 
     #[test]
@@ -594,10 +595,10 @@ mod tests {
         let log = traced(|obs| {
             // outer [0,100] containing two children [10,30] and [20,60]
             // (overlapping siblings), plus a disjoint root span [200,250].
-            obs.span(Layer::Run, "outer", 0, 100, simobs::sink::NO_EVENT_ARGS);
-            obs.span(Layer::Ssd, "c1", 10, 30, simobs::sink::NO_EVENT_ARGS);
-            obs.span(Layer::Ssd, "c2", 20, 60, simobs::sink::NO_EVENT_ARGS);
-            obs.span(Layer::Run, "tail", 200, 250, simobs::sink::NO_EVENT_ARGS);
+            obs.span(Layer::Run, "outer", 0, 100, NO_ARGS);
+            obs.span(Layer::Ssd, "c1", 10, 30, NO_ARGS);
+            obs.span(Layer::Ssd, "c2", 20, 60, NO_ARGS);
+            obs.span(Layer::Run, "tail", 200, 250, NO_ARGS);
         });
         let prof = SimSpanProfile::build(&log);
         assert_eq!(prof.union_ns, 150, "[0,100] ∪ [200,250]");
@@ -622,9 +623,9 @@ mod tests {
     #[test]
     fn sim_profile_layers_roll_up_in_track_order() {
         let log = traced(|obs| {
-            obs.span(Layer::Link, "dma", 0, 10, simobs::sink::NO_EVENT_ARGS);
-            obs.span(Layer::Media, "op", 20, 40, simobs::sink::NO_EVENT_ARGS);
-            obs.instant(Layer::Run, "marker", 5, simobs::sink::NO_EVENT_ARGS);
+            obs.span(Layer::Link, "dma", 0, 10, NO_ARGS);
+            obs.span(Layer::Media, "op", 20, 40, NO_ARGS);
+            obs.instant(Layer::Run, "marker", 5, NO_ARGS);
         });
         let prof = SimSpanProfile::build(&log);
         let labels: Vec<&str> = prof.layers.iter().map(|l| l.layer.label()).collect();
@@ -642,20 +643,8 @@ mod tests {
         let build = || {
             let log = traced(|obs| {
                 for i in 0..50u64 {
-                    obs.span(
-                        Layer::Ssd,
-                        "req",
-                        i * 100,
-                        i * 100 + 90,
-                        simobs::sink::NO_EVENT_ARGS,
-                    );
-                    obs.span(
-                        Layer::Media,
-                        "die",
-                        i * 100 + 10,
-                        i * 100 + 50,
-                        simobs::sink::NO_EVENT_ARGS,
-                    );
+                    obs.span(Layer::Ssd, "req", i * 100, i * 100 + 90, NO_ARGS);
+                    obs.span(Layer::Media, "die", i * 100 + 10, i * 100 + 50, NO_ARGS);
                 }
             });
             SimSpanProfile::build(&log)
@@ -670,9 +659,9 @@ mod tests {
     #[test]
     fn partial_overlap_is_clamped_not_negative() {
         let log = traced(|obs| {
-            obs.span(Layer::Run, "a", 0, 50, simobs::sink::NO_EVENT_ARGS);
+            obs.span(Layer::Run, "a", 0, 50, NO_ARGS);
             // starts inside a, ends beyond it
-            obs.span(Layer::Ssd, "b", 40, 120, simobs::sink::NO_EVENT_ARGS);
+            obs.span(Layer::Ssd, "b", 40, 120, NO_ARGS);
         });
         let prof = SimSpanProfile::build(&log);
         for s in &prof.spans {

@@ -15,7 +15,7 @@ use nvmtypes::convert::{u32_from, u64_from_usize, usize_from_u32};
 use nvmtypes::fault::{STREAM_LINK, STREAM_MEDIA};
 use nvmtypes::{HostRequest, IoOp, Nanos};
 use ooctrace::BlockTrace;
-use simobs::{LatencyAttribution, Layer, RequestBreakdown, Tracer};
+use simobs::{LatencyAttribution, Layer, Metric, RequestBreakdown, Tracer};
 
 /// A simulated SSD (or network-attached SSD) ready to replay block traces.
 ///
@@ -358,12 +358,12 @@ impl EngineState {
                 completion,
                 [("bytes", req.len), ("sync", u64::from(req.sync))],
             );
-            obs.count("ssd.requests", 1);
+            obs.count(Metric::SsdRequests, 1);
             if req.sync {
-                obs.count("ssd.sync_requests", 1);
+                obs.count(Metric::SsdSyncRequests, 1);
             }
-            obs.observe_ns("ssd.latency_ns", total_latency);
-            obs.observe_hdr_ns("ssd.latency_ns", total_latency);
+            obs.observe_ns(Metric::SsdLatencyNs, total_latency);
+            obs.observe_hdr_ns(Metric::SsdLatencyNs, total_latency);
         }
         self.makespan = self.makespan.max(completion);
         (completion, absorbed)
@@ -468,8 +468,8 @@ impl EngineState {
                     ("bytes", total_bytes),
                 ],
             );
-            obs.count("ssd.bytes", total_bytes);
-            obs.gauge("run.makespan_ns", makespan);
+            obs.count(Metric::SsdBytes, total_bytes);
+            obs.gauge(Metric::RunMakespanNs, makespan);
         }
         RunReport {
             makespan,

@@ -84,11 +84,10 @@ impl WriteAmp {
     /// Device bytes per user byte, in integer per-mille (1000 = 1.0x).
     /// 0 when no user bytes were written.
     pub fn device_per_user_permille(&self) -> u64 {
-        if self.user_bytes == 0 {
-            0
-        } else {
-            self.device_bytes().saturating_mul(1000) / self.user_bytes
-        }
+        self.device_bytes()
+            .saturating_mul(1000)
+            .checked_div(self.user_bytes)
+            .unwrap_or(0)
     }
 }
 
@@ -294,31 +293,6 @@ impl<D: BlockDevice> Ufs<D> {
             discarded_tids: plan.discarded_tids,
             checkpoint_written,
         };
-        Ok((fs, report))
-    }
-
-    /// [`Ufs::mount`] with the recovery outcome reported through a
-    /// tracer: a `Layer::Ufs` instant with replayed/discarded counts.
-    pub fn mount_observed(
-        dev: D,
-        obs: &mut simobs::Tracer,
-    ) -> Result<(Ufs<D>, RecoveryReport), SimError> {
-        let (fs, report) = Ufs::mount(dev)?;
-        if obs.enabled() {
-            obs.instant(
-                simobs::Layer::Ufs,
-                "mount_recovery",
-                0,
-                [
-                    ("replayed", u64_from_usize(report.replayed_tids.len())),
-                    ("discarded", u64_from_usize(report.discarded_tids.len())),
-                ],
-            );
-            obs.count(
-                "ufs.recovery_replayed",
-                u64_from_usize(report.replayed_tids.len()),
-            );
-        }
         Ok((fs, report))
     }
 

@@ -13,6 +13,7 @@ use nvmtypes::convert::{u64_from_usize, usize_from};
 use nvmtypes::SimError;
 use oocfs::FileSystemModel;
 use ooctrace::{BlockTrace, PosixTrace};
+use simobs::Metric;
 use ssd::{SimBlockDevice, SECTOR_USIZE};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -179,19 +180,19 @@ impl FileSystemModel for JournaledUfs {
                 0,
                 [("requests", requests), ("sync", syncs)],
             );
-            obs.count("fs.requests", requests);
-            obs.count("fs.sync_requests", syncs);
+            obs.count(Metric::FsRequests, requests);
+            obs.count(Metric::FsSyncRequests, syncs);
             obs.instant(
                 simobs::Layer::Ufs,
                 "journal_commit",
                 0,
                 [("commits", wa.commits), ("journal_bytes", wa.journal_bytes)],
             );
-            obs.count("ufs.user_bytes", wa.user_bytes);
-            obs.count("ufs.cow_bytes", wa.cow_bytes);
-            obs.count("ufs.journal_bytes", wa.journal_bytes);
-            obs.count("ufs.apply_bytes", wa.apply_bytes);
-            obs.count("ufs.commits", wa.commits);
+            obs.count(Metric::UfsUserBytes, wa.user_bytes);
+            obs.count(Metric::UfsCowBytes, wa.cow_bytes);
+            obs.count(Metric::UfsJournalBytes, wa.journal_bytes);
+            obs.count(Metric::UfsApplyBytes, wa.apply_bytes);
+            obs.count(Metric::UfsCommits, wa.commits);
         }
         block
     }

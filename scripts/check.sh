@@ -9,7 +9,8 @@
 #   2. clippy         — workspace lint policy ([workspace.lints]: the
 #                       unwrap/expect/panic deny set, unsafe_code), then
 #                       the standalone benchmark package, whose manifest
-#                       mirrors that deny set
+#                       mirrors that deny set; any other clippy warning
+#                       fails the stage too (`-D warnings`)
 #   3. simlint        — `simlint --baseline`: simulator invariants
 #                       (determinism, unit-safety, no-panic, exhaustive
 #                       matches, atomic-ordering and lock-order
@@ -52,7 +53,9 @@
 #                       recover to the committed prefix from power loss
 #                       (dropped and torn) at every device write of the
 #                       smoke workload, and the study must be byte-
-#                       identical on a same-seed re-run (docs/UFS.md;
+#                       identical on a same-seed re-run; then the full
+#                       study's JSON must match the committed
+#                       results/BENCH_ufs.json byte-for-byte (docs/UFS.md;
 #                       skipped with --fast)
 #  12. bench          — perf-regression smoke: the pinned scenario's
 #                       simulated results must match the committed
@@ -100,9 +103,9 @@ step() {
 step "cargo fmt --check"
 cargo fmt --check
 
-step "cargo clippy --workspace, then the benchmark package"
-cargo clippy --workspace --quiet
-cargo clippy --quiet --manifest-path benchmark/Cargo.toml
+step "cargo clippy --workspace, then the benchmark package (warnings denied)"
+cargo clippy --workspace --quiet -- -D warnings
+cargo clippy --quiet --manifest-path benchmark/Cargo.toml -- -D warnings
 
 step "simlint --baseline (invariants, allowlist, findings + hot-path ratchet)"
 cargo run --quiet -p simlint -- --baseline results/simlint.baseline.json
@@ -171,6 +174,11 @@ cargo run --quiet -p simcheck -- --smoke
 if [ "$fast" -eq 0 ]; then
     step "ufs --smoke (exhaustive crash-point recovery sweep)"
     cargo run --release --quiet --bin ufs -- --smoke
+    cargo run --release --quiet --bin ufs -- --json target/ufs.json > /dev/null
+    cmp target/ufs.json results/BENCH_ufs.json || {
+        echo "check.sh: ufs --json differs from results/BENCH_ufs.json" >&2
+        exit 1
+    }
 
     step "bench --smoke (pinned perf baseline + profiler observer effect)"
     cargo run --release --quiet -p oocnvm-bench --bin bench -- --smoke

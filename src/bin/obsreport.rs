@@ -24,7 +24,7 @@
 //!
 //! The study itself lives in [`oocnvm::obsreport`].
 
-use oocnvm::bench::cli::StudyArgs;
+use oocnvm::bench::cli::{self, StudyArgs};
 use oocnvm::obsreport::report;
 use std::process::ExitCode;
 
@@ -33,7 +33,7 @@ fn check(label: &str, ok: bool) {
 }
 
 fn main() -> ExitCode {
-    let args = match StudyArgs::from_env() {
+    let args = match StudyArgs::from_env(cli::OBSREPORT_FLAGS) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("obsreport: {e}");

@@ -17,12 +17,12 @@
 //!
 //! The study itself lives in [`oocnvm::reliability`].
 
-use oocnvm::bench::cli::StudyArgs;
+use oocnvm::bench::cli::{self, StudyArgs};
 use oocnvm::reliability::render_report;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args = match StudyArgs::from_env() {
+    let args = match StudyArgs::from_env(cli::RELIABILITY_FLAGS) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("reliability: {e}");

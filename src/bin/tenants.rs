@@ -21,12 +21,12 @@
 //!
 //! The study itself lives in [`oocnvm::tenants_study`].
 
-use oocnvm::bench::cli::StudyArgs;
+use oocnvm::bench::cli::{self, StudyArgs};
 use oocnvm::tenants_study::render_report;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args = match StudyArgs::from_env() {
+    let args = match StudyArgs::from_env(cli::TENANTS_FLAGS) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("tenants: {e}");

@@ -17,13 +17,13 @@
 //!
 //! The study itself lives in [`oocnvm::ufs_study`].
 
-use oocnvm::bench::cli::StudyArgs;
+use oocnvm::bench::cli::{self, StudyArgs};
 use oocnvm::ufs_study::render_report;
 use std::process::ExitCode;
 use std::time::Instant;
 
 fn main() -> ExitCode {
-    let args = match StudyArgs::from_env() {
+    let args = match StudyArgs::from_env(cli::UFS_FLAGS) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("ufs: {e}");

@@ -6,14 +6,29 @@
 //! oocnvm solve --n <dim> [--block B] [--iters I]   LOBPCG demo run
 //! oocnvm list                                available configurations
 //! ```
+//!
+//! Bad input exits 2 with the usage text before any work starts: an
+//! unknown or repeated flag, a flag without its value, a number that
+//! does not parse, a record below 4 KiB, a byte count that overflows
+//! `u64`, a workload of more than
+//! [`MAX_SYNTHETIC_RECORDS`](oocnvm::core::workload::MAX_SYNTHETIC_RECORDS)
+//! records, or a `solve` dimension outside `2..=`[`MAX_SOLVE_DIM`] or
+//! block size outside `1..=n/3`.
 
 use oocnvm::core::config::SystemConfig;
 use oocnvm::core::experiment::run_batch;
 use oocnvm::core::format::Table;
+use oocnvm::core::workload::synthetic_shape;
 use oocnvm::ooc::lobpcg::{Lobpcg, LobpcgOptions};
 use oocnvm::ooc::HamiltonianSpec;
 use oocnvm::prelude::*;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
+use std::str::FromStr;
+
+/// The largest `solve --n`: the generated Hamiltonian holds about 33
+/// entries per row.
+const MAX_SOLVE_DIM: usize = 1 << 20;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -23,11 +38,30 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Minimal `--key value` argument scanner.
-fn flag(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1).cloned())
+/// Reads `--key value` pairs, accepting each key in `takes` at most once.
+fn flags<'a>(args: &'a [String], takes: &[&str]) -> Result<BTreeMap<&'a str, &'a str>, String> {
+    let mut out = BTreeMap::new();
+    let mut it = args.iter();
+    while let Some(key) = it.next() {
+        if !takes.contains(&key.as_str()) {
+            return Err(format!("unknown flag `{key}`"));
+        }
+        let Some(value) = it.next() else {
+            return Err(format!("`{key}` needs a value"));
+        };
+        if out.insert(key.as_str(), value.as_str()).is_some() {
+            return Err(format!("`{key}` given twice"));
+        }
+    }
+    Ok(out)
+}
+
+/// The number given for `key`, or `default` when the flag is absent.
+fn num<T: FromStr>(flags: &BTreeMap<&str, &str>, key: &str, default: T) -> Result<T, String> {
+    flags.get(key).map_or(Ok(default), |v| {
+        v.parse()
+            .map_err(|_| format!("`{key}` takes a non-negative integer, got `{v}`"))
+    })
 }
 
 fn media_by_name(name: &str) -> Option<NvmKind> {
@@ -45,30 +79,37 @@ fn config_by_label(label: &str) -> Option<SystemConfig> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    match run(&args) {
+        Ok(code) => code,
+        Err(msg) => {
+            eprintln!("oocnvm: {msg}");
+            usage()
+        }
+    }
+}
+
+fn run(args: &[String]) -> Result<ExitCode, String> {
+    let rest = args.get(1..).unwrap_or_default();
     match args.first().map(String::as_str) {
-        Some("list") => {
+        Some("list") if rest.is_empty() => {
             println!("available configurations (Table 2):");
             for c in SystemConfig::table2() {
                 println!("  {}", c.table2_row());
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Some("run") => {
-            let Some(cfg) = flag(&args, "--config").and_then(|l| config_by_label(&l)) else {
-                eprintln!("unknown or missing --config (try `oocnvm list`)");
-                return usage();
+            let f = flags(rest, &["--config", "--media", "--mib", "--record-kib"])?;
+            let Some(cfg) = f.get("--config").and_then(|l| config_by_label(l)) else {
+                return Err("unknown or missing --config (try `oocnvm list`)".into());
             };
-            let Some(kind) = flag(&args, "--media").and_then(|m| media_by_name(&m)) else {
-                eprintln!("unknown or missing --media");
-                return usage();
+            let Some(kind) = f.get("--media").and_then(|m| media_by_name(m)) else {
+                return Err("unknown or missing --media".into());
             };
-            let mib = flag(&args, "--mib")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(128u64);
-            let rec = flag(&args, "--record-kib")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(6144u64);
-            let trace = synthetic_ooc_trace(mib * MIB, rec * 1024, 42);
+            let mib = num(&f, "--mib", 128u64)?;
+            let (total, record) = synthetic_shape(mib, num(&f, "--record-kib", 6144u64)?)
+                .map_err(|e| e.to_string())?;
+            let trace = synthetic_ooc_trace(total, record, 42);
             let report = ExperimentSpec::new(&cfg, kind).run(&trace);
             println!("{} on {} ({mib} MiB workload):", report.label, kind.label());
             println!("  bandwidth:      {:>9.1} MB/s", report.bandwidth_mb_s);
@@ -101,13 +142,13 @@ fn main() -> ExitCode {
                     report.run.wear.waf()
                 );
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Some("sweep") => {
-            let mib = flag(&args, "--mib")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(128u64);
-            let trace = synthetic_ooc_trace(mib * MIB, 6 * MIB, 42);
+            let f = flags(rest, &["--mib"])?;
+            let (total, record) =
+                synthetic_shape(num(&f, "--mib", 128u64)?, 6144).map_err(|e| e.to_string())?;
+            let trace = synthetic_ooc_trace(total, record, 42);
             let configs = SystemConfig::table2();
             let specs = configs
                 .iter()
@@ -130,18 +171,22 @@ fn main() -> ExitCode {
                 ]);
             }
             print!("{}", t.render());
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Some("solve") => {
-            let Some(n) = flag(&args, "--n").and_then(|v| v.parse::<usize>().ok()) else {
-                return usage();
-            };
-            let block = flag(&args, "--block")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(8usize);
-            let iters = flag(&args, "--iters")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(100usize);
+            let f = flags(rest, &["--n", "--block", "--iters"])?;
+            if !f.contains_key("--n") {
+                return Err("missing --n".into());
+            }
+            let n = num(&f, "--n", 0usize)?;
+            let block = num(&f, "--block", 8usize)?;
+            let iters = num(&f, "--iters", 100usize)?;
+            if !(2..=MAX_SOLVE_DIM).contains(&n) {
+                return Err(format!("--n {n} is outside 2..={MAX_SOLVE_DIM}"));
+            }
+            if block == 0 || block > n / 3 {
+                return Err(format!("--block {block} is outside 1..={}", n / 3));
+            }
             let h = HamiltonianSpec::medium(n).generate();
             println!("H: n={} nnz={}", h.n, h.nnz());
             let result = Lobpcg::new(LobpcgOptions {
@@ -162,8 +207,9 @@ fn main() -> ExitCode {
                     result.residuals[k]
                 );
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Some(_) | None => usage(),
+        Some(cmd) => Err(format!("unknown command or arguments `{cmd}`")),
+        None => Err("missing command".into()),
     }
 }
