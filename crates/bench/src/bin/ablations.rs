@@ -17,7 +17,7 @@ use oocfs::{FileSystemModel, FsKind, FsModel, GpfsModel};
 use oocnvm_bench::{banner, standard_trace};
 use oocnvm_core::config::SystemConfig;
 use oocnvm_core::format::Table;
-use ooctrace::BlockTrace;
+use ooctrace::{BlockTrace, PosixTrace};
 use rayon::prelude::*;
 use ssd::{Dim, SsdConfig, SsdDevice};
 use std::process::ExitCode;
@@ -28,7 +28,14 @@ fn tlc_run(device: &SsdDevice, block: &BlockTrace) -> f64 {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let posix = match standard_trace() {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("ablations: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    match run(posix) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("ablations: {e}");
@@ -37,9 +44,7 @@ fn main() -> ExitCode {
     }
 }
 
-fn run() -> Result<(), String> {
-    let posix = standard_trace();
-
+fn run(posix: PosixTrace) -> Result<(), String> {
     println!(
         "{}",
         banner("Ablation 1", "GPFS stripe size (TLC, ION data path)")

@@ -7,6 +7,7 @@ use oocnvm_bench::sweep::Sweep;
 use oocnvm_bench::{banner, standard_trace};
 use oocnvm_core::config::{Location, SystemConfig};
 use oocnvm_core::format::Table;
+use ooctrace::PosixTrace;
 use std::process::ExitCode;
 
 /// Network-interface energy per byte for the ION path: a QDR HCA burns
@@ -15,7 +16,14 @@ use std::process::ExitCode;
 const ION_NETWORK_NJ_PER_BYTE: f64 = 8.0;
 
 fn main() -> ExitCode {
-    match run() {
+    let trace = match standard_trace() {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("energy: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    match run(trace) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("energy: {e}");
@@ -24,12 +32,11 @@ fn main() -> ExitCode {
     }
 }
 
-fn run() -> Result<(), String> {
+fn run(trace: PosixTrace) -> Result<(), String> {
     println!(
         "{}",
         banner("Energy", "media energy per configuration (extension study)")
     );
-    let trace = standard_trace();
     let configs = [
         SystemConfig::ion_gpfs(),
         SystemConfig::cnl(oocfs::FsKind::Ext4),

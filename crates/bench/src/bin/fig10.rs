@@ -5,6 +5,7 @@ use oocnvm_bench::sweep::Sweep;
 use oocnvm_bench::{banner, standard_trace};
 use oocnvm_core::config::SystemConfig;
 use oocnvm_core::format::Table;
+use ooctrace::PosixTrace;
 use std::process::ExitCode;
 
 const STATES: [&str; 6] = [
@@ -39,7 +40,14 @@ fn pal_table(sweep: &Sweep, kind: NvmKind) -> Result<Table, String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let trace = match standard_trace() {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("fig10: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    match run(trace) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("fig10: {e}");
@@ -48,8 +56,7 @@ fn main() -> ExitCode {
     }
 }
 
-fn run() -> Result<(), String> {
-    let trace = standard_trace();
+fn run(trace: PosixTrace) -> Result<(), String> {
     let configs = SystemConfig::table2();
     let sweep = Sweep::run(&configs, &[NvmKind::Tlc, NvmKind::Pcm], &trace);
 

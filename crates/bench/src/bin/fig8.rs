@@ -6,10 +6,18 @@ use oocnvm_bench::sweep::Sweep;
 use oocnvm_bench::{banner, standard_trace};
 use oocnvm_core::config::SystemConfig;
 use oocnvm_core::format::mbps;
+use ooctrace::PosixTrace;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    match run() {
+    let trace = match standard_trace() {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("fig8: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    match run(trace) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("fig8: {e}");
@@ -18,8 +26,7 @@ fn main() -> ExitCode {
     }
 }
 
-fn run() -> Result<(), String> {
-    let trace = standard_trace();
+fn run(trace: PosixTrace) -> Result<(), String> {
     let configs = SystemConfig::figure8();
     let sweep = Sweep::run(&configs, &NvmKind::ALL, &trace);
 

@@ -26,7 +26,13 @@ fn main() -> ExitCode {
         }
     };
     let json_path = args.json;
-    let trace = standard_trace();
+    let trace = match standard_trace() {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("headline: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let Some(report) = headline::report(&trace) else {
         eprintln!("headline: the table-2 sweep is missing a labelled configuration");
         return ExitCode::FAILURE;

@@ -5,8 +5,9 @@ use nvmtypes::NvmKind;
 use oocnvm_bench::{banner, standard_trace};
 use oocnvm_core::cluster::{ion_saturation_nodes, scaling_curve, ClusterSpec, NodeRates};
 use oocnvm_core::format::Table;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     println!(
         "{}",
         banner(
@@ -14,7 +15,13 @@ fn main() {
             "aggregate delivered bandwidth as the OoC application scales out",
         )
     );
-    let trace = standard_trace();
+    let trace = match standard_trace() {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("scaling: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let spec = ClusterSpec::carver();
     println!(
         "cluster: {} IONs x {} SSDs, {:.0} GB/s bisection (Carver's OoC partition)\n",
@@ -60,4 +67,5 @@ fn main() {
                 .unwrap_or(0.0)
         );
     }
+    ExitCode::SUCCESS
 }

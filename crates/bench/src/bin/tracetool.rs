@@ -12,7 +12,12 @@
 //! [`synthetic_shape`] first: an empty workload, a record below 4 KiB,
 //! a byte count that overflows `u64` or more than
 //! [`MAX_SYNTHETIC_RECORDS`](oocnvm_core::workload::MAX_SYNTHETIC_RECORDS)
-//! records is a usage error (exit 2).
+//! records is a usage error (exit 2). So is a `lobpcg` run that
+//! [`lobpcg_posix_trace`] rejects before solving: a dimension or block
+//! size outside what
+//! [`solve_shape`](oocnvm_core::workload::solve_shape) allows, or a
+//! panel of zero rows.
+use nvmtypes::SimError;
 use oocfs::FsKind;
 use oocnvm_core::workload::{lobpcg_posix_trace, synthetic_ooc_trace, synthetic_shape};
 use ooctrace::{AccessStats, PosixTrace};
@@ -112,6 +117,10 @@ fn main() -> ExitCode {
                 panel as usize,
             ) {
                 Ok(run) => run,
+                Err(e @ SimError::InvalidConfig { .. }) => {
+                    eprintln!("tracetool: {e}");
+                    return usage();
+                }
                 Err(e) => {
                     eprintln!("tracetool: {e}");
                     return ExitCode::FAILURE;

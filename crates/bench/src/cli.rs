@@ -1,7 +1,7 @@
 //! Shared command-line parsing for the study bins.
 //!
 //! Every study binary (`headline`, `reliability`, `obsreport`, `ufs`,
-//! `bench`, `tenants`) draws its flags from one small vocabulary; each
+//! `tenants`) draws its flags from one small vocabulary; each
 //! used to carry its own copy-pasted `--key value` scanner. [`StudyArgs`]
 //! is the one parser they all share, and each bin names the flags it
 //! takes (the `*_FLAGS` constants):
@@ -12,8 +12,7 @@
 //! | `--seed N`         | workload / fault seed (per-bin default)       | `reliability`, `obsreport`, `ufs`, `tenants` |
 //! | `--json PATH`      | write the versioned JSON document to `PATH`   | all |
 //! | `--out PATH`       | write the auxiliary artifact (trace export)   | `obsreport` |
-//! | `--baseline PATH`  | committed baseline to diff against            | `bench`, `tenants` |
-//! | `--tolerance PCT`  | host-time tolerance band for baseline diffs   | `bench` |
+//! | `--baseline PATH`  | committed baseline to diff against            | `tenants` |
 //!
 //! Unknown flags, flags the bin does not take, and malformed values are
 //! *errors*, not silent no-ops: a typoed `--sed 7`, or a `--seed 7` to a
@@ -28,9 +27,6 @@ pub const RELIABILITY_FLAGS: &[&str] = &["--smoke", "--seed", "--json"];
 pub const OBSREPORT_FLAGS: &[&str] = &["--smoke", "--seed", "--json", "--out"];
 /// Flags `ufs` takes.
 pub const UFS_FLAGS: &[&str] = &["--smoke", "--seed", "--json"];
-/// Flags `bench` takes through [`StudyArgs`] (it strips its own
-/// `--alloc-stats` first).
-pub const BENCH_FLAGS: &[&str] = &["--smoke", "--json", "--baseline", "--tolerance"];
 /// Flags `tenants` takes.
 pub const TENANTS_FLAGS: &[&str] = &["--smoke", "--seed", "--json", "--baseline"];
 
@@ -48,8 +44,6 @@ pub struct StudyArgs {
     pub out: Option<String>,
     /// `--baseline PATH`.
     pub baseline: Option<String>,
-    /// `--tolerance PCT` (integer percent, matching `simprof::compare`).
-    pub tolerance: Option<u64>,
 }
 
 impl StudyArgs {
@@ -96,15 +90,6 @@ impl StudyArgs {
                     out.baseline = Some(value(i)?.clone());
                     i += 1;
                 }
-                "--tolerance" => {
-                    out.tolerance = Some(value(i)?.parse().map_err(|_| {
-                        format!(
-                            "--tolerance wants an integer percent, got {:?}",
-                            args[i + 1]
-                        )
-                    })?);
-                    i += 1;
-                }
                 other => return Err(format!("unknown flag {other:?}")),
             }
             i += 1;
@@ -134,14 +119,7 @@ mod tests {
     use super::*;
 
     /// Every flag the parser knows.
-    const ALL: &[&str] = &[
-        "--smoke",
-        "--seed",
-        "--json",
-        "--out",
-        "--baseline",
-        "--tolerance",
-    ];
+    const ALL: &[&str] = &["--smoke", "--seed", "--json", "--out", "--baseline"];
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|a| a.to_string()).collect()
@@ -168,8 +146,6 @@ mod tests {
                 "b.trace",
                 "--baseline",
                 "results/B.json",
-                "--tolerance",
-                "150",
             ]),
             ALL,
         )
@@ -180,7 +156,6 @@ mod tests {
         assert_eq!(a.json.as_deref(), Some("a.json"));
         assert_eq!(a.out.as_deref(), Some("b.trace"));
         assert_eq!(a.baseline.as_deref(), Some("results/B.json"));
-        assert_eq!(a.tolerance, Some(150));
     }
 
     #[test]
@@ -198,7 +173,7 @@ mod tests {
 
     #[test]
     fn missing_values_are_errors() {
-        for flag in ["--seed", "--json", "--out", "--baseline", "--tolerance"] {
+        for flag in ["--seed", "--json", "--out", "--baseline"] {
             let err = StudyArgs::parse(&argv(&[flag]), ALL).expect_err("dangling flag must fail");
             assert!(err.contains(flag), "message names {flag}: {err}");
         }
@@ -207,26 +182,24 @@ mod tests {
     #[test]
     fn malformed_numbers_are_errors() {
         assert!(StudyArgs::parse(&argv(&["--seed", "seven"]), ALL).is_err());
-        assert!(StudyArgs::parse(&argv(&["--tolerance", "wide"]), ALL).is_err());
-        // Both are integers: fractional values must be rejected loudly.
-        assert!(StudyArgs::parse(&argv(&["--tolerance", "2.5"]), ALL).is_err());
+        // The seed is an integer: a fractional value must be rejected loudly.
         assert!(StudyArgs::parse(&argv(&["--seed", "2.5"]), ALL).is_err());
     }
 
     /// Each bin accepts exactly its own flags: anything else from the
-    /// vocabulary is an error naming the flag, before any value is read.
+    /// vocabulary, or the retired `--tolerance`, is an error naming the
+    /// flag, before any value is read.
     #[test]
     fn each_bin_rejects_the_flags_it_ignores() {
-        let bins: [(&str, &[&str]); 6] = [
+        let bins: [(&str, &[&str]); 5] = [
             ("headline", HEADLINE_FLAGS),
             ("reliability", RELIABILITY_FLAGS),
             ("obsreport", OBSREPORT_FLAGS),
             ("ufs", UFS_FLAGS),
-            ("bench", BENCH_FLAGS),
             ("tenants", TENANTS_FLAGS),
         ];
         for (bin, takes) in bins {
-            for &flag in ALL {
+            for &flag in ALL.iter().chain(&["--tolerance"]) {
                 let args = if flag == "--smoke" {
                     argv(&[flag])
                 } else {

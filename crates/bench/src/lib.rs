@@ -15,30 +15,43 @@
 //! | `fig10`    | Figures 10a–10d — execution breakdown + parallelism |
 //! | `headline` | §7's headline ratios (108% / 52% / 250% / 10.3x) |
 //! | `calibrate`| the full sweep in one table (development aid) |
-//! | `bench`    | the pinned perf scenario vs `results/BENCH_core.json` |
 //!
-//! Criterion benches (`cargo bench -p oocnvm-bench`) time the simulator
-//! and solver themselves and run the ablations DESIGN.md calls out.
-use nvmtypes::MIB;
-use oocnvm_core::workload::synthetic_ooc_trace;
+//! The extension studies (`ablations`, `cache_argument`, `energy`,
+//! `scaling`) and `tracetool` live here too. Host-time measurement is
+//! the standalone `benchmark/` package's job.
+use nvmtypes::SimError;
+use oocnvm_core::workload::{synthetic_ooc_trace, synthetic_shape};
 use ooctrace::PosixTrace;
 use simobs::json::Json;
+use std::env::VarError;
 
 pub mod cli;
 pub mod headline;
-pub mod perf;
 pub mod sweep;
 
 /// The standard experiment workload: a read-dominant out-of-core panel
-/// sweep. Size defaults to 256 MiB and can be scaled with the
-/// `OOCNVM_TRACE_MIB` environment variable (the paper's traces cover tens
-/// of GiB; bandwidths converge well before that).
-pub fn standard_trace() -> PosixTrace {
-    let mib = std::env::var("OOCNVM_TRACE_MIB")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(256);
-    synthetic_ooc_trace(mib * MIB, 6 * MIB, 42)
+/// sweep in 6 MiB records. Size defaults to 256 MiB and can be scaled
+/// with the `OOCNVM_TRACE_MIB` environment variable (the paper's traces
+/// cover tens of GiB; bandwidths converge well before that).
+///
+/// # Errors
+/// [`SimError::InvalidConfig`] when `OOCNVM_TRACE_MIB` is set to
+/// something other than a workload [`synthetic_shape`] accepts: not a
+/// number, zero, a byte count that overflows, or too many records.
+pub fn standard_trace() -> Result<PosixTrace, SimError> {
+    let bad = |reason: String| SimError::invalid_config("OOCNVM_TRACE_MIB", reason);
+    let mib = match std::env::var("OOCNVM_TRACE_MIB") {
+        Err(VarError::NotPresent) => 256,
+        Ok(v) => v
+            .parse::<u64>()
+            .map_err(|_| bad(format!("{v:?} is not a MiB count")))?,
+        Err(VarError::NotUnicode(v)) => return Err(bad(format!("{v:?} is not a MiB count"))),
+    };
+    let (total, record) = synthetic_shape(mib, 6 * 1024).map_err(|e| match e {
+        SimError::InvalidConfig { reason, .. } => bad(reason),
+        other => other,
+    })?;
+    Ok(synthetic_ooc_trace(total, record, 42))
 }
 
 /// Renders a figure banner; callers print it (library code never prints
@@ -62,10 +75,11 @@ pub fn json_report(schema: &str, payload: Json) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvmtypes::MIB;
 
     #[test]
     fn standard_trace_is_read_only_and_sized() {
-        let t = standard_trace();
+        let t = standard_trace().expect("the default size is valid");
         assert!(t.total_bytes() >= 256 * MIB);
         assert!((t.read_fraction() - 1.0).abs() < 1e-12);
     }

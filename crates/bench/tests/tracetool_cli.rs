@@ -98,3 +98,27 @@ fn gen_rejects_workloads_it_cannot_build() {
         assert!(out.stdout.is_empty(), "{args:?}: printed a trace");
     }
 }
+
+/// `tracetool lobpcg` rejects sizes the solver cannot run — exit 2 with
+/// the usage text, before any solve: a zero block, a dimension below 2,
+/// a block above a third of the dimension, and a panel of zero rows.
+#[test]
+fn lobpcg_rejects_sizes_it_cannot_solve() {
+    for (args, says) in [
+        (["50", "0", "10", "4"], "--block 0 is outside 1..=16"),
+        (["1", "1", "10", "4"], "--n 1 is outside 2..="),
+        (["50", "20", "10", "4"], "--block 20 is outside 1..=16"),
+        (["50", "2", "10", "0"], "rows_per_panel"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tracetool"))
+            .arg("lobpcg")
+            .args(args)
+            .output()
+            .expect("run tracetool");
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(says), "{args:?} must say {says:?}: {err}");
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}: printed a trace");
+    }
+}

@@ -41,6 +41,33 @@ pub fn synthetic_shape(mib: u64, record_kib: u64) -> Result<(u64, u64), SimError
     Ok((total, record))
 }
 
+/// The largest LOBPCG dimension a command line may ask for: the
+/// generated Hamiltonian holds about 33 entries per row.
+pub const MAX_SOLVE_DIM: usize = 1 << 20;
+
+/// Checks a command line's LOBPCG sizes before any matrix is generated:
+/// the dimension `n` must lie in `2..=`[`MAX_SOLVE_DIM`] and the block
+/// size in `1..=n/3`, which is what [`Lobpcg`] needs for its `[X W P]`
+/// trial basis.
+///
+/// # Errors
+/// [`SimError::InvalidConfig`] naming the size that is out of range.
+pub fn solve_shape(n: usize, block: usize) -> Result<(), SimError> {
+    if !(2..=MAX_SOLVE_DIM).contains(&n) {
+        return Err(SimError::invalid_config(
+            "lobpcg",
+            format!("--n {n} is outside 2..={MAX_SOLVE_DIM}"),
+        ));
+    }
+    if block == 0 || block > n / 3 {
+        return Err(SimError::invalid_config(
+            "lobpcg",
+            format!("--block {block} is outside 1..={}", n / 3),
+        ));
+    }
+    Ok(())
+}
+
 /// A fast synthetic stand-in for the out-of-core eigensolver's I/O: a
 /// read-only sequential panel sweep over one large file, repeated until
 /// `total_bytes` have been read — the shape §3.1 describes ("most OoC
@@ -85,14 +112,19 @@ pub fn synthetic_ooc_trace(total_bytes: u64, record_size: u64, seed: u64) -> Pos
 /// panel store, and records every panel read the eigensolver performs.
 ///
 /// Returns the trace together with the solver's eigenvalues so callers can
-/// assert the computation (not just the I/O) was real, or the filesystem
-/// error that kept the store from being built.
+/// assert the computation (not just the I/O) was real.
+///
+/// # Errors
+/// [`SimError::InvalidConfig`] when [`solve_shape`] rejects `n` and
+/// `block_size` or `rows_per_panel` is zero, or the filesystem error
+/// that kept the store from being built.
 pub fn lobpcg_posix_trace(
     n: usize,
     block_size: usize,
     max_iters: usize,
     rows_per_panel: usize,
 ) -> Result<(PosixTrace, Vec<f64>), SimError> {
+    solve_shape(n, block_size)?;
     let h = HamiltonianSpec::medium(n).generate();
     let diag: Vec<f64> = (0..h.n).map(|i| h.get(i, i)).collect();
     let matrix = UfsMatrix::build(&h, rows_per_panel, 0, None)?;

@@ -239,12 +239,22 @@ impl UfsMatrix {
     /// preprocessing phase commits once). If `sink` is provided, the
     /// preprocessing writes are recorded (the paper's pre-load phase), one
     /// `Write` per panel in directory order.
+    ///
+    /// # Errors
+    /// [`SimError::InvalidConfig`] when `rows_per_panel` is zero, or the
+    /// filesystem error that kept the store from being written.
     pub fn build(
         matrix: &CsrMatrix,
         rows_per_panel: usize,
         file_id: u32,
         sink: Option<&dyn TraceSink>,
     ) -> Result<UfsMatrix, SimError> {
+        if rows_per_panel == 0 {
+            return Err(SimError::invalid_config(
+                "rows_per_panel",
+                "a panel holds at least one row",
+            ));
+        }
         let (data, panels) = serialize_panels(matrix, rows_per_panel);
         if let Some(s) = sink {
             for p in &panels {

@@ -21,7 +21,10 @@
 #                       new hot-path allocation site fails the gate
 #                       (docs/INVARIANTS.md, docs/CONCURRENCY.md,
 #                       docs/STATIC_ANALYSIS.md)
-#   4. tests          — the whole workspace test suite
+#   4. tests          — the whole workspace test suite, among them the
+#                       pinned simulated results of one small sweep,
+#                       traced run and solve (crates/bench/tests/
+#                       pinned_scenario.rs)
 #   5. release build  — tier-1 artifact (skipped with --fast)
 #   6. figures        — the thirteen figure and table bins are re-run
 #                       with OOCNVM_TRACE_MIB unset and each output is
@@ -57,23 +60,16 @@
 #                       study's JSON must match the committed
 #                       results/BENCH_ufs.json byte-for-byte (docs/UFS.md;
 #                       skipped with --fast)
-#  12. bench          — perf-regression smoke: the pinned scenario's
-#                       simulated results must match the committed
-#                       results/BENCH_core.json byte-for-byte, host
-#                       wall time must stay inside the tolerance band,
-#                       and profiling on vs off must not change a
-#                       result byte (docs/PROFILING.md; skipped with
-#                       --fast)
-#  13. tenants        — multi-tenant QoS smoke: the tenant-density
+#  12. tenants        — multi-tenant QoS smoke: the tenant-density
 #                       sweep must be byte-identical run-to-run and
 #                       match the committed results/BENCH_tenants.json
 #                       byte-for-byte (docs/TENANCY.md; skipped with
 #                       --fast)
-#  14. benchmark digests — a one-second run of every workload of the
+#  13. benchmark digests — a one-second run of every workload of the
 #                       standalone benchmark package at the pins' seed:
 #                       it exits 1 if any workload's digest differs from
 #                       results/benchmark/pins.json (skipped with --fast)
-#  15. benchmark tests — the standalone benchmark package's own tests
+#  14. benchmark tests — the standalone benchmark package's own tests
 #                       (`cargo test --manifest-path benchmark/Cargo.toml`):
 #                       the committed digest pins in
 #                       results/benchmark/pins.json pass and a mutated
@@ -179,9 +175,6 @@ if [ "$fast" -eq 0 ]; then
         echo "check.sh: ufs --json differs from results/BENCH_ufs.json" >&2
         exit 1
     }
-
-    step "bench --smoke (pinned perf baseline + profiler observer effect)"
-    cargo run --release --quiet -p oocnvm-bench --bin bench -- --smoke
 
     step "tenants --smoke (multi-tenant QoS baseline, byte-identical)"
     cargo run --release --quiet --bin tenants -- --smoke

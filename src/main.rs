@@ -12,23 +12,20 @@
 //! does not parse, a record below 4 KiB, a byte count that overflows
 //! `u64`, a workload of more than
 //! [`MAX_SYNTHETIC_RECORDS`](oocnvm::core::workload::MAX_SYNTHETIC_RECORDS)
-//! records, or a `solve` dimension outside `2..=`[`MAX_SOLVE_DIM`] or
-//! block size outside `1..=n/3`.
+//! records, or a `solve` dimension outside
+//! `2..=`[`MAX_SOLVE_DIM`](oocnvm::core::workload::MAX_SOLVE_DIM) or block
+//! size outside `1..=n/3`.
 
 use oocnvm::core::config::SystemConfig;
 use oocnvm::core::experiment::run_batch;
 use oocnvm::core::format::Table;
-use oocnvm::core::workload::synthetic_shape;
+use oocnvm::core::workload::{solve_shape, synthetic_shape};
 use oocnvm::ooc::lobpcg::{Lobpcg, LobpcgOptions};
 use oocnvm::ooc::HamiltonianSpec;
 use oocnvm::prelude::*;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::str::FromStr;
-
-/// The largest `solve --n`: the generated Hamiltonian holds about 33
-/// entries per row.
-const MAX_SOLVE_DIM: usize = 1 << 20;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -181,12 +178,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let n = num(&f, "--n", 0usize)?;
             let block = num(&f, "--block", 8usize)?;
             let iters = num(&f, "--iters", 100usize)?;
-            if !(2..=MAX_SOLVE_DIM).contains(&n) {
-                return Err(format!("--n {n} is outside 2..={MAX_SOLVE_DIM}"));
-            }
-            if block == 0 || block > n / 3 {
-                return Err(format!("--block {block} is outside 1..={}", n / 3));
-            }
+            solve_shape(n, block).map_err(|e| e.to_string())?;
             let h = HamiltonianSpec::medium(n).generate();
             println!("H: n={} nnz={}", h.n, h.nnz());
             let result = Lobpcg::new(LobpcgOptions {
