@@ -1,11 +1,42 @@
-use nvmtypes::{NvmKind, MIB};
+//! Bandwidth and utilisation table of the Fig. 7 configurations plus
+//! the CNL bridge/native variants, on every medium.
+//!
+//! ```text
+//! calibrate [mib]    sweep a synthetic read workload of `mib` MiB (default 256)
+//! ```
+//!
+//! The workload is checked with [`synthetic_shape`] before any trace is
+//! built: a size that is not a number, zero, overflows a byte count or
+//! needs too many 6 MiB records is a usage error (exit 2).
+use nvmtypes::NvmKind;
 use oocnvm_bench::sweep::Sweep;
 use oocnvm_core::config::SystemConfig;
-use oocnvm_core::workload::synthetic_ooc_trace;
+use oocnvm_core::workload::{synthetic_ooc_trace, synthetic_shape};
 use std::process::ExitCode;
 
+fn usage() -> ExitCode {
+    eprintln!("usage: calibrate [mib]");
+    ExitCode::from(2)
+}
+
 fn main() -> ExitCode {
-    match run() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mib = match args.as_slice() {
+        [] => 256,
+        [mib] => match mib.parse::<u64>() {
+            Ok(mib) => mib,
+            Err(_) => return usage(),
+        },
+        _ => return usage(),
+    };
+    let (total, record) = match synthetic_shape(mib, 6 * 1024) {
+        Ok(shape) => shape,
+        Err(e) => {
+            eprintln!("calibrate: {e}");
+            return usage();
+        }
+    };
+    match run(total, record) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("calibrate: {e}");
@@ -14,12 +45,8 @@ fn main() -> ExitCode {
     }
 }
 
-fn run() -> Result<(), String> {
-    let total = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(256u64);
-    let trace = synthetic_ooc_trace(total * MIB, 6 * MIB, 42);
+fn run(total: u64, record: u64) -> Result<(), String> {
+    let trace = synthetic_ooc_trace(total, record, 42);
     let mut configs = SystemConfig::figure7();
     configs.extend([
         SystemConfig::cnl_bridge16(),

@@ -20,9 +20,24 @@
 //! way the device is dead afterwards: every subsequent operation returns
 //! [`SimError::PowerLoss`], and the harness remounts from the surviving
 //! media image.
+//!
+//! Sector copies ([`BlockDevice::copy_sector`]): copying sector `from`
+//! onto sector `to` is one sector write of `from`'s contents, with that
+//! write's power-loss semantics. The trait default reads then writes;
+//! [`SimBlockDevice`] copies inside its image, and a differential test
+//! holds it to the default, crash verdicts included.
+//!
+//! Recycling an image: [`SimBlockDevice::zeroed_in`] builds a zero-filled
+//! device in a caller's all-zero allocation, and
+//! [`SimBlockDevice::into_zeroed_media`] hands the allocation back all
+//! zero again, re-zeroing only the bytes a write, torn write or copy
+//! touched. A caller that replays many short runs keeps one image and
+//! pays neither a fresh allocation's page faults nor a whole-image fill
+//! per run.
 
 use nvmtypes::convert::{u64_from_usize, usize_from};
 use nvmtypes::{CrashPoint, CrashVerdict, SimError};
+use std::ops::Range;
 
 /// Sector size of the stable store, bytes. Matches the 4 KiB flash page
 /// of the paper's device so one sector write is one NVM program.
@@ -54,6 +69,17 @@ pub trait BlockDevice {
 
     /// Sector writes fully persisted so far.
     fn writes_persisted(&self) -> u64;
+
+    /// Copies sector `from` onto sector `to`: one sector write, with
+    /// [`BlockDevice::write_sector`]'s durability and power-loss
+    /// semantics, of the bytes `from` holds. The default reads `from`
+    /// then writes `to`; an override must fail, land bytes and count
+    /// writes exactly as the default does.
+    fn copy_sector(&mut self, from: u64, to: u64) -> Result<(), SimError> {
+        let mut image = [0u8; SECTOR_USIZE];
+        self.read_sector(from, &mut image)?;
+        self.write_sector(to, &image)
+    }
 }
 
 /// Deterministic in-memory block device with an optional crash point.
@@ -79,16 +105,34 @@ pub struct SimBlockDevice {
     crash: Option<CrashPoint>,
     dead: bool,
     writes_persisted: u64,
+    /// The bytes any write, torn write or copy touched: every byte of
+    /// `media` outside this range is still zero.
+    dirty: Range<usize>,
 }
 
 impl SimBlockDevice {
     /// A zero-filled device of `sectors` sectors, no crash scheduled.
     pub fn new(sectors: u64) -> SimBlockDevice {
+        SimBlockDevice::clean(vec![0; usize_from(sectors * SECTOR_BYTES)])
+    }
+
+    /// [`SimBlockDevice::new`] built in `media`, which must be all zero
+    /// (an empty `Vec`, or what [`SimBlockDevice::into_zeroed_media`]
+    /// returned). The image is cut or zero-filled out to `sectors`
+    /// sectors in place, reallocating only to grow past its capacity.
+    pub fn zeroed_in(mut media: Vec<u8>, sectors: u64) -> SimBlockDevice {
+        media.resize(usize_from(sectors * SECTOR_BYTES), 0);
+        SimBlockDevice::clean(media)
+    }
+
+    /// A device over `media`, whose every byte is zero.
+    fn clean(media: Vec<u8>) -> SimBlockDevice {
         SimBlockDevice {
-            media: vec![0; usize_from(sectors * SECTOR_BYTES)],
+            media,
             crash: None,
             dead: false,
             writes_persisted: 0,
+            dirty: 0..0,
         }
     }
 
@@ -114,16 +158,25 @@ impl SimBlockDevice {
                 ),
             ));
         }
+        // An adopted image counts as dirty throughout.
+        let dirty = 0..media.len();
         Ok(SimBlockDevice {
-            media,
-            crash: None,
-            dead: false,
-            writes_persisted: 0,
+            dirty,
+            ..SimBlockDevice::clean(media)
         })
     }
 
     /// Surrenders the media image (what survives a crash).
     pub fn into_media(self) -> Vec<u8> {
+        self.media
+    }
+
+    /// Surrenders the media image zeroed again, ready for
+    /// [`SimBlockDevice::zeroed_in`]. Only the dirty bytes, from the
+    /// lowest to the highest any write, torn write or copy touched, are
+    /// refilled; the rest of the image was never written.
+    pub fn into_zeroed_media(mut self) -> Vec<u8> {
+        self.media[self.dirty].fill(0);
         self.media
     }
 
@@ -143,7 +196,7 @@ impl SimBlockDevice {
         }
     }
 
-    fn range(&self, lba: u64, len: usize, what: &str) -> Result<std::ops::Range<usize>, SimError> {
+    fn range(&self, lba: u64, len: usize, what: &str) -> Result<Range<usize>, SimError> {
         if len != SECTOR_USIZE {
             return Err(SimError::invalid_config(
                 format!("blockdev.{what}"),
@@ -158,6 +211,40 @@ impl SimBlockDevice {
         }
         let start = usize_from(lba * SECTOR_BYTES);
         Ok(start..start + SECTOR_USIZE)
+    }
+
+    /// Consults the crash schedule for the next sector write: how many
+    /// of its bytes land, and whether the device survives it.
+    fn verdict(&mut self) -> (usize, bool) {
+        let verdict = match &mut self.crash {
+            Some(cp) => cp.on_write(SECTOR_BYTES),
+            None => CrashVerdict::Persist,
+        };
+        match verdict {
+            CrashVerdict::Persist => (SECTOR_USIZE, true),
+            // The interrupted program pulse lands a prefix of the new
+            // data; the sector tail keeps its previous contents.
+            CrashVerdict::Torn { keep_bytes } => (usize_from(keep_bytes).min(SECTOR_USIZE), false),
+            CrashVerdict::Dropped => (0, false),
+        }
+    }
+
+    /// Books a sector write that landed `keep` bytes at byte `start`:
+    /// counted if the device `survives` it, the power loss otherwise.
+    fn settle(&mut self, start: usize, keep: usize, survives: bool) -> Result<(), SimError> {
+        if self.dirty.is_empty() {
+            self.dirty = start..start + keep;
+        } else if keep > 0 {
+            self.dirty.start = self.dirty.start.min(start);
+            self.dirty.end = self.dirty.end.max(start + keep);
+        }
+        if survives {
+            self.writes_persisted += 1;
+            Ok(())
+        } else {
+            self.dead = true;
+            Err(self.dead_err())
+        }
     }
 }
 
@@ -179,35 +266,28 @@ impl BlockDevice for SimBlockDevice {
         if self.dead {
             return Err(self.dead_err());
         }
-        let range = self.range(lba, data.len(), "write")?;
-        let verdict = match &mut self.crash {
-            Some(cp) => cp.on_write(SECTOR_BYTES),
-            None => CrashVerdict::Persist,
-        };
-        match verdict {
-            CrashVerdict::Persist => {
-                self.media[range].copy_from_slice(data);
-                self.writes_persisted += 1;
-                Ok(())
-            }
-            CrashVerdict::Torn { keep_bytes } => {
-                // The interrupted program pulse lands a prefix of the new
-                // data; the sector tail keeps its previous contents.
-                let keep = usize_from(keep_bytes).min(SECTOR_USIZE);
-                let start = range.start;
-                self.media[start..start + keep].copy_from_slice(&data[..keep]);
-                self.dead = true;
-                Err(self.dead_err())
-            }
-            CrashVerdict::Dropped => {
-                self.dead = true;
-                Err(self.dead_err())
-            }
-        }
+        let at = self.range(lba, data.len(), "write")?.start;
+        let (keep, survives) = self.verdict();
+        self.media[at..at + keep].copy_from_slice(&data[..keep]);
+        self.settle(at, keep, survives)
     }
 
     fn writes_persisted(&self) -> u64 {
         self.writes_persisted
+    }
+
+    /// The default's checks in the default's order (dead device, then
+    /// `from` as a read, then `to` as a write), one crash verdict, and a
+    /// copy inside the image instead of a round trip through a buffer.
+    fn copy_sector(&mut self, from: u64, to: u64) -> Result<(), SimError> {
+        if self.dead {
+            return Err(self.dead_err());
+        }
+        let src = self.range(from, SECTOR_USIZE, "read")?.start;
+        let at = self.range(to, SECTOR_USIZE, "write")?.start;
+        let (keep, survives) = self.verdict();
+        self.media.copy_within(src..src + keep, at);
+        self.settle(at, keep, survives)
     }
 }
 
@@ -323,6 +403,145 @@ mod tests {
             )),
         );
         assert_eq!(plain, hooked);
+    }
+
+    /// One scripted device operation: a write of `fill` to sector `a`,
+    /// or a copy of sector `a` onto sector `b`.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Write(u64, u8),
+        Copy(u64, u64),
+    }
+
+    /// Runs `script` on `dev`, returning each operation's result.
+    fn run_script(dev: &mut dyn BlockDevice, script: &[Op]) -> Vec<Result<(), SimError>> {
+        script
+            .iter()
+            .map(|&op| match op {
+                Op::Write(lba, fill) => dev.write_sector(lba, &sector(fill)),
+                Op::Copy(from, to) => dev.copy_sector(from, to),
+            })
+            .collect()
+    }
+
+    /// A [`BlockDevice`] that forwards only the required methods, so it
+    /// copies through the trait's default `copy_sector`.
+    struct Forwarding(SimBlockDevice);
+
+    impl BlockDevice for Forwarding {
+        fn sectors(&self) -> u64 {
+            self.0.sectors()
+        }
+        fn read_sector(&self, lba: u64, out: &mut [u8]) -> Result<(), SimError> {
+            self.0.read_sector(lba, out)
+        }
+        fn write_sector(&mut self, lba: u64, data: &[u8]) -> Result<(), SimError> {
+            self.0.write_sector(lba, data)
+        }
+        fn writes_persisted(&self) -> u64 {
+            self.0.writes_persisted()
+        }
+    }
+
+    #[test]
+    fn copy_sector_override_matches_the_trait_default_at_every_crash_point() {
+        // Writes seed distinct contents, copies overlap their own
+        // sources, and three copies name a sector past the end (as
+        // source, as destination, and both), so every check is exercised.
+        let script = [
+            Op::Write(0, 0x11),
+            Op::Write(1, 0x22),
+            Op::Copy(0, 2),
+            Op::Copy(1, 1),
+            Op::Copy(4, 3),
+            Op::Write(3, 0x33),
+            Op::Copy(3, 0),
+            Op::Copy(2, 9),
+            Op::Copy(9, 9),
+            Op::Copy(2, 3),
+            Op::Write(2, 0x44),
+            Op::Copy(2, 1),
+        ];
+        let mut crashes = vec![None];
+        for at in 1..=u64::try_from(script.len()).expect("small") + 1 {
+            crashes.push(Some(CrashPoint::at_write(at, false, 0)));
+            for seed in 0..4 {
+                crashes.push(Some(CrashPoint::at_write(at, true, seed)));
+            }
+        }
+        for crash in crashes {
+            let mut ours = SimBlockDevice::new(5).with_crash_point(crash.clone());
+            let mut default = Forwarding(SimBlockDevice::new(5).with_crash_point(crash.clone()));
+            let got = run_script(&mut ours, &script);
+            let want = run_script(&mut default, &script);
+            assert_eq!(got, want, "results under {crash:?}");
+            assert_eq!(
+                ours.writes_persisted(),
+                default.writes_persisted(),
+                "{crash:?}"
+            );
+            assert_eq!(ours.power_lost(), default.0.power_lost(), "{crash:?}");
+            assert_eq!(ours.media(), default.0.media(), "media under {crash:?}");
+        }
+    }
+
+    #[test]
+    fn zeroed_in_builds_a_zero_device_of_the_asked_size() {
+        let mut dev = SimBlockDevice::new(6);
+        dev.write_sector(5, &sector(3)).expect("write persists");
+        let image = dev.into_zeroed_media();
+        assert!(image.iter().all(|&b| b == 0));
+        // Smaller: cut in place. Larger than the allocation: grown.
+        let small = SimBlockDevice::zeroed_in(image, 2);
+        assert_eq!(small.sectors(), 2);
+        assert!(small.media().iter().all(|&b| b == 0));
+        let big = SimBlockDevice::zeroed_in(small.into_zeroed_media(), 9);
+        assert_eq!(big.sectors(), 9);
+        assert!(big.media().iter().all(|&b| b == 0));
+        // An adopted image is dirty throughout.
+        let adopted = SimBlockDevice::from_media(vec![7; 3 * SECTOR_USIZE]).expect("aligned");
+        assert!(adopted.into_zeroed_media().iter().all(|&b| b == 0));
+    }
+
+    /// One round of the recycling property: a device size, a script and
+    /// an optional crash point `(write index, torn, seed)`.
+    type Round = (u64, Vec<(bool, u64, u64, u8)>, Option<(u64, bool, u64)>);
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+        #[test]
+        fn a_recycled_image_always_comes_back_zero(
+            rounds in proptest::prop::collection::vec(
+                (
+                    1u64..12,
+                    proptest::prop::collection::vec(
+                        (proptest::prop::bool::ANY, 0u64..13, 0u64..13, 1u8..=255),
+                        0..24,
+                    ),
+                    proptest::prop::option::of((1u64..24, proptest::prop::bool::ANY, 0u64..64)),
+                ),
+                1..6,
+            )
+        ) {
+            let rounds: Vec<Round> = rounds;
+            let mut image = Vec::new();
+            for (sectors, script, crash) in rounds {
+                let crash = crash.map(|(at, torn, seed)| CrashPoint::at_write(at, torn, seed));
+                let mut dev = SimBlockDevice::zeroed_in(image, sectors).with_crash_point(crash);
+                let mut buf = sector(1);
+                for lba in 0..sectors {
+                    dev.read_sector(lba, &mut buf).expect("a fresh device reads");
+                    proptest::prop_assert!(buf.iter().all(|&b| b == 0), "sector {lba} not zero");
+                }
+                let script: Vec<Op> = script
+                    .into_iter()
+                    .map(|(copy, a, b, fill)| if copy { Op::Copy(a, b) } else { Op::Write(a, fill) })
+                    .collect();
+                let _ = run_script(&mut dev, &script);
+                image = dev.into_zeroed_media();
+                proptest::prop_assert!(image.iter().all(|&b| b == 0), "image not zeroed");
+            }
+        }
     }
 
     #[test]

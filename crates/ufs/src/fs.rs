@@ -524,18 +524,16 @@ impl<D: BlockDevice> Ufs<D> {
         }
         // The whole file is rewritten, sector by sector in file order.
         // The clean prefix below the window is copied from the old
-        // extents through one stack image: the window never starts past
-        // the durable size, so the old extents hold every prefix sector
-        // in full. Full window sectors write straight from the window;
-        // only its final partial chunk is zero-padded through the same
-        // image.
+        // extents inside the device: the window never starts past the
+        // durable size, so the old extents hold every prefix sector in
+        // full. Full window sectors write straight from the window; only
+        // its final partial chunk is zero-padded through a stack image.
         let mut image = [0u8; SECTOR_USIZE];
         let mut dst = new_extents.iter().flat_map(|e| e.start..e.end());
         let clean = usize_from(window.start / SECTOR_BYTES);
         let old = old_entry.extents.iter().flat_map(|e| e.start..e.end());
         for (from, to) in old.take(clean).zip(dst.by_ref()) {
-            self.dev.read_sector(from, &mut image)?;
-            self.write_data(to, &image)?;
+            self.copy_data(from, to)?;
         }
         for (chunk, to) in window.bytes.chunks(SECTOR_USIZE).zip(dst) {
             if chunk.len() == SECTOR_USIZE {
@@ -630,11 +628,27 @@ impl<D: BlockDevice> Ufs<D> {
     fn write_data(&mut self, lba: u64, image: &[u8]) -> Result<(), SimError> {
         self.wa.cow_bytes += u64_from_usize(SECTOR_USIZE);
         self.dev.write_sector(lba, image)?;
+        self.log_data(lba);
+        Ok(())
+    }
+
+    /// [`Ufs::write_data`] of the bytes sector `from` holds, copied
+    /// inside the device ([`BlockDevice::copy_sector`]). The source read
+    /// is not logged: the model charged it to the fsync cycle's
+    /// whole-file read walk.
+    fn copy_data(&mut self, from: u64, to: u64) -> Result<(), SimError> {
+        self.wa.cow_bytes += u64_from_usize(SECTOR_USIZE);
+        self.dev.copy_sector(from, to)?;
+        self.log_data(to);
+        Ok(())
+    }
+
+    /// Logs one asynchronous data-sector write at `lba`.
+    fn log_data(&mut self, lba: u64) {
         self.log.record(HostRequest::write(
             sector_offset(lba),
             u64_from_usize(SECTOR_USIZE),
         ));
-        Ok(())
     }
 }
 

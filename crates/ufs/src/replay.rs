@@ -9,12 +9,13 @@
 //! not modelled — they are the writes a real journaled UFS performed.
 
 use crate::fs::{FileId, Ufs, UfsParams};
-use nvmtypes::convert::{u64_from_usize, usize_from};
+use nvmtypes::convert::{u32_from, u64_from_usize, usize_from};
 use nvmtypes::SimError;
 use oocfs::FileSystemModel;
 use ooctrace::{BlockTrace, PosixTrace};
 use simobs::Metric;
 use ssd::{SimBlockDevice, SECTOR_USIZE};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -36,7 +37,16 @@ use std::fmt::Write as _;
 /// materialise-then-fsync cycle of a growing file copies one partial
 /// sector per write, not the whole file. The emitted block trace is
 /// unchanged by this: the first write after each fsync still surfaces
-/// as a read of every sector of the file.
+/// as a read of every sector of the file. Copy-on-write moves a file's
+/// clean prefix with [`ssd::BlockDevice::copy_sector`], one copy inside
+/// the device image per sector. Each thread keeps one zeroed device
+/// image and formats every replay on it
+/// ([`ssd::SimBlockDevice::zeroed_in`]); a replay that succeeds hands
+/// it back with only the bytes it wrote zeroed again, so after a
+/// thread's first replay a replay neither page-faults a fresh image in
+/// nor fills a whole one. The price is memory kept between replays: one
+/// image per thread that has replayed, as large as the biggest replay
+/// that thread ran.
 #[derive(Debug, Clone, Copy)]
 pub struct JournaledUfs {
     /// Filesystem geometry used for the replay mount.
@@ -77,11 +87,21 @@ impl JournaledUfs {
             let e = high.entry(r.file).or_insert(0);
             *e = (*e).max(r.end());
         }
+        // The file table holds every file the trace names, however few
+        // slots `params` asks for.
+        let params = UfsParams {
+            max_files: self
+                .params
+                .max_files
+                .max(u32_from(u64_from_usize(high.len()))),
+            ..self.params
+        };
         let sector = u64_from_usize(SECTOR_USIZE);
         let data_sectors: u64 = high.values().map(|b| b.div_ceil(sector) + 1).sum();
-        let meta = 1 + u64::from(self.params.max_files) + u64::from(self.params.journal_sectors);
+        let meta = 1 + u64::from(params.max_files) + u64::from(params.journal_sectors);
         let total = meta + data_sectors * 2 + 8;
-        let mut fs = Ufs::format(SimBlockDevice::new(total), self.params)?;
+        let dev = SimBlockDevice::zeroed_in(SPARE_IMAGE.take(), total);
+        let mut fs = Ufs::format(dev, params)?;
         fs.enable_request_log();
 
         let mut ids: BTreeMap<u32, FileId> = BTreeMap::new();
@@ -137,11 +157,18 @@ impl JournaledUfs {
         }
         fs.sync_all()?;
         let wa = fs.write_amp();
-        Ok((
-            BlockTrace::from_requests(fs.take_request_log(), self.queue_depth),
-            wa,
-        ))
+        let block = BlockTrace::from_requests(fs.take_request_log(), self.queue_depth);
+        SPARE_IMAGE.set(fs.into_device().into_zeroed_media());
+        Ok((block, wa))
     }
+}
+
+std::thread_local! {
+    /// This thread's all-zero device image, kept between replays so the
+    /// next one formats on it instead of on a fresh allocation. Empty
+    /// until a replay on this thread succeeds; a failed replay drops its
+    /// image.
+    static SPARE_IMAGE: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
 }
 
 impl FileSystemModel for JournaledUfs {
@@ -150,8 +177,10 @@ impl FileSystemModel for JournaledUfs {
     }
 
     /// Infallible transform for the model interface: a replay error
-    /// (which only an impossible geometry can cause — the device is
-    /// sized from the trace) yields an empty trace rather than a panic.
+    /// yields an empty trace rather than a panic. The device's data
+    /// region and file table are sized from the trace, so a well-formed
+    /// trace replays; what can still fail is a file whose copy-on-write
+    /// rewrite needs more than the extents one table entry holds.
     fn transform(&self, posix: &PosixTrace) -> BlockTrace {
         self.try_transform(posix)
             .unwrap_or_else(|_| BlockTrace::new(self.queue_depth))
@@ -294,6 +323,78 @@ mod tests {
             (data[0].offset, data[0].len),
             "the read covers exactly the file's sectors"
         );
+    }
+
+    /// A checkpoint-shaped trace over `files` files of `bytes` bytes:
+    /// write each file, read it back (an fsync), then rewrite its tail
+    /// past EOF and read again, so the second commit copies the clean
+    /// prefix inside the device.
+    fn ckpt(files: u32, bytes: u64) -> PosixTrace {
+        let mut posix = PosixTrace::new();
+        let mut t = 0;
+        let mut push = |op, file, offset, len| {
+            posix.push(rec(t, op, file, offset, len));
+            t += 1;
+        };
+        for f in 0..files {
+            push(IoOp::Write, f, 0, bytes);
+            push(IoOp::Read, f, 0, 100);
+        }
+        for f in 0..files {
+            push(IoOp::Write, f, bytes - 100, 5000);
+            push(IoOp::Read, f, 0, bytes);
+        }
+        posix
+    }
+
+    /// A replay's block trace and write amplification.
+    fn replay(posix: &PosixTrace) -> (BlockTrace, crate::fs::WriteAmp) {
+        JournaledUfs::default()
+            .transform_with_stats(posix)
+            .expect("replays")
+    }
+
+    #[test]
+    fn a_recycled_image_replays_like_a_fresh_one() {
+        // Device sizes: B above A (the image grows), C below A (it is cut,
+        // and A then reuses bytes C never touched).
+        let a = ckpt(3, 40_000);
+        let b = ckpt(5, 300_000);
+        let c = ckpt(2, 9_000);
+        let fresh = |posix: &PosixTrace| std::thread::scope(|s| s.spawn(|| replay(posix)).join());
+        let want: Vec<_> = [&a, &b, &c, &a]
+            .map(|posix| fresh(posix).expect("fresh replay"))
+            .into();
+        // After each recycled replay the thread's spare image is all
+        // zero again: no replay reads bytes, so the traces alone would
+        // not show a stale image.
+        let recycled = |posix: &PosixTrace| {
+            let out = replay(posix);
+            let image = SPARE_IMAGE.take();
+            assert!(!image.is_empty() && image.iter().all(|&b| b == 0));
+            SPARE_IMAGE.set(image);
+            out
+        };
+        let got =
+            std::thread::scope(|s| s.spawn(|| [&a, &b, &c, &a].map(recycled).to_vec()).join())
+                .expect("recycled replays");
+        assert_eq!(got, want);
+        assert!(
+            want[0].1.cow_bytes > want[0].1.user_bytes,
+            "the rewrite copies"
+        );
+    }
+
+    #[test]
+    fn more_files_than_table_slots_still_replay() {
+        let mut posix = PosixTrace::new();
+        let slots = JournaledUfs::default().params.max_files;
+        for f in 0..=slots {
+            posix.push(rec(u64::from(f), IoOp::Write, f, 0, 4096));
+        }
+        let (block, wa) = replay(&posix);
+        assert_eq!(wa.commits, u64::from(slots) + 1, "one commit per file");
+        assert!(!block.is_empty());
     }
 
     #[test]

@@ -6,7 +6,9 @@
 #
 # Builds the benchmark package for BASE_REV in a temporary git worktree
 # and for the working tree, then runs PAIRS pairs of
-# `--workload WORKLOAD --seconds SECONDS --trace 0`. The side that runs
+# `--workload WORKLOAD --seconds SECONDS --trace 0`. WORKLOAD `all`
+# omits `--workload`, so each run scores every workload and the verdict
+# prints a row per workload. The side that runs
 # first alternates from pair to pair, so drift and warm-up fall on both
 # sides alike. Each run's `--json` document is appended to old.jsonl
 # (BASE_REV) or new.jsonl (working tree) in OUT, and the script ends with
@@ -54,10 +56,16 @@ echo "bench_ab: building the working tree"
 CARGO_TARGET_DIR="$root/target/bench_ab_build" cargo build --release --offline --quiet \
     --manifest-path "$root/benchmark/Cargo.toml"
 
+# `all` runs the benchmark without `--workload`: every workload.
+select=(--workload "$workload")
+if [ "$workload" = all ]; then
+    select=()
+fi
+
 # One run of one side: `side TREE BINARY JSONL`. The benchmark reads its
 # pins relative to the tree it runs in.
 side() {
-    (cd "$1" && "$2" --workload "$workload" --seed "$seed" --seconds "$seconds" \
+    (cd "$1" && "$2" "${select[@]}" --seed "$seed" --seconds "$seconds" \
         --trace 0 --json "$tmp/run.json" > /dev/null)
     cat "$tmp/run.json" >> "$3"
 }
