@@ -1,12 +1,9 @@
 //! Concurrency-safety passes: atomic publication ordering and the
 //! workspace lock-acquisition order.
 //!
-//! Both passes gate the lock-free roadmap (docs/CONCURRENCY.md): the
-//! model checker in `crates/simcheck` proves specific protocols correct
-//! by exhaustive interleaving search, and these passes keep *unproven*
-//! concurrency patterns from landing silently. They are never
-//! allowlistable — a publication race or a lock-order cycle is a bug,
-//! not debt.
+//! Both passes keep unsynchronized concurrency patterns from landing
+//! silently (docs/CONCURRENCY.md). They are never allowlistable — a
+//! publication race or a lock-order cycle is a bug, not debt.
 //!
 //! ## `atomic_ordering`
 //!
@@ -21,10 +18,7 @@
 //!   needs `Acquire`.
 //!
 //! Pure counters and standalone flags (no foreign write before the
-//! store, no foreign read behind the load) are exactly the audited
-//! `Relaxed` patterns in `vendor/rayon` and stay clean. A `Relaxed`
-//! that simcheck has *proved* safe belongs in a model-checked protocol
-//! (see `rayon::chunk_claim_protocol!`), not inline.
+//! store, no foreign read behind the load) stay clean.
 //!
 //! ## `lock_order`
 //!
@@ -40,8 +34,7 @@
 //! distinct mutexes sharing a name can false-positive, and aliased
 //! mutexes under different names can false-negative. Re-acquiring the
 //! same name is not reported (self-edges are dropped): that is a
-//! runtime single-thread deadlock, which simcheck's `Deadlock`
-//! detection exhibits with a trace, not a static order inversion.
+//! runtime single-thread deadlock, not a static order inversion.
 //! `drop(guard)` releases the binding; guards bound by `let` live to
 //! the end of their block.
 
@@ -208,8 +201,7 @@ fn check_publish(body: &Block, self_ty: Option<&str>, findings: &mut Vec<Finding
                         message: format!(
                             "`{place}.store(_, Ordering::Relaxed)` publishes the earlier \
                              write to `{prior}` without a release edge; use \
-                             `Ordering::Release` (and `Acquire` on the readers), or move \
-                             the protocol into a simcheck-verified module"
+                             `Ordering::Release` (and `Acquire` on the readers)"
                         ),
                     });
                 }
@@ -263,8 +255,7 @@ fn check_consume(expr: &Expr, self_ty: Option<&str>, findings: &mut Vec<Finding>
                     message: format!(
                         "`{flag}.load(Ordering::Relaxed)` guards a read of `{read}` \
                          without an acquire edge; use `Ordering::Acquire` (and \
-                         `Release` on the writer), or move the protocol into a \
-                         simcheck-verified module"
+                         `Release` on the writer)"
                     ),
                 });
             }

@@ -21,8 +21,7 @@
 //!   the determinism contract apply (docs/PARALLELISM.md);
 //! * **concurrency safety** — no `Relaxed` atomics publishing or
 //!   consuming cross-thread data, and no cycles in the workspace
-//!   lock-acquisition graph; proven protocols live in
-//!   simcheck-verified modules (docs/CONCURRENCY.md).
+//!   lock-acquisition graph (docs/CONCURRENCY.md).
 //!
 //! Existing violations are enumerated in `simlint.allow` and may only
 //! ratchet down (see [`allow`]). Run via `cargo run -p simlint`; see

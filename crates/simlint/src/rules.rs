@@ -43,8 +43,7 @@ pub enum Rule {
     UnitMismatch,
     /// Concurrency pass: a `Relaxed` atomic store publishing prior
     /// writes, or a `Relaxed` load guarding reads of other state —
-    /// cross-thread data with no happens-before edge. Proven-safe
-    /// `Relaxed` protocols live in simcheck-verified modules
+    /// cross-thread data with no happens-before edge
     /// (docs/CONCURRENCY.md). Never allowlistable.
     AtomicOrdering,
     /// Concurrency pass: a cycle in the workspace lock-acquisition

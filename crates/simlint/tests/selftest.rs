@@ -491,6 +491,41 @@ fn core_fixture_is_caught_by_ast_rules_and_semantic_passes() {
         .any(|l| l.finding.message.contains("field `start_ns`")));
 }
 
+/// The interconnect fixture's two `atomic_ordering` findings, spelled
+/// out byte for byte: the `Relaxed` publish in `publish_relaxed` and
+/// the `Relaxed` consume in `consume_relaxed`.
+#[test]
+fn atomic_ordering_reports_exact_publish_and_consume_findings() {
+    let report = scan_workspace(&fixture_root()).expect("fixture scan");
+    let found: Vec<(usize, usize, &str)> = report
+        .findings
+        .iter()
+        .filter(|l| l.finding.rule == Rule::AtomicOrdering)
+        .map(|l| {
+            assert_eq!(l.path, "crates/interconnect/src/lib.rs");
+            (l.finding.line, l.finding.col, l.finding.message.as_str())
+        })
+        .collect();
+    assert_eq!(
+        found,
+        vec![
+            (
+                21,
+                5,
+                "`ready.store(_, Ordering::Relaxed)` publishes the earlier write to \
+                 `value` without a release edge; use `Ordering::Release` (and \
+                 `Acquire` on the readers)"
+            ),
+            (
+                25,
+                8,
+                "`ready.load(Ordering::Relaxed)` guards a read of `value` without an \
+                 acquire edge; use `Ordering::Acquire` (and `Release` on the writer)"
+            ),
+        ]
+    );
+}
+
 #[test]
 fn no_strict_crate_no_panic_entries_in_allowlist() {
     let text =

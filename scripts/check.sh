@@ -47,12 +47,7 @@
 #                       match results/fig6.txt at both counts: the
 #                       thread count is invisible in every output
 #                       (docs/PARALLELISM.md; skipped with --fast)
-#  10. simcheck       — model-checking smoke: exhaustively explores the
-#                       vendored pool's claim/poison protocol at 2-3
-#                       threads on shadow atomics (zero violations) and
-#                       re-detects every planted fixture bug at its
-#                       pinned execution count (docs/CONCURRENCY.md)
-#  11. ufs            — crash-consistency smoke: the journaled UFS must
+#  10. ufs            — crash-consistency smoke: the journaled UFS must
 #                       recover to the committed prefix from power loss
 #                       (dropped and torn) at every device write of the
 #                       smoke workload, and the study must be byte-
@@ -60,16 +55,16 @@
 #                       study's JSON must match the committed
 #                       results/BENCH_ufs.json byte-for-byte (docs/UFS.md;
 #                       skipped with --fast)
-#  12. tenants        — multi-tenant QoS smoke: the tenant-density
+#  11. tenants        — multi-tenant QoS smoke: the tenant-density
 #                       sweep must be byte-identical run-to-run and
 #                       match the committed results/BENCH_tenants.json
 #                       byte-for-byte (docs/TENANCY.md; skipped with
 #                       --fast)
-#  13. benchmark digests — a one-second run of every workload of the
+#  12. benchmark digests — a one-second run of every workload of the
 #                       standalone benchmark package at the pins' seed:
 #                       it exits 1 if any workload's digest differs from
 #                       results/benchmark/pins.json (skipped with --fast)
-#  14. benchmark tests — the standalone benchmark package's own tests
+#  13. benchmark tests — the standalone benchmark package's own tests
 #                       (`cargo test --manifest-path benchmark/Cargo.toml`):
 #                       the committed digest pins in
 #                       results/benchmark/pins.json pass and a mutated
@@ -162,12 +157,7 @@ if [ "$fast" -eq 0 ]; then
         echo "check.sh: obsreport trace JSON differs between 1 and 8 threads" >&2
         exit 1
     }
-fi
 
-step "simcheck --smoke (pool-protocol model check + planted fixtures)"
-cargo run --quiet -p simcheck -- --smoke
-
-if [ "$fast" -eq 0 ]; then
     step "ufs --smoke (exhaustive crash-point recovery sweep)"
     cargo run --release --quiet --bin ufs -- --smoke
     cargo run --release --quiet --bin ufs -- --json target/ufs.json > /dev/null
