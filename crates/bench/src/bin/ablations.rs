@@ -7,12 +7,15 @@
 //! 4. PAQ-style out-of-order die service vs serialised service;
 //! 5. host queue depth;
 //! 6. cache-register reads (die re-arms while the bus drains);
-//! 7. DOoC prefetch workers vs pool hit ratio;
 //! 8. worn-NAND read retries (endurance ablation).
+//!
+//! There is no ablation 7. Its prefetch-pool study read zero-filled
+//! panels back from the pool it had just filled, so its 100% hit ratio
+//! held by construction; it was removed, and ablation 8 keeps its number
+//! so that its banner stays as printed.
 use flashsim::MediaConfig;
 use interconnect::sdr400;
 use nvmtypes::{NvmKind, MIB};
-use ooc::dooc::{DataPool, Prefetcher};
 use oocfs::{FileSystemModel, FsKind, FsModel, GpfsModel};
 use oocnvm_bench::{banner, standard_trace};
 use oocnvm_core::config::SystemConfig;
@@ -21,7 +24,6 @@ use ooctrace::{BlockTrace, PosixTrace};
 use rayon::prelude::*;
 use ssd::{Dim, SsdConfig, SsdDevice};
 use std::process::ExitCode;
-use std::sync::Arc;
 
 fn tlc_run(device: &SsdDevice, block: &BlockTrace) -> f64 {
     device.run(block).bandwidth_mb_s
@@ -256,31 +258,5 @@ fn run(posix: PosixTrace) -> Result<(), String> {
     print!("{}", t.render());
     println!();
 
-    println!(
-        "{}",
-        banner("Ablation 7", "DOoC prefetch workers vs pool hit ratio")
-    );
-    let mut t = Table::new(["workers", "hit ratio %"]);
-    for workers in [0usize, 1, 2, 4, 8] {
-        let pool = Arc::new(DataPool::new(64 * MIB));
-        if workers > 0 {
-            let pf = Prefetcher::new(Arc::clone(&pool), workers);
-            for i in 0..64 {
-                pf.prefetch(&format!("panel/{i}"), move || vec![0u8; 64 * 1024]);
-            }
-            pf.shutdown()
-                .map_err(|e| format!("ablation 7: prefetch shutdown failed: {e}"))?;
-        }
-        // The compute phase touches every panel.
-        for i in 0..64 {
-            pool.get_or_load(&format!("panel/{i}"), || vec![0u8; 64 * 1024]);
-        }
-        t.row([
-            workers.to_string(),
-            format!("{:.0}", pool.stats.hit_ratio() * 100.0),
-        ]);
-    }
-    print!("{}", t.render());
-    println!("-> prefetching converts every panel read into a pool hit.");
     Ok(())
 }

@@ -22,9 +22,6 @@
 //! * [`lobpcg`] — the locally optimal block preconditioned conjugate
 //!   gradient eigensolver [Knyazev '01], reading `H` through the store
 //!   each iteration;
-//! * [`dooc`] — the DOoC+LAF / DataCutter middleware layer (§2.1): an
-//!   immutable keyed data pool with memory management and prefetching, a
-//!   data-aware task scheduler, and a filter/stream dataflow runner;
 //! * [`checkpoint`] — solver checkpoint/restart under simulated node
 //!   loss, driven by the deterministic fault plan in `nvmtypes::fault`
 //!   (docs/FAULT_MODEL.md).
@@ -33,7 +30,6 @@
 
 pub mod checkpoint;
 pub mod dense;
-pub mod dooc;
 pub mod hamiltonian;
 pub mod lobpcg;
 pub mod matrixmarket;

@@ -113,8 +113,9 @@ fn visit_fns(
 }
 
 /// Best-effort name of the location an access expression designates:
-/// the leaf field name, the local/static identifier, or (for a bare
-/// `self` receiver) the enclosing `impl` type.
+/// a field access by its whole receiver path (`data.value`), the
+/// local/static identifier, or (for a bare `self` receiver) the
+/// enclosing `impl` type.
 fn place_name(expr: &Expr, self_ty: Option<&str>) -> Option<String> {
     match &expr.kind {
         ExprKind::Path(segs) => match segs.last().map(String::as_str) {
@@ -122,13 +123,27 @@ fn place_name(expr: &Expr, self_ty: Option<&str>) -> Option<String> {
             Some(last) => Some(last.to_string()),
             None => None,
         },
-        ExprKind::Field { name, .. } => Some(name.clone()),
+        ExprKind::Field { base, name } => Some(match place_name(base, self_ty) {
+            Some(base) => format!("{base}.{name}"),
+            None => name.clone(),
+        }),
         ExprKind::MethodCall { method, .. } => Some(method.clone()),
         ExprKind::Unary { operand, .. } => place_name(operand, self_ty),
         ExprKind::Index { base, .. } => place_name(base, self_ty),
         ExprKind::Try(inner) => place_name(inner, self_ty),
         _ => None,
     }
+}
+
+/// The name `lock_order` identifies a lock by: a field lock by its
+/// field alone, so `self.queue` and `pool.queue` are one lock (the
+/// name heuristic of the module doc).
+fn lock_name(expr: &Expr, self_ty: Option<&str>) -> Option<String> {
+    let place = place_name(expr, self_ty)?;
+    Some(match place.rsplit_once('.') {
+        Some((_, field)) => field.to_string(),
+        None => place,
+    })
 }
 
 /// Is this expression literally `Ordering::Relaxed` (any path prefix)?
@@ -284,7 +299,7 @@ fn foreign_read(block: &Block, flag: &str, self_ty: Option<&str>) -> Option<Stri
     let mut found = None;
     let mut visit = |expr: &Expr| {
         let place = match &expr.kind {
-            ExprKind::Field { name, .. } => Some(name.clone()),
+            ExprKind::Field { .. } => place_name(expr, self_ty),
             ExprKind::MethodCall { recv, method, .. }
                 if READ_METHODS.contains(&method.as_str()) =>
             {
@@ -455,7 +470,7 @@ fn collect_lock_summary(
 ) {
     let mut visit = |expr: &Expr| match &expr.kind {
         ExprKind::MethodCall { recv, method, .. } if method == "lock" => {
-            if let Some(name) = place_name(recv, self_ty) {
+            if let Some(name) = lock_name(recv, self_ty) {
                 out.insert(name);
             }
         }
@@ -525,7 +540,7 @@ impl LockWalker<'_> {
                         if method == "lock" && args.is_empty() {
                             // `let guard = place.lock();` — held until the
                             // end of this block or an explicit `drop`.
-                            if let Some(lock) = place_name(recv, self.self_ty) {
+                            if let Some(lock) = lock_name(recv, self.self_ty) {
                                 self.acquire(&lock, init.span);
                                 self.held.push((name.clone(), lock));
                                 continue;
@@ -562,7 +577,7 @@ impl LockWalker<'_> {
                 }
                 // Temporary guard: dropped at the end of the statement,
                 // but its acquisition still orders against held locks.
-                if let Some(lock) = place_name(recv, self.self_ty) {
+                if let Some(lock) = lock_name(recv, self.self_ty) {
                     self.acquire(&lock, expr.span);
                 }
             }
@@ -665,6 +680,50 @@ mod tests {
         assert_eq!(atomic.len(), 2, "{atomic:?}");
         assert!(atomic[0].finding.message.contains("publishes"));
         assert!(atomic[1].finding.message.contains("guards a read"));
+    }
+
+    /// Places are named by their whole receiver path: a write to
+    /// `b.ready` is a foreign write for a store to `a.ready`, and a read
+    /// of `b.ready` is a foreign read behind a load of `a.ready`.
+    #[test]
+    fn same_field_of_two_receivers_is_two_places() {
+        let found = scan(
+            "pub fn publish(a: &Flags, b: &mut Slot) {\n\
+             b.ready = true;\n\
+             a.ready.store(true, Ordering::Relaxed);\n\
+             }\n\
+             pub fn consume(a: &Flags, b: &Slot) -> bool {\n\
+             if a.ready.load(Ordering::Relaxed) { b.ready } else { false }\n\
+             }\n\
+             pub fn same(a: &mut Flags) {\n\
+             a.ready = AtomicBool::new(false);\n\
+             a.ready.store(true, Ordering::Relaxed);\n\
+             if a.ready.load(Ordering::Relaxed) { let _r = a.ready; }\n\
+             }\n",
+        );
+        let atomic: Vec<(usize, usize, &str)> = found
+            .iter()
+            .filter(|l| l.finding.rule == Rule::AtomicOrdering)
+            .map(|l| (l.finding.line, l.finding.col, l.finding.message.as_str()))
+            .collect();
+        assert_eq!(
+            atomic,
+            [
+                (
+                    3,
+                    1,
+                    "`a.ready.store(_, Ordering::Relaxed)` publishes the earlier write to \
+                     `b.ready` without a release edge; use `Ordering::Release` (and \
+                     `Acquire` on the readers)"
+                ),
+                (
+                    6,
+                    4,
+                    "`a.ready.load(Ordering::Relaxed)` guards a read of `b.ready` without \
+                     an acquire edge; use `Ordering::Acquire` (and `Release` on the writer)"
+                ),
+            ]
+        );
     }
 
     /// A nested `fn` item runs only when called: the concurrency walks

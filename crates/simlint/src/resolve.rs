@@ -27,7 +27,7 @@ pub fn canonical_crate(import_name: &str) -> &str {
 
 /// Computes the module path for a workspace-relative file path:
 /// `crates/fs/src/catalog.rs` → `[fs, catalog]`,
-/// `crates/ooc/src/dooc/mod.rs` → `[ooc, dooc]`,
+/// `crates/ssd/src/qos/mod.rs` → `[ssd, qos]`,
 /// `src/reliability.rs` → `[oocnvm, reliability]`.
 /// Binary roots (`src/bin/x.rs`, `src/main.rs`) are their own crate
 /// roots but are keyed under the owning crate for uniqueness.
@@ -349,8 +349,8 @@ mod tests {
             vec!["fs", "catalog"]
         );
         assert_eq!(
-            module_path("crates/ooc/src/dooc/mod.rs", "ooc"),
-            vec!["ooc", "dooc"]
+            module_path("crates/ssd/src/qos/mod.rs", "ssd"),
+            vec!["ssd", "qos"]
         );
         assert_eq!(
             module_path("src/reliability.rs", "oocnvm"),

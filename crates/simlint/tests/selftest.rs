@@ -403,8 +403,8 @@ fn allowlist_totals_stay_below_seed_baselines() {
     // Library printing was burned down when the rule landed (banners
     // render strings now): zero budget from day one.
     assert_eq!(allow.total(Rule::NoPrintlnInLib), 0);
-    // Pool discipline: the four old `ooc::dooc` spawn sites migrated
-    // onto the vendored pool; the budget is zero for good.
+    // Threads come only from the vendored pool's scoped workers, so
+    // the budget is zero for good.
     assert_eq!(allow.total(Rule::ThreadSpawn), 0);
     // The semantic passes are never allowlistable, so they can never
     // carry a budget either.
@@ -513,14 +513,14 @@ fn atomic_ordering_reports_exact_publish_and_consume_findings() {
                 21,
                 5,
                 "`ready.store(_, Ordering::Relaxed)` publishes the earlier write to \
-                 `value` without a release edge; use `Ordering::Release` (and \
+                 `data.value` without a release edge; use `Ordering::Release` (and \
                  `Acquire` on the readers)"
             ),
             (
                 25,
                 8,
-                "`ready.load(Ordering::Relaxed)` guards a read of `value` without an \
-                 acquire edge; use `Ordering::Acquire` (and `Release` on the writer)"
+                "`ready.load(Ordering::Relaxed)` guards a read of `data.value` without \
+                 an acquire edge; use `Ordering::Acquire` (and `Release` on the writer)"
             ),
         ]
     );

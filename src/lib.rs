@@ -16,8 +16,8 @@
 //!   ext4-L, XFS, JFS, ReiserFS, BTRFS, GPFS striping) plus the paper's
 //!   Unified File System,
 //! * [`ooc`] — the out-of-core application substrate: a synthetic nuclear-CI
-//!   Hamiltonian, a real LOBPCG block eigensolver, an out-of-core matrix
-//!   store, and DOoC-style data pools / data-aware scheduling,
+//!   Hamiltonian, a real LOBPCG block eigensolver and an out-of-core matrix
+//!   store it streams panels from,
 //! * [`ooctrace`] — two-level I/O trace capture and replay,
 //! * [`simobs`] — deterministic observability: structured event tracing
 //!   keyed to simulated nanoseconds, integer-only metrics, per-layer

@@ -1,14 +1,12 @@
 //! Integration tests for the extension studies: energy, cluster scaling,
-//! the cache argument, checkpointing, and DOoC pool migration.
+//! the cache argument, checkpointing and graph analytics.
 
 use nvmtypes::{NvmKind, MIB};
-use ooc::dooc::{migrate, DataPool, Prefetcher};
 use oocnvm_core::cache::{replay_lru, reuse_distances};
 use oocnvm_core::cluster::{ion_saturation_nodes, scaling_curve, ClusterSpec, NodeRates};
 use oocnvm_core::config::SystemConfig;
 use oocnvm_core::experiment::ExperimentSpec;
 use oocnvm_core::workload::{checkpoint_trace, graph_ooc_trace, synthetic_ooc_trace};
-use std::sync::Arc;
 
 #[test]
 fn energy_per_byte_favors_compute_local() {
@@ -145,54 +143,4 @@ fn graph_analytics_widen_the_ufs_advantage() {
     let ufs_stream = ExperimentSpec::new(&SystemConfig::cnl_ufs(), NvmKind::Tlc).run(&streaming);
     let ufs_mixed = ExperimentSpec::new(&SystemConfig::cnl_ufs(), NvmKind::Tlc).run(&mixed);
     assert!(ufs_mixed.bandwidth_mb_s < ufs_stream.bandwidth_mb_s);
-}
-
-#[test]
-fn pool_migration_preloads_a_compute_node() {
-    // Monolithic (ION) pool -> CN-local pool, then the compute phase hits.
-    let monolithic = Arc::new(DataPool::new(256 * MIB));
-    for i in 0..32u64 {
-        monolithic.insert(&format!("H/panel/{i}"), vec![i as u8; 1 << 20]);
-    }
-    let local = Arc::new(DataPool::new(64 * MIB));
-    let keys: Vec<String> = (0..32).map(|i| format!("H/panel/{i}")).collect();
-    let report = migrate(&monolithic, &local, &keys);
-    assert_eq!(report.moved, 32);
-    assert_eq!(report.moved_bytes, 32 << 20);
-    // The compute phase never misses.
-    let before_misses = local
-        .stats
-        .misses
-        .load(std::sync::atomic::Ordering::Relaxed);
-    for k in &keys {
-        assert!(local.get(k).is_some());
-    }
-    assert_eq!(
-        local
-            .stats
-            .misses
-            .load(std::sync::atomic::Ordering::Relaxed),
-        before_misses
-    );
-}
-
-#[test]
-fn migration_composes_with_prefetcher() {
-    // Prefetch into the monolithic pool, migrate to local, checkout to
-    // node memory — the full §3.1 data-movement chain.
-    let monolithic = Arc::new(DataPool::new(64 * MIB));
-    let pf = Prefetcher::new(Arc::clone(&monolithic), 4);
-    for i in 0..16u64 {
-        pf.prefetch(&format!("k{i}"), move || vec![(i * 3) as u8; 4096]);
-    }
-    pf.shutdown().expect("prefetch loaders succeed");
-    let local = Arc::new(DataPool::new(64 * MIB));
-    let keys: Vec<String> = (0..16).map(|i| format!("k{i}")).collect();
-    let rep = ooc::dooc::migrate_matching(&monolithic, &local, &keys, 2, |_| true);
-    assert_eq!(rep.moved, 16);
-    let mem = ooc::dooc::checkout(&local, &keys);
-    assert_eq!(mem.len(), 16);
-    for (i, (_, bytes)) in mem.iter().enumerate() {
-        assert_eq!(bytes[0] as usize, (i * 3) % 256);
-    }
 }
