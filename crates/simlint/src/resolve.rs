@@ -264,7 +264,10 @@ impl Index {
     /// Looks up a *resolved* call path. Tries, in order: the exact
     /// canonical key; a suffix match (module prefixes are often
     /// partial, e.g. `sweep::Sweep::run` vs `bench::sweep::Sweep::run`);
-    /// and finally the unambiguous bare name.
+    /// a unique match on the crate root plus `Type::fn` (a call through
+    /// a crate-root re-export: `ssd::SimBlockDevice::new` for
+    /// `ssd::blockdev::SimBlockDevice::new`); and finally the
+    /// unambiguous bare name.
     pub fn lookup(&self, resolved: &[String]) -> Option<&FnSig> {
         if resolved.is_empty() {
             return None;
@@ -286,6 +289,17 @@ impl Index {
             }
             if hit.is_some() {
                 return hit;
+            }
+        }
+        if let [krate, .., ty, name] = resolved {
+            let prefix = format!("{krate}::");
+            let suffix = format!("::{ty}::{name}");
+            let mut hits = self
+                .fns
+                .iter()
+                .filter(|(path, _)| path.starts_with(&prefix) && path.ends_with(&suffix));
+            if let (Some((_, sig)), None) = (hits.next(), hits.next()) {
+                return Some(sig);
             }
         }
         let name = resolved.last()?;
@@ -405,6 +419,39 @@ mod tests {
         assert!(idx.lookup(&["T".into(), "run".into()]).is_some());
         // Unambiguous bare name.
         assert!(idx.lookup(&["free".into()]).is_some());
+    }
+
+    #[test]
+    fn calls_through_a_crate_root_re_export_resolve() {
+        // `use ssd::SimBlockDevice;` resolves `SimBlockDevice::new` to
+        // `ssd::SimBlockDevice::new`, but the fn's canonical path names
+        // its module, and `new` is never a unique bare name.
+        let ctor = |path: &str, krate: &str, ty: &str| {
+            let src =
+                format!("pub struct {ty};\nimpl {ty} {{\n  pub fn new() -> {ty} {{ {ty} }}\n}}\n");
+            file_ast(path, krate, &src)
+        };
+        let caller = file_ast(
+            "crates/ufs/src/replay.rs",
+            "ufs",
+            "use ssd::SimBlockDevice;\n",
+        );
+        let resolved = caller.resolve(&["SimBlockDevice".into(), "new".into()]);
+        assert_eq!(resolved, ["ssd", "SimBlockDevice", "new"]);
+        // A type of the same name in another crate does not count.
+        let idx = Index::build(&[
+            ctor("crates/ssd/src/blockdev.rs", "ssd", "SimBlockDevice"),
+            ctor("crates/ssd/src/device.rs", "ssd", "SsdDevice"),
+            ctor("crates/ufs/src/fs.rs", "ufs", "SimBlockDevice"),
+        ]);
+        let sig = idx.lookup(&resolved).expect("re-exported fn resolves");
+        assert_eq!(sig.path, "ssd::blockdev::SimBlockDevice::new");
+        // Two such fns under one crate root stay unresolved.
+        let idx = Index::build(&[
+            ctor("crates/ssd/src/blockdev.rs", "ssd", "SimBlockDevice"),
+            ctor("crates/ssd/src/copy.rs", "ssd", "SimBlockDevice"),
+        ]);
+        assert!(idx.lookup(&resolved).is_none());
     }
 
     #[test]

@@ -126,6 +126,33 @@ proptest! {
     }
 }
 
+/// Counts of exactly `k` whole stripes (`k·w`), which the random draws
+/// above pair with a nonzero start only rarely: every walk geometry,
+/// every stripe order, k = 1..=3, and starts at, just after, just before
+/// and far past a stripe boundary.
+#[test]
+fn stripe_walk_matches_at_exact_multiples_of_the_width() {
+    for geometry in walk_geometries() {
+        for perm in 0..24 {
+            let map = StripeMap::new(geometry, order_of(perm));
+            let w = map.stripe_width();
+            let mut scratch = DecomposeScratch::new();
+            for k in 1..=3 {
+                let count = k * w;
+                for start in [0, 1, w / 2 + 1, w - 1, w + 1, (1 << 40) - 3] {
+                    map.decompose_into(start, count, &mut scratch);
+                    assert_eq!(
+                        scratch.runs,
+                        reference_decompose(&map, start, count),
+                        "geometry {geometry:?}, order {:?}, start {start}, count {count}",
+                        order_of(perm)
+                    );
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

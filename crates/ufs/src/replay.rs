@@ -7,6 +7,13 @@
 //! Unlike the parameterised models in `oocfs`, the journal commits,
 //! metadata applies and copy-on-write data placement in the output are
 //! not modelled — they are the writes a real journaled UFS performed.
+//!
+//! The replay reads each POSIX read record as an empty window at the
+//! record's offset. A durable [`Ufs::read`] logs a walk over every
+//! sector of the file whatever window it is given, and that walk is all
+//! the block trace takes from a read; the bytes a full window would copy
+//! are never looked at. The empty window logs the same requests and
+//! copies nothing.
 
 use crate::fs::{FileId, Ufs, UfsParams};
 use nvmtypes::convert::{u32_from, u64_from_usize, usize_from};
@@ -111,7 +118,8 @@ impl JournaledUfs {
         // `payload` only ever holds the 0xA5 write pattern, so it is
         // refilled only when the record length changes (the synthetic
         // out-of-core traces use one record size: one fill total);
-        // `scratch` receives reads, whose prior contents are dead.
+        // `scratch` only ever holds zeros for the materialise writes, so
+        // it grows only when a gap is longer than it.
         let mut name = String::new();
         let mut payload: Vec<u8> = Vec::new();
         let mut scratch: Vec<u8> = Vec::new();
@@ -132,18 +140,23 @@ impl JournaledUfs {
                 // Materialise anything the trace reads before writing.
                 let have = fs.size(id)?;
                 if have < r.end() {
-                    scratch.clear();
-                    scratch.resize(usize_from(r.end() - have), 0);
-                    fs.write(id, have, &scratch)?;
+                    let n = usize_from(r.end() - have);
+                    if scratch.len() < n {
+                        scratch.resize(n, 0);
+                    }
+                    fs.write(id, have, &scratch[..n])?;
                     dirty.insert(r.file);
                 }
                 if dirty.remove(&r.file) {
                     fs.fsync(id)?;
                 }
-                // Only the length matters: `fs.read` overwrites every
-                // byte, so resize without clearing (fills on growth only).
-                scratch.resize(usize_from(r.len), 0);
-                fs.read(id, r.offset, &mut scratch)?;
+                // The file is durable here (its staged bytes were just
+                // fsynced), and a durable read logs the walk of the whole
+                // file whatever its window; the walk is all the block
+                // trace takes from a read. So an empty window at the
+                // record's offset logs the same requests and copies no
+                // bytes.
+                fs.read(id, r.offset, &mut [])?;
             } else {
                 // Deterministic payload; the bytes never surface in the
                 // trace, only the request shapes do.
@@ -299,7 +312,7 @@ mod tests {
     fn a_partial_read_logs_a_device_read_of_every_file_sector() {
         // Pins the model's read amplification: a 100-byte POSIX read of
         // a 6-sector file surfaces as a device read of all 6 sectors,
-        // though the filesystem copies only the one sector it covers.
+        // though the replay copies no byte of it.
         // Changing this model means changing this test and the pinned
         // block-trace digests together.
         let sector = u64_from_usize(SECTOR_USIZE);
