@@ -19,6 +19,10 @@
 //! The extension studies (`ablations`, `cache_argument`, `energy`,
 //! `scaling`) and `tracetool` live here too. Host-time measurement is
 //! the standalone `benchmark/` package's job.
+
+// The binaries print; the library renders strings for them.
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 use nvmtypes::SimError;
 use oocnvm_core::workload::{synthetic_ooc_trace, synthetic_shape};
 use ooctrace::PosixTrace;
@@ -49,13 +53,18 @@ pub fn standard_trace() -> Result<PosixTrace, SimError> {
     };
     let (total, record) = synthetic_shape(mib, 6 * 1024).map_err(|e| match e {
         SimError::InvalidConfig { reason, .. } => bad(reason),
-        other => other,
+        other @ (SimError::Parse { .. }
+        | SimError::WorkerPanic { .. }
+        | SimError::ChannelClosed { .. }
+        | SimError::ResourceExhausted { .. }
+        | SimError::Corruption { .. }
+        | SimError::PowerLoss { .. }) => other,
     })?;
     Ok(synthetic_ooc_trace(total, record, 42))
 }
 
 /// Renders a figure banner; callers print it (library code never prints
-/// — the `no_println_in_lib` simlint rule).
+/// — `clippy::print_stdout`).
 #[must_use]
 pub fn banner(id: &str, caption: &str) -> String {
     let rule = "==============================================================";

@@ -59,6 +59,10 @@ pub fn u64_from_usize(n: usize) -> u64 {
 /// fine, never for values that flow back into integer simulated time.
 #[inline]
 #[must_use]
+#[expect(
+    clippy::as_conversions,
+    reason = "the one audited u64 -> f64 rounding; no lossless std conversion exists"
+)]
 pub fn approx_f64(n: u64) -> f64 {
     n as f64
 }
@@ -70,6 +74,10 @@ pub fn approx_f64(n: u64) -> f64 {
 /// integer arithmetic.
 #[inline]
 #[must_use]
+#[expect(
+    clippy::as_conversions,
+    reason = "the one audited f64 -> u64 saturating truncation; std has no named form"
+)]
 pub fn trunc_u64(x: f64) -> u64 {
     x as u64
 }

@@ -1,11 +1,6 @@
-// Fixture: violations only the AST engine and the semantic passes can
-// see. No single line carries a whole violating token sequence, so a
-// substring scan of each line would find NOTHING here; the selftest
-// pins each finding's line. Expected findings:
-//   no_panic x1       (an `.unwrap()` split across lines: no single
-//                      line carries the `.unwrap()` token)
-//   thread_spawn x1   (`spawn` called through a `use`-alias: the
-//                      `thread::spawn(` token never appears)
+// Fixture: violations only the semantic passes can see: each needs
+// dataflow across statements, functions or crates. The selftest pins
+// each finding. Expected findings:
 //   nondet_taint x3   (SystemTime through a local into a pub return;
 //                      an env::var read crossing a private fn into a
 //                      pub return; a tainted value into `Tracer::count`)
@@ -16,18 +11,6 @@
 //                      `_ns` struct field initialised in bytes)
 // Negatives the passes must NOT flag: `EventKind::Instant` is an enum
 // tag, not a clock source; `len_bytes * 8 / t_ns` changes dimension.
-use std::thread::spawn as pool_escape;
-
-pub fn hidden_unwrap(v: Option<u32>) -> u32 {
-    v.unwrap
-        ()
-}
-
-pub fn sneaky_worker() {
-    let h = pool_escape(|| ());
-    drop(h);
-}
-
 pub fn stamp_seed(epoch_ns: u64) -> u64 {
     let t = std::time::SystemTime::now();
     let skew = u64::from(t.elapsed().is_err());

@@ -1,50 +1,11 @@
-// Fixture: concurrency violations in a strict simulator crate
-// (`interconnect`). Expected findings:
-//   atomic_ordering x2 (the Relaxed publish in `publish_relaxed`, the
-//   Relaxed consume in `consume_relaxed`)
+// Fixture: lock-order violations in a simulator crate (`interconnect`).
+// Expected findings:
 //   lock_order x2 (the direct alpha->beta nesting in `forward` and the
 //   interprocedural alpha->beta edge in `forward_via_helper`; the ssd
 //   fixture's `backward` supplies the beta->alpha edge that closes the
 //   cycle)
-// The Release/Acquire pair in `publish_release`/`consume_acquire` and
-// the write-free counter reset in `count_relaxed` must NOT fire.
 // This file is never compiled; simlint reads it as text via `--root`.
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-pub struct Slot {
-    pub value: u64,
-}
-
-pub fn publish_relaxed(data: &mut Slot, ready: &AtomicBool) {
-    data.value = 7;
-    ready.store(true, Ordering::Relaxed);
-}
-
-pub fn consume_relaxed(ready: &AtomicBool, data: &Slot) -> u64 {
-    if ready.load(Ordering::Relaxed) {
-        data.value
-    } else {
-        0
-    }
-}
-
-pub fn publish_release(data: &mut Slot, ready: &AtomicBool) {
-    data.value = 7;
-    ready.store(true, Ordering::Release);
-}
-
-pub fn consume_acquire(ready: &AtomicBool, data: &Slot) -> u64 {
-    if ready.load(Ordering::Acquire) {
-        data.value
-    } else {
-        0
-    }
-}
-
-pub fn count_relaxed(hits: &AtomicUsize) {
-    hits.store(0, Ordering::Relaxed);
-}
 
 pub fn forward(alpha: &Mutex<u32>, beta: &Mutex<u32>) {
     let ga = alpha.lock();

@@ -1,36 +1,9 @@
-// Fixture: violations in a PERMISSIVE crate (`ooc`) — these ones ARE
-// allowlistable, unlike the ones in the flashsim fixture. Expected:
-//   no_panic x1 (unwrap)
-//   let_underscore_result x1 (the send discard); the named `_guard`
-//   binding and the typed `let _: u32` discard must NOT be counted.
-//   thread_spawn x1 (the direct spawn); the scoped `s.spawn` must NOT
-//   be counted.
-// bare_cast / wall_clock rules are out of scope for `ooc`, so the cast
-// and clock below must NOT be counted.
+// Fixture: the out-of-core crate (`ooc`) is in the taint scope.
+// Expected findings:
+//   nondet_taint x1 (Instant::now returned from `pub fn unscoped_clock`)
+// This file is never compiled; simlint reads it as text via `--root`.
 use std::time::Instant;
-
-pub fn permissive(v: Option<u32>) -> u32 {
-    v.unwrap()
-}
-
-pub fn swallows(tx: &std::sync::mpsc::Sender<u32>) {
-    let _ = tx.send(1);
-    let _guard = tx.send(2);
-    let _: u32 = 3;
-}
-
-pub fn unscoped_cast(x: u32) -> u64 {
-    x as u64
-}
 
 pub fn unscoped_clock() -> Instant {
     Instant::now()
-}
-
-pub fn spawns_directly() {
-    let h = std::thread::spawn(|| {});
-    drop(h);
-    std::thread::scope(|s| {
-        s.spawn(|| {});
-    });
 }

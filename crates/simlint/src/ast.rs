@@ -2203,25 +2203,6 @@ pub fn expr_children<'a>(expr: &'a Expr, into_fns: bool, f: &mut impl FnMut(&'a 
     }
 }
 
-/// Walks every fn item (with its enclosing-module test flag OR-ed in),
-/// calling `f(fn, is_pub, cfg_test, span)`.
-pub fn visit_fns<'a>(
-    items: &'a [Item],
-    in_test: bool,
-    f: &mut impl FnMut(&'a FnDef, bool, bool, Span),
-) {
-    for item in items {
-        let test = in_test || item.cfg_test;
-        match &item.kind {
-            ItemKind::Fn(fd) => f(fd, item.is_pub, test, item.span),
-            ItemKind::Mod { items, .. }
-            | ItemKind::Impl { items, .. }
-            | ItemKind::Trait { items, .. } => visit_fns(items, test, f),
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,32 +1,14 @@
-//! Concurrency-safety passes: atomic publication ordering and the
-//! workspace lock-acquisition order.
+//! The lock-order pass: the workspace lock-acquisition graph has no
+//! cycle (docs/CONCURRENCY.md). A lock-order cycle is a bug, not debt,
+//! so the pass is never allowlistable. Atomics need no pass: clippy's
+//! `disallowed_types` bans them from every `crates/*` package
+//! (`crates/clippy.toml`).
 //!
-//! Both passes keep unsynchronized concurrency patterns from landing
-//! silently (docs/CONCURRENCY.md). They are never allowlistable — a
-//! publication race or a lock-order cycle is a bug, not debt.
-//!
-//! ## `atomic_ordering`
-//!
-//! Flags `Ordering::Relaxed` atomic accesses that carry *data* between
-//! threads, where `Relaxed` provides no happens-before edge:
-//!
-//! * **publish**: a `store(_, Relaxed)` preceded (in the same function)
-//!   by a write to some other location — the classic unsynchronized
-//!   flag/data publication; the store needs `Release`.
-//! * **consume**: a `load(Relaxed)` guarding an `if`/`while` whose body
-//!   reads some other location — the matching consumer side; the load
-//!   needs `Acquire`.
-//!
-//! Pure counters and standalone flags (no foreign write before the
-//! store, no foreign read behind the load) stay clean.
-//!
-//! ## `lock_order`
-//!
-//! Builds the workspace-wide lock-acquisition graph: an edge `a → b`
-//! whenever lock `b` is acquired while `a` is held — directly, or
-//! through a call chain (function summaries over the symbol index, to a
-//! fixpoint). Any cycle in the graph is an AB-BA deadlock waiting for
-//! the right interleaving; every edge on a cycle is reported at its
+//! The pass builds the workspace-wide lock-acquisition graph: an edge
+//! `a → b` whenever lock `b` is acquired while `a` is held — directly,
+//! or through a call chain (function summaries over the symbol index,
+//! to a fixpoint). Any cycle in the graph is an AB-BA deadlock waiting
+//! for the right interleaving; every edge on a cycle is reported at its
 //! acquisition site.
 //!
 //! Locks are identified by *name* (field, local, or `Self` type for
@@ -38,79 +20,12 @@
 //! `drop(guard)` releases the binding; guards bound by `let` live to
 //! the end of their block.
 
-use crate::ast::{self, Block, Expr, ExprKind, FnDef, Item, ItemKind, Stmt};
+use crate::ast::{self, Block, Expr, ExprKind, Stmt};
 use crate::parser::Span;
-use crate::resolve::{FileAst, Index};
+use crate::resolve::{visit_fns_with_path, FileAst, Index};
 use crate::rules::{Finding, Rule};
 use crate::Located;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Methods that mutate their receiver: treated as data writes the
-/// publish check can pair with a later `Relaxed` store.
-const WRITE_METHODS: [&str; 6] = [
-    "set",
-    "push",
-    "insert",
-    "write",
-    "extend",
-    "copy_from_slice",
-];
-
-/// Methods that observe their receiver: treated as data reads the
-/// consume check can pair with a guarding `Relaxed` load.
-const READ_METHODS: [&str; 4] = ["get", "read", "with", "len"];
-
-/// Runs both passes over the parsed workspace. `atomic_scope` /
-/// `lock_scope` filter which files *findings* may land in; the lock
-/// graph itself is built workspace-wide so cross-crate cycles are seen.
-pub fn run(
-    files: &[FileAst],
-    index: &Index,
-    atomic_scope: &dyn Fn(&str) -> bool,
-    lock_scope: &dyn Fn(&str) -> bool,
-) -> Vec<Located> {
-    let mut out = atomic_ordering(files, atomic_scope);
-    out.extend(lock_order(files, index, lock_scope));
-    out
-}
-
-/// Walks non-test fns with their canonical path and enclosing
-/// `impl` type (for naming `self` receivers).
-fn visit_fns(
-    items: &[Item],
-    module: &[String],
-    self_ty: Option<&str>,
-    file: &FileAst,
-    f: &mut impl FnMut(&FnDef, Option<&str>, String),
-) {
-    for item in items {
-        if item.cfg_test || file.line_in_test(item.span.line) {
-            continue;
-        }
-        match &item.kind {
-            ItemKind::Fn(fd) => {
-                let mut segs = module.to_vec();
-                if let Some(ty) = self_ty {
-                    if !ty.is_empty() {
-                        segs.push(ty.to_string());
-                    }
-                }
-                segs.push(fd.name.clone());
-                f(fd, self_ty, segs.join("::"));
-            }
-            ItemKind::Mod { name, items } => {
-                let mut sub = module.to_vec();
-                sub.push(name.clone());
-                visit_fns(items, &sub, None, file, f);
-            }
-            ItemKind::Impl { self_ty, items } => {
-                visit_fns(items, module, Some(self_ty), file, f);
-            }
-            ItemKind::Trait { items, .. } => visit_fns(items, module, None, file, f),
-            _ => {}
-        }
-    }
-}
 
 /// Best-effort name of the location an access expression designates:
 /// a field access by its whole receiver path (`data.value`), the
@@ -146,177 +61,6 @@ fn lock_name(expr: &Expr, self_ty: Option<&str>) -> Option<String> {
     })
 }
 
-/// Is this expression literally `Ordering::Relaxed` (any path prefix)?
-fn is_relaxed(expr: &Expr) -> bool {
-    matches!(&expr.kind, ExprKind::Path(segs) if segs.last().map(String::as_str) == Some("Relaxed"))
-}
-
-// ---------------------------------------------------------------------
-// atomic_ordering
-// ---------------------------------------------------------------------
-
-/// One ordered memory access the publish check cares about.
-enum Access {
-    /// A write to `place` (assignment or mutating method call).
-    Write(String),
-    /// `place.store(_, Ordering::Relaxed)`.
-    RelaxedStore(String, Span),
-}
-
-fn atomic_ordering(files: &[FileAst], in_scope: &dyn Fn(&str) -> bool) -> Vec<Located> {
-    let mut out = Vec::new();
-    for file in files {
-        if !in_scope(&file.path) {
-            continue;
-        }
-        let mut findings: Vec<Finding> = Vec::new();
-        visit_fns(
-            &file.ast.items,
-            &file.module,
-            None,
-            file,
-            &mut |fd, self_ty, _| {
-                let Some(body) = &fd.body else { return };
-                check_publish(body, self_ty, &mut findings);
-                ast::block_exprs(body, false, &mut |e| {
-                    check_consume(e, self_ty, &mut findings);
-                });
-            },
-        );
-        findings.sort_by_key(|f| (f.line, f.col));
-        let mut seen = BTreeSet::new();
-        for finding in findings {
-            if seen.insert((finding.line, finding.col, finding.message.clone())) {
-                out.push(Located {
-                    path: file.path.clone(),
-                    finding,
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Publish side: a `Relaxed` store preceded by a write elsewhere.
-fn check_publish(body: &Block, self_ty: Option<&str>, findings: &mut Vec<Finding>) {
-    let mut accesses = Vec::new();
-    ast::block_exprs(body, false, &mut |e| {
-        collect_accesses(e, self_ty, &mut accesses)
-    });
-    let mut written: Vec<String> = Vec::new();
-    for access in accesses {
-        match access {
-            Access::Write(place) => written.push(place),
-            Access::RelaxedStore(place, span) => {
-                if let Some(prior) = written.iter().find(|w| **w != place) {
-                    findings.push(Finding {
-                        rule: Rule::AtomicOrdering,
-                        line: span.line,
-                        col: span.col,
-                        message: format!(
-                            "`{place}.store(_, Ordering::Relaxed)` publishes the earlier \
-                             write to `{prior}` without a release edge; use \
-                             `Ordering::Release` (and `Acquire` on the readers)"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
-fn collect_accesses(expr: &Expr, self_ty: Option<&str>, out: &mut Vec<Access>) {
-    match &expr.kind {
-        ExprKind::MethodCall { recv, method, args } => {
-            collect_accesses(recv, self_ty, out);
-            for arg in args {
-                collect_accesses(arg, self_ty, out);
-            }
-            let Some(place) = place_name(recv, self_ty) else {
-                return;
-            };
-            if method == "store" && args.len() == 2 && is_relaxed(&args[1]) {
-                out.push(Access::RelaxedStore(place, expr.span));
-            } else if WRITE_METHODS.contains(&method.as_str()) {
-                out.push(Access::Write(place));
-            }
-        }
-        ExprKind::Assign { lhs, rhs, .. } => {
-            collect_accesses(rhs, self_ty, out);
-            if let Some(place) = place_name(lhs, self_ty) {
-                out.push(Access::Write(place));
-            }
-        }
-        _ => {
-            ast::expr_children(expr, false, &mut |child| {
-                collect_accesses(child, self_ty, out);
-            });
-        }
-    }
-}
-
-/// Consume side: a `Relaxed` load guarding a branch that reads other
-/// state.
-fn check_consume(expr: &Expr, self_ty: Option<&str>, findings: &mut Vec<Finding>) {
-    if let ExprKind::If { cond, then, .. } | ExprKind::While { cond, body: then } = &expr.kind {
-        let mut loads = Vec::new();
-        relaxed_loads(cond, self_ty, &mut loads);
-        for (flag, span) in loads {
-            if let Some(read) = foreign_read(then, &flag, self_ty) {
-                findings.push(Finding {
-                    rule: Rule::AtomicOrdering,
-                    line: span.line,
-                    col: span.col,
-                    message: format!(
-                        "`{flag}.load(Ordering::Relaxed)` guards a read of `{read}` \
-                         without an acquire edge; use `Ordering::Acquire` (and \
-                         `Release` on the writer)"
-                    ),
-                });
-            }
-        }
-    }
-    ast::expr_children(expr, false, &mut |child| {
-        check_consume(child, self_ty, findings);
-    });
-}
-
-/// Collects `place.load(Ordering::Relaxed)` occurrences in `expr`.
-fn relaxed_loads(expr: &Expr, self_ty: Option<&str>, out: &mut Vec<(String, Span)>) {
-    if let ExprKind::MethodCall { recv, method, args } = &expr.kind {
-        if method == "load" && args.len() == 1 && is_relaxed(&args[0]) {
-            if let Some(place) = place_name(recv, self_ty) {
-                out.push((place, expr.span));
-            }
-        }
-    }
-    ast::expr_children(expr, false, &mut |child| relaxed_loads(child, self_ty, out));
-}
-
-/// Finds a read of some place other than `flag` inside `block`: a field
-/// access or an observing method call.
-fn foreign_read(block: &Block, flag: &str, self_ty: Option<&str>) -> Option<String> {
-    let mut found = None;
-    let mut visit = |expr: &Expr| {
-        let place = match &expr.kind {
-            ExprKind::Field { .. } => place_name(expr, self_ty),
-            ExprKind::MethodCall { recv, method, .. }
-                if READ_METHODS.contains(&method.as_str()) =>
-            {
-                place_name(recv, self_ty)
-            }
-            _ => None,
-        };
-        if let Some(place) = place {
-            if place != flag && found.is_none() {
-                found = Some(place);
-            }
-        }
-    };
-    walk_block(block, &mut visit);
-    found
-}
-
 /// Applies `f` to `expr` and every descendant expression. Unlike
 /// [`ast::visit_expr`], the walk does not enter nested `fn` items: code
 /// in them runs only when called, not where it is written.
@@ -331,30 +75,28 @@ fn walk_block(block: &Block, f: &mut impl FnMut(&Expr)) {
     ast::block_exprs(block, false, &mut |e| walk_exprs(e, f));
 }
 
-// ---------------------------------------------------------------------
-// lock_order
-// ---------------------------------------------------------------------
-
 /// One `a → b` acquisition-order edge with its recorded sites.
 type EdgeMap = BTreeMap<(String, String), BTreeSet<(String, usize, usize)>>;
 
-fn lock_order(files: &[FileAst], index: &Index, in_scope: &dyn Fn(&str) -> bool) -> Vec<Located> {
+/// Runs the pass over the parsed workspace. `in_scope` filters which
+/// files *findings* may land in; the lock graph itself is built
+/// workspace-wide so cross-crate cycles are seen.
+pub fn run(files: &[FileAst], index: &Index, in_scope: &dyn Fn(&str) -> bool) -> Vec<Located> {
     // Fixpoint over "locks this fn may acquire" summaries, so an edge is
     // also drawn when the inner acquisition happens inside a callee.
     let mut summaries: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
     for _ in 0..8 {
         let mut changed = false;
         for file in files {
-            visit_fns(
+            visit_fns_with_path(
                 &file.ast.items,
                 &file.module,
-                None,
                 file,
-                &mut |fd, self_ty, path| {
+                &mut |fd, path, _, _, self_ty| {
                     let Some(body) = &fd.body else { return };
                     let mut acquired = BTreeSet::new();
                     collect_lock_summary(body, self_ty, file, index, &summaries, &mut acquired);
-                    let entry = summaries.entry(path).or_default();
+                    let entry = summaries.entry(path.clone()).or_default();
                     if !acquired.is_subset(entry) {
                         entry.extend(acquired);
                         changed = true;
@@ -369,12 +111,11 @@ fn lock_order(files: &[FileAst], index: &Index, in_scope: &dyn Fn(&str) -> bool)
     // Edge collection: workspace-wide, so cross-crate inversions meet.
     let mut edges = EdgeMap::new();
     for file in files {
-        visit_fns(
+        visit_fns_with_path(
             &file.ast.items,
             &file.module,
-            None,
             file,
-            &mut |fd, self_ty, _| {
+            &mut |fd, _, _, _, self_ty| {
                 let Some(body) = &fd.body else { return };
                 let mut walker = LockWalker {
                     file,
@@ -644,132 +385,55 @@ fn dropped_guard(expr: &Expr) -> Option<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resolve::{FileAst, Index};
 
     fn scan(src: &str) -> Vec<Located> {
         let file = FileAst::parse("crates/ssd/src/lib.rs", "ssd", src);
         let files = [file];
         let index = Index::build(&files);
-        run(&files, &index, &|_| true, &|_| true)
+        run(&files, &index, &|_| true)
     }
 
-    #[test]
-    fn relaxed_publish_and_consume_fire_and_strong_orders_do_not() {
-        let found = scan(
-            "pub fn publish(d: &mut Slot, ready: &AtomicBool) {\n\
-             d.value = 7;\n\
-             ready.store(true, Ordering::Relaxed);\n\
-             }\n\
-             pub fn consume(ready: &AtomicBool, d: &Slot) -> u64 {\n\
-             if ready.load(Ordering::Relaxed) { d.value } else { 0 }\n\
-             }\n\
-             pub fn fine(d: &mut Slot, ready: &AtomicBool) {\n\
-             d.value = 7;\n\
-             ready.store(true, Ordering::Release);\n\
-             if ready.load(Ordering::Acquire) { let _v = d.value; }\n\
-             }\n\
-             pub fn counter(hits: &AtomicUsize) {\n\
-             hits.store(0, Ordering::Relaxed);\n\
-             if hits.load(Ordering::Relaxed) { return; }\n\
-             }\n",
-        );
-        let atomic: Vec<_> = found
-            .iter()
-            .filter(|l| l.finding.rule == Rule::AtomicOrdering)
-            .collect();
-        assert_eq!(atomic.len(), 2, "{atomic:?}");
-        assert!(atomic[0].finding.message.contains("publishes"));
-        assert!(atomic[1].finding.message.contains("guards a read"));
-    }
-
-    /// Places are named by their whole receiver path: a write to
-    /// `b.ready` is a foreign write for a store to `a.ready`, and a read
-    /// of `b.ready` is a foreign read behind a load of `a.ready`.
-    #[test]
-    fn same_field_of_two_receivers_is_two_places() {
-        let found = scan(
-            "pub fn publish(a: &Flags, b: &mut Slot) {\n\
-             b.ready = true;\n\
-             a.ready.store(true, Ordering::Relaxed);\n\
-             }\n\
-             pub fn consume(a: &Flags, b: &Slot) -> bool {\n\
-             if a.ready.load(Ordering::Relaxed) { b.ready } else { false }\n\
-             }\n\
-             pub fn same(a: &mut Flags) {\n\
-             a.ready = AtomicBool::new(false);\n\
-             a.ready.store(true, Ordering::Relaxed);\n\
-             if a.ready.load(Ordering::Relaxed) { let _r = a.ready; }\n\
-             }\n",
-        );
-        let atomic: Vec<(usize, usize, &str)> = found
-            .iter()
-            .filter(|l| l.finding.rule == Rule::AtomicOrdering)
-            .map(|l| (l.finding.line, l.finding.col, l.finding.message.as_str()))
-            .collect();
-        assert_eq!(
-            atomic,
-            [
-                (
-                    3,
-                    1,
-                    "`a.ready.store(_, Ordering::Relaxed)` publishes the earlier write to \
-                     `b.ready` without a release edge; use `Ordering::Release` (and \
-                     `Acquire` on the readers)"
-                ),
-                (
-                    6,
-                    4,
-                    "`a.ready.load(Ordering::Relaxed)` guards a read of `b.ready` without \
-                     an acquire edge; use `Ordering::Acquire` (and `Release` on the writer)"
-                ),
-            ]
-        );
-    }
-
-    /// A nested `fn` item runs only when called: the concurrency walks
-    /// skip its body, while `ast::visit_exprs` (the taint and
-    /// wildcard walks) enters it. Each nested fn would otherwise close a
-    /// `Relaxed` publish or consume, at a block's top level and inside
-    /// a nested block alike.
+    /// A nested `fn` item runs only when called: the lock walks skip
+    /// its body, while `ast::visit_exprs` (the taint and hot-path
+    /// walks) enters it. Each nested fn would otherwise take `b` under
+    /// `a` and close the cycle `inverse` opens, at a block's top level
+    /// and inside a nested block alike.
     #[test]
     fn nested_fn_bodies_are_skipped_here_and_entered_by_visit_exprs() {
-        let src = "pub fn publish(d: &mut Slot, ready: &AtomicBool) {\n\
-             fn fill(d: &mut Slot) { d.value = 7; }\n\
-             fn poll(r: &AtomicBool, d: &Slot) -> u64 { if r.load(Ordering::Relaxed) { d.value } else { 0 } }\n\
+        let src = "pub fn outer(a: &Mutex<u32>) {\n\
+             let ga = a.lock();\n\
+             fn take(b: &Mutex<u32>) { let gb = b.lock(); drop(gb); }\n\
              loop {\n\
-             fn refill(d: &mut Slot) { d.value = 8; }\n\
-             fn repoll(r: &AtomicBool, d: &Slot) -> u64 { if r.load(Ordering::Relaxed) { d.value } else { 0 } }\n\
+             fn retake(b: &Mutex<u32>) { let gb = b.lock(); drop(gb); }\n\
              break;\n\
              }\n\
-             ready.store(true, Ordering::Relaxed);\n\
+             drop(ga);\n\
              }\n\
-             pub fn consume(ready: &AtomicBool) {\n\
-             if ready.load(Ordering::Relaxed) {\n\
-             fn peek(d: &Slot) -> u64 { d.value }\n\
-             loop { fn poke(d: &Slot) -> u64 { d.value } break; }\n\
-             }\n\
+             pub fn inverse(a: &Mutex<u32>, b: &Mutex<u32>) {\n\
+             let gb = b.lock();\n\
+             drop(gb);\n\
+             let ga = a.lock();\n\
+             drop(ga);\n\
              }\n";
         let found = scan(src);
         assert!(found.is_empty(), "{found:?}");
         let file = FileAst::parse("crates/ssd/src/lib.rs", "ssd", src);
         let mut seen = Vec::new();
-        ast::visit_fns(&file.ast.items, false, &mut |fd, _, _, _| {
-            if let Some(body) = &fd.body {
-                ast::visit_exprs(body, &mut |e| match &e.kind {
-                    ExprKind::Assign { .. } => seen.push("=".to_string()),
-                    ExprKind::MethodCall { method, .. } => seen.push(method.clone()),
-                    ExprKind::Field { name, .. } => seen.push(name.clone()),
-                    _ => {}
-                });
-            }
-        });
-        assert_eq!(
-            seen,
-            [
-                "=", "value", "load", "value", "=", "value", "load", "value", "store", "load",
-                "value", "value"
-            ]
+        visit_fns_with_path(
+            &file.ast.items,
+            &file.module,
+            &file,
+            &mut |fd, _, _, _, _| {
+                if let Some(body) = &fd.body {
+                    ast::visit_exprs(body, &mut |e| {
+                        if let ExprKind::MethodCall { method, .. } = &e.kind {
+                            seen.push(method.clone());
+                        }
+                    });
+                }
+            },
         );
+        assert_eq!(seen, ["lock", "lock", "lock", "lock", "lock"]);
     }
 
     #[test]

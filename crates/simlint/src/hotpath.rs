@@ -130,7 +130,7 @@ pub fn run_with_roots(
             &file.ast.items,
             &file.module,
             file,
-            &mut |fd, path, _, _| {
+            &mut |fd, path, _, _, _| {
                 if let Some(body) = &fd.body {
                     let mut summary = FnSummary::default();
                     let mut st = Walk {
@@ -199,7 +199,7 @@ pub fn run_with_roots(
             &file.ast.items,
             &file.module,
             file,
-            &mut |fd, path, _, _| {
+            &mut |fd, path, _, _, _| {
                 let Some(&ctx_in_loop) = hot.get(path) else {
                     return;
                 };

@@ -1,10 +1,9 @@
 //! A lightweight Rust source "cleaner": strips comments and string
-//! literals so rule patterns never fire inside them, and marks
-//! `#[cfg(test)]` regions so test-only code is exempt from production
-//! rules.
+//! literals so the parser never sees prose as code, and marks
+//! `#[cfg(test)]` regions so test-only code is exempt from every pass.
 //!
 //! This is a line/character scanner, not a parser. It understands just
-//! enough of Rust's lexical grammar to be trustworthy for pattern rules:
+//! enough of Rust's lexical grammar to be trustworthy:
 //! line comments, nested block comments, string/char/byte literals, raw
 //! strings with `#` fences, and lifetimes vs. char literals.
 

@@ -10,10 +10,10 @@
 //! cargo run -p simlint -- --root DIR   # scan a different tree
 //! ```
 //!
-//! The JSON export (schema `oocnvm.simlint/3`; v2 added the
-//! `atomic_ordering`/`lock_order` concurrency passes, v3 the
-//! interprocedural `hotpath` pass and its per-crate allocation-site
-//! inventory) carries per-`(rule, path)` finding counts plus the
+//! The JSON export (schema `oocnvm.simlint/4`; v2 added the
+//! concurrency passes, v3 the interprocedural `hotpath` pass and its
+//! per-crate allocation-site inventory, v4 dropped the rules that moved
+//! to clippy) carries per-`(rule, path)` finding counts plus the
 //! allowlist total and a `hotpath` section; the baseline diff fails on
 //! any growth (new `(rule, path)` pairs, higher counts, a larger
 //! allowlist, or more hot-path allocation sites per crate) and treats
@@ -26,8 +26,12 @@
 //! `--json --baseline F` composes: the export goes to stdout, the diff
 //! to stderr, and regressions still fail the exit code.
 //!
-//! Exit codes: 0 clean, 1 violations/stale/forbidden entries or baseline
-//! regressions, 2 usage or I/O errors.
+//! Without `--root` the scan covers the workspace the binary was built
+//! from, wherever it is run.
+//!
+//! Exit codes: 0 clean, 1 violations, stale entries or baseline
+//! regressions, 2 usage or I/O errors, or a tree with no in-scope
+//! source file.
 
 use simlint::allow::Allowlist;
 use simlint::hotpath::Severity;
@@ -39,7 +43,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 /// Schema tag for the findings export.
-const SCHEMA: &str = "oocnvm.simlint/3";
+const SCHEMA: &str = "oocnvm.simlint/4";
 
 /// Workspace-relative path of the committed baseline.
 const BASELINE_PATH: &str = "results/simlint.baseline.json";
@@ -374,6 +378,14 @@ fn main() -> ExitCode {
         }
     };
 
+    if report.files_scanned == 0 {
+        eprintln!(
+            "simlint: no in-scope source file under {}",
+            opts.root.display()
+        );
+        return ExitCode::from(2);
+    }
+
     let allow_path = opts.root.join("simlint.allow");
     if opts.write_allow {
         let allow = Allowlist::from_counts(&report.counts);
@@ -471,15 +483,11 @@ fn main() -> ExitCode {
     for s in &verdict.stale {
         eprintln!("simlint: stale allowlist entry: {s}");
     }
-    for f in &verdict.forbidden {
-        eprintln!("simlint: forbidden allowlist entry: {f}");
-    }
     if !verdict.ok() {
         eprintln!(
-            "simlint: FAILED — {} violation(s), {} stale, {} forbidden",
+            "simlint: FAILED — {} violation(s), {} stale",
             verdict.violations.len(),
-            verdict.stale.len(),
-            verdict.forbidden.len()
+            verdict.stale.len()
         );
     }
     ExitCode::FAILURE
@@ -489,13 +497,13 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    /// The v3 per-crate hot-path inventory ratchets: growth in either
+    /// The per-crate hot-path inventory ratchets: growth in either
     /// the per-event or per-run site count of any crate is a
     /// regression, shrinkage an improvement.
     #[test]
     fn hotpath_inventory_growth_is_a_regression() {
-        let v3 = concat!(
-            "{\"format\":\"oocnvm.simlint/3\",\"allow_total\":0,\"counts\":[],",
+        let v4 = concat!(
+            "{\"format\":\"oocnvm.simlint/4\",\"allow_total\":0,\"counts\":[],",
             "\"hotpath\":{\"crates\":[{\"crate\":\"ssd\",\"per_event\":0,\"per_run\":1}]}}"
         );
         let site = |severity| simlint::hotpath::Site {
@@ -509,16 +517,16 @@ mod tests {
         };
         let mut report = Report::default();
         report.hot_sites.push(site(Severity::PerRun));
-        let diff = diff_baseline(v3, &report, &Allowlist::default()).expect("v3 baseline parses");
+        let diff = diff_baseline(v4, &report, &Allowlist::default()).expect("v4 baseline parses");
         assert!(diff.regressions.is_empty(), "{:?}", diff.regressions);
         // A new per-event site in the same crate regresses the ratchet.
         report.hot_sites.push(site(Severity::PerEvent));
-        let diff = diff_baseline(v3, &report, &Allowlist::default()).expect("v3 baseline parses");
+        let diff = diff_baseline(v4, &report, &Allowlist::default()).expect("v4 baseline parses");
         assert_eq!(diff.regressions.len(), 1, "{:?}", diff.regressions);
         assert!(diff.regressions[0].contains("hot-path allocation inventory grew"));
         // Dropping below the baseline is an improvement prompt.
         report.hot_sites.clear();
-        let diff = diff_baseline(v3, &report, &Allowlist::default()).expect("v3 baseline parses");
+        let diff = diff_baseline(v4, &report, &Allowlist::default()).expect("v4 baseline parses");
         assert!(diff.regressions.is_empty(), "{:?}", diff.regressions);
         assert_eq!(diff.improvements.len(), 1, "{:?}", diff.improvements);
         assert!(diff.improvements[0].contains("down to 0 per-event / 0 per-run"));
@@ -571,11 +579,11 @@ mod tests {
     /// Any other schema is rejected, naming the accepted tag.
     #[test]
     fn unknown_baseline_schemas_are_rejected() {
-        for tag in ["oocnvm.simlint/2", "oocnvm.simlint/99"] {
+        for tag in ["oocnvm.simlint/3", "oocnvm.simlint/99"] {
             let doc = format!("{{\"format\":\"{tag}\",\"allow_total\":0,\"counts\":[]}}");
             let err = diff_baseline(&doc, &Report::default(), &Allowlist::default())
                 .expect_err("only the current schema is read");
-            assert!(err.contains("oocnvm.simlint/3"), "{err}");
+            assert!(err.contains("oocnvm.simlint/4"), "{err}");
         }
     }
 }

@@ -3,8 +3,7 @@
 //! [`crate::lexer::clean_source`] blanks comments and literal contents
 //! but leaves the code's shape intact; this module turns that cleaned
 //! text into a stream of spanned tokens and then into *token trees*
-//! (nested `()`/`[]`/`{}` groups), the substrate for the AST layer and
-//! the token-level rule ports.
+//! (nested `()`/`[]`/`{}` groups), the substrate for the AST layer.
 //!
 //! Design notes:
 //! * Spans are 1-based `(line, col)` into the cleaned text. Columns are
@@ -383,19 +382,6 @@ pub fn build_trees(tokens: Vec<Token>) -> Vec<Tree> {
 /// Convenience: cleaned file → token trees.
 pub fn parse_trees(clean: &CleanFile) -> Vec<Tree> {
     build_trees(tokenize(clean))
-}
-
-/// Walks every group's child list (including the top level), calling
-/// `f` with each sibling slice. Token-sequence rules match on sibling
-/// slices so `.unwrap()` split across lines is still three adjacent
-/// trees.
-pub fn walk_sibling_slices(trees: &[Tree], f: &mut impl FnMut(&[Tree])) {
-    f(trees);
-    for tree in trees {
-        if let Tree::Group(g) = tree {
-            walk_sibling_slices(&g.children, f);
-        }
-    }
 }
 
 #[cfg(test)]

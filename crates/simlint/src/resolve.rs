@@ -9,7 +9,7 @@
 
 use crate::ast::{self, File, FnDef, Item, ItemKind, Param, TyInfo, UseEntry};
 use crate::lexer;
-use crate::parser::{self, Span, Tree};
+use crate::parser::{self, Span};
 use std::collections::BTreeMap;
 
 /// Maps a crate's import name (as written in `use` paths) to its
@@ -47,8 +47,8 @@ pub fn module_path(path: &str, krate: &str) -> Vec<String> {
     segs
 }
 
-/// One parsed in-scope file: the single front-end result that both the
-/// per-file rules and the semantic passes read.
+/// One parsed in-scope file: the single front-end result every pass
+/// reads.
 pub struct FileAst {
     /// Workspace-relative path.
     pub path: String,
@@ -56,9 +56,6 @@ pub struct FileAst {
     pub krate: String,
     /// Module path segments (starting with the crate name).
     pub module: Vec<String>,
-    /// The token trees the AST was parsed from (the per-file rules
-    /// match token sequences in them).
-    pub trees: Vec<Tree>,
     /// The parsed item tree.
     pub ast: File,
     /// Per-line `#[cfg(test)]` flags (1-based line `n` is `in_test[n-1]`).
@@ -69,11 +66,10 @@ pub struct FileAst {
 
 impl FileAst {
     /// The one front-end pass over a file's source: cleans it, then
-    /// parses token trees, the AST and the import map.
+    /// parses the AST (through token trees) and the import map.
     pub fn parse(path: &str, krate: &str, source: &str) -> FileAst {
         let clean = lexer::clean_source(source);
-        let trees = parser::parse_trees(&clean);
-        let file = ast::parse_file(&trees);
+        let file = ast::parse_file(&parser::parse_trees(&clean));
         let module = module_path(path, krate);
         let mut uses = BTreeMap::new();
         collect_uses(&file.items, krate, &module, &mut uses);
@@ -81,7 +77,6 @@ impl FileAst {
             path: path.to_string(),
             krate: krate.to_string(),
             module,
-            trees,
             ast: file,
             in_test: clean.lines.iter().map(|l| l.in_test).collect(),
             uses,
@@ -312,12 +307,23 @@ impl Index {
 
 /// Walks function definitions with their canonical path (the same
 /// path construction as [`Index::build`]), skipping test-gated items.
-/// The callback receives `(fn, canonical_path, is_pub, span)`.
+/// The callback receives `(fn, canonical_path, is_pub, span, self_ty)`,
+/// where `self_ty` names the enclosing `impl`'s type.
 pub fn visit_fns_with_path(
     items: &[Item],
     module: &[String],
     file: &FileAst,
-    f: &mut impl FnMut(&FnDef, &String, bool, Span),
+    f: &mut impl FnMut(&FnDef, &String, bool, Span, Option<&str>),
+) {
+    visit_items(items, module, None, file, f);
+}
+
+fn visit_items(
+    items: &[Item],
+    module: &[String],
+    self_ty: Option<&str>,
+    file: &FileAst,
+    f: &mut impl FnMut(&FnDef, &String, bool, Span, Option<&str>),
 ) {
     for item in items {
         if item.cfg_test || file.line_in_test(item.span.line) {
@@ -327,21 +333,21 @@ pub fn visit_fns_with_path(
             ItemKind::Fn(fd) => {
                 let mut segs = module.to_vec();
                 segs.push(fd.name.clone());
-                f(fd, &segs.join("::"), item.is_pub, item.span);
+                f(fd, &segs.join("::"), item.is_pub, item.span, self_ty);
             }
             ItemKind::Mod { name, items } => {
                 let mut sub = module.to_vec();
                 sub.push(name.clone());
-                visit_fns_with_path(items, &sub, file, f);
+                visit_items(items, &sub, None, file, f);
             }
             ItemKind::Impl { self_ty, items } => {
                 let mut sub = module.to_vec();
                 if !self_ty.is_empty() {
                     sub.push(self_ty.clone());
                 }
-                visit_fns_with_path(items, &sub, file, f);
+                visit_items(items, &sub, Some(self_ty), file, f);
             }
-            ItemKind::Trait { items, .. } => visit_fns_with_path(items, module, file, f),
+            ItemKind::Trait { items, .. } => visit_items(items, module, None, file, f),
             _ => {}
         }
     }

@@ -77,7 +77,7 @@ pub fn run(files: &[FileAst], index: &Index, in_scope: &dyn Fn(&str) -> bool) ->
                 &file.ast.items,
                 &file.module,
                 file,
-                &mut |fd, path, _, _| {
+                &mut |fd, path, _, _, _| {
                     if fd.body.is_some() && ctx.fn_returns_tainted(fd) {
                         tainted_fns.push(path.clone());
                     }
@@ -110,7 +110,7 @@ pub fn run(files: &[FileAst], index: &Index, in_scope: &dyn Fn(&str) -> bool) ->
             &file.ast.items,
             &file.module,
             file,
-            &mut |fd, _, is_pub, span| {
+            &mut |fd, _, is_pub, span, _| {
                 ctx.check_fn(fd, is_pub, span);
             },
         );

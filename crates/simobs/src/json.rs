@@ -129,7 +129,9 @@ pub fn report(schema: &str, payload: Json) -> String {
     let mut fields = vec![("format".to_string(), Json::str(schema))];
     match payload {
         Json::Obj(body) => fields.extend(body),
-        other => fields.push(("payload".to_string(), other)),
+        other @ (Json::Null | Json::Bool(_) | Json::Num(_) | Json::Str(_) | Json::Arr(_)) => {
+            fields.push(("payload".to_string(), other));
+        }
     }
     Json::Obj(fields).render()
 }

@@ -80,6 +80,10 @@ impl Metric {
     }
 
     /// This metric's slot in a [`MetricSet`].
+    #[expect(
+        clippy::as_conversions,
+        reason = "a fieldless enum's discriminant, which only `as` reads"
+    )]
     fn slot(self) -> usize {
         usize::from(self as u8)
     }

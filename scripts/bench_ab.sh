@@ -4,11 +4,13 @@
 #
 #   scripts/bench_ab.sh BASE_REV [WORKLOAD] [PAIRS] [SECONDS]
 #
-# Builds the benchmark package for BASE_REV in a temporary git worktree
-# and for the working tree, then runs PAIRS pairs of
-# `--workload WORKLOAD --seconds SECONDS --trace 0`. WORKLOAD `all`
-# omits `--workload`, so each run scores every workload and the verdict
-# prints a row per workload. The side that runs
+# Exports BASE_REV to TMP/base and snapshots the working tree (tracked
+# and untracked files, ignored ones left out) to TMP/head, beside it.
+# Both sides build and run from paths of the same length: the path alone
+# has moved a workload's mean by several percent. It then runs PAIRS
+# pairs of `--workload WORKLOAD --seconds SECONDS --trace 0`. WORKLOAD
+# `all` omits `--workload`, so each run scores every workload and the
+# verdict prints a row per workload. The side that runs
 # first alternates from pair to pair, so drift and warm-up fall on both
 # sides alike. Each run's `--json` document is appended to old.jsonl
 # (BASE_REV) or new.jsonl (working tree) in OUT, and the script ends with
@@ -41,20 +43,18 @@ mkdir -p "$out"
 : > "$out/new.jsonl"
 
 tmp=$(mktemp -d)
-cleanup() {
-    git -C "$root" worktree remove --force "$tmp/base" 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 
-git worktree add --quiet --detach "$tmp/base" "$base_rev"
+mkdir "$tmp/base" "$tmp/head"
+git archive "$base_rev" | tar -x -C "$tmp/base"
+git ls-files -z --cached --others --exclude-standard |
+    tar --null --ignore-failed-read -T - -cf - 2>/dev/null | tar -x -C "$tmp/head"
 
-echo "bench_ab: building $base_rev"
-CARGO_TARGET_DIR="$tmp/target" cargo build --release --offline --quiet \
-    --manifest-path "$tmp/base/benchmark/Cargo.toml"
-echo "bench_ab: building the working tree"
-CARGO_TARGET_DIR="$root/target/bench_ab_build" cargo build --release --offline --quiet \
-    --manifest-path "$root/benchmark/Cargo.toml"
+for tree in base head; do
+    echo "bench_ab: building $tree"
+    CARGO_TARGET_DIR="$tmp/$tree/target" cargo build --release --offline --quiet \
+        --manifest-path "$tmp/$tree/benchmark/Cargo.toml"
+done
 
 # `all` runs the benchmark without `--workload`: every workload.
 select=(--workload "$workload")
@@ -70,15 +70,15 @@ side() {
     cat "$tmp/run.json" >> "$3"
 }
 
-old_bin=$tmp/target/release/benchmark
-new_bin=$root/target/bench_ab_build/release/benchmark
+old_bin=$tmp/base/target/release/benchmark
+new_bin=$tmp/head/target/release/benchmark
 for i in $(seq 1 "$pairs"); do
     echo "bench_ab: pair $i of $pairs"
     if [ $((i % 2)) -eq 1 ]; then
         side "$tmp/base" "$old_bin" "$out/old.jsonl"
-        side "$root" "$new_bin" "$out/new.jsonl"
+        side "$tmp/head" "$new_bin" "$out/new.jsonl"
     else
-        side "$root" "$new_bin" "$out/new.jsonl"
+        side "$tmp/head" "$new_bin" "$out/new.jsonl"
         side "$tmp/base" "$old_bin" "$out/old.jsonl"
     fi
 done

@@ -6,48 +6,55 @@
 #
 # Stages, in dependency order:
 #   1. rustfmt        — formatting is canonical (`cargo fmt --check`)
-#   2. clippy         — workspace lint policy ([workspace.lints]: the
-#                       unwrap/expect/panic deny set, unsafe_code), then
-#                       the standalone benchmark package, whose manifest
-#                       mirrors that deny set; any other clippy warning
-#                       fails the stage too (`-D warnings`)
-#   3. simlint        — `simlint --baseline`: simulator invariants
-#                       (determinism, unit-safety, no-panic, exhaustive
-#                       matches, atomic-ordering and lock-order
-#                       concurrency passes) checked against the burn-
-#                       down allowlist, then the findings diffed against
-#                       the committed results/simlint.baseline.json: any
-#                       new (rule, path) finding, allowlist growth or
+#   2. clippy         — the lint policy of every crate's `[lints]` table
+#                       (the workspace base: unwrap/expect/panic deny set,
+#                       unsafe_code; then panics, `let _ =`, wildcard enum
+#                       arms, `as` casts and library printing per crate)
+#                       and the API bans of crates/clippy.toml (hash
+#                       collections, wall clock, `thread::spawn`,
+#                       atomics), then the standalone benchmark package,
+#                       whose manifest mirrors the workspace base; any
+#                       other clippy warning fails the stage too
+#                       (`-D warnings`; docs/INVARIANTS.md)
+#   3. clippy fixture — clippy over crates/simlint/fixtures/clippy, which
+#                       plants one violation per lint and API ban above:
+#                       it must report exactly the lint each planted
+#                       line's `// lint:` comment names, and nothing else
+#   4. simlint        — `simlint --baseline`: the semantic passes clippy
+#                       cannot express (nondet_taint, unit_mismatch,
+#                       lock_order, hotpath_alloc) checked against the
+#                       burn-down allowlist, then the findings diffed
+#                       against the committed results/simlint.baseline.json:
+#                       any new (rule, path) finding, allowlist growth or
 #                       new hot-path allocation site fails the gate
-#                       (docs/INVARIANTS.md, docs/CONCURRENCY.md,
-#                       docs/STATIC_ANALYSIS.md)
-#   4. tests          — the whole workspace test suite, among them the
+#                       (docs/STATIC_ANALYSIS.md, docs/CONCURRENCY.md)
+#   5. tests          — the whole workspace test suite, among them the
 #                       pinned simulated results of one small sweep,
 #                       traced run and solve (crates/bench/tests/
 #                       pinned_scenario.rs)
-#   5. release build  — tier-1 artifact (skipped with --fast)
-#   6. figures        — the thirteen figure and table bins are re-run
+#   6. release build  — tier-1 artifact (skipped with --fast)
+#   7. figures        — the thirteen figure and table bins are re-run
 #                       with OOCNVM_TRACE_MIB unset and each output is
 #                       `cmp`ed against its committed results/*.txt
 #                       (skipped with --fast)
-#   7. reliability    — fault-injection smoke: the seeded fault sweep
+#   8. reliability    — fault-injection smoke: the seeded fault sweep
 #                       must be byte-identical run-to-run and the zero
 #                       plan identical to the fault-free driver
 #                       (docs/FAULT_MODEL.md; skipped with --fast)
-#   8. obsreport      — observability smoke: the traced run must match
+#   9. obsreport      — observability smoke: the traced run must match
 #                       the untraced run byte-for-byte, the exported
 #                       Chrome-trace JSON must parse and be replay-
 #                       identical, and the latency attribution must sum
 #                       exactly (docs/OBSERVABILITY.md; skipped with
 #                       --fast)
-#   9. thread sweep   — headline/reliability/obsreport JSON exports at
+#  10. thread sweep   — headline/reliability/obsreport JSON exports at
 #                       RAYON_NUM_THREADS=1 and =8 must be byte-
 #                       identical, and fig6 (the LOBPCG POSIX trace,
 #                       whose panel sweep runs on every worker) must
 #                       match results/fig6.txt at both counts: the
 #                       thread count is invisible in every output
 #                       (docs/PARALLELISM.md; skipped with --fast)
-#  10. ufs            — crash-consistency smoke: the journaled UFS must
+#  11. ufs            — crash-consistency smoke: the journaled UFS must
 #                       recover to the committed prefix from power loss
 #                       (dropped and torn) at every device write of the
 #                       smoke workload, and the study must be byte-
@@ -55,16 +62,16 @@
 #                       study's JSON must match the committed
 #                       results/BENCH_ufs.json byte-for-byte (docs/UFS.md;
 #                       skipped with --fast)
-#  11. tenants        — multi-tenant QoS smoke: the tenant-density
+#  12. tenants        — multi-tenant QoS smoke: the tenant-density
 #                       sweep must be byte-identical run-to-run and
 #                       match the committed results/BENCH_tenants.json
 #                       byte-for-byte (docs/TENANCY.md; skipped with
 #                       --fast)
-#  12. benchmark digests — a one-second run of every workload of the
+#  13. benchmark digests — a one-second run of every workload of the
 #                       standalone benchmark package at the pins' seed:
 #                       it exits 1 if any workload's digest differs from
 #                       results/benchmark/pins.json (skipped with --fast)
-#  13. benchmark tests — the standalone benchmark package's own tests
+#  14. benchmark tests — the standalone benchmark package's own tests
 #                       (`cargo test --manifest-path benchmark/Cargo.toml`):
 #                       the committed digest pins in
 #                       results/benchmark/pins.json pass and a mutated
@@ -98,7 +105,35 @@ step "cargo clippy --workspace, then the benchmark package (warnings denied)"
 cargo clippy --workspace --quiet -- -D warnings
 cargo clippy --quiet --manifest-path benchmark/Cargo.toml -- -D warnings
 
-step "simlint --baseline (invariants, allowlist, findings + hot-path ratchet)"
+step "clippy fixture (exactly the planted lints, at exactly their lines)"
+fixture=crates/simlint/fixtures/clippy
+mkdir -p target/clippy-fixture
+cargo clippy --quiet --offline --manifest-path "$fixture/Cargo.toml" \
+    --target-dir target/clippy-fixture --message-format=json \
+    > target/clippy-fixture/lints.jsonl 2> /dev/null || true
+python3 - "$fixture" target/clippy-fixture/lints.jsonl <<'EOF'
+import collections, json, pathlib, re, sys
+fixture = pathlib.Path(sys.argv[1])
+want = collections.Counter()
+for src in sorted((fixture / "src").rglob("*.rs")):
+    for n, line in enumerate(src.read_text().splitlines(), 1):
+        if m := re.search(r"// lint: (\S+)$", line):
+            want[(src.relative_to(fixture).as_posix(), n, m[1])] += 1
+got = collections.Counter()
+for line in open(sys.argv[2]):
+    msg = json.loads(line)
+    if msg.get("reason") == "compiler-message":
+        m = msg["message"]
+        lint = (m["code"] or {}).get("code") or m["message"]
+        for span in (s for s in m["spans"] if s["is_primary"]):
+            got[(span["file_name"], span["line_start"], lint)] += 1
+for what, diff in (("missing", want - got), ("unexpected", got - want)):
+    for path, line, lint in sorted(diff):
+        print(f"check.sh: {what} {lint} at {path}:{line}", file=sys.stderr)
+sys.exit(1 if want != got or not want else 0)
+EOF
+
+step "simlint --baseline (semantic passes, allowlist, findings + hot-path ratchet)"
 cargo run --quiet -p simlint -- --baseline results/simlint.baseline.json
 
 step "cargo test --workspace"
