@@ -66,6 +66,48 @@ pub fn swallow(text: &str) {
     let _ = text.parse::<u32>(); // lint: clippy::let_underscore_untyped
 }
 
+/// No value may depend on the process it runs in: not on a hasher keyed
+/// from OS entropy, nor on the environment, nor on an address.
+pub fn hasher_keys() -> u64 {
+    let keys = std::collections::hash_map::RandomState::new(); // lint: clippy::disallowed_types
+    std::hash::BuildHasher::hash_one(&keys, 1u8)
+}
+
+/// The simulators see the environment only through the rayon pool.
+pub fn environment() -> usize {
+    let var = std::env::var("X").is_ok(); // lint: clippy::disallowed_methods
+    let var_os = std::env::var_os("X").is_some(); // lint: clippy::disallowed_methods
+    let vars = std::env::vars().count(); // lint: clippy::disallowed_methods
+    let vars_os = std::env::vars_os().count(); // lint: clippy::disallowed_methods
+    usize::from(var) + usize::from(var_os) + vars + vars_os
+}
+
+/// Addresses differ run to run (ASLR), so no pointer is taken.
+pub fn addresses(mut v: Vec<u8>, x: &mut u64) -> usize {
+    let _vec = v.as_ptr(); // lint: clippy::disallowed_methods
+    let _vec_mut = v.as_mut_ptr(); // lint: clippy::disallowed_methods
+    let _slice = v.as_slice().as_ptr(); // lint: clippy::disallowed_methods
+    let _slice_mut = v.as_mut_slice().as_mut_ptr(); // lint: clippy::disallowed_methods
+    let _str = "planted".as_ptr(); // lint: clippy::disallowed_methods
+    let _rc = std::rc::Rc::as_ptr(&std::rc::Rc::new(0u8)); // lint: clippy::disallowed_methods
+    let _arc = std::sync::Arc::as_ptr(&std::sync::Arc::new(0u8)); // lint: clippy::disallowed_methods
+    let cell = std::cell::Cell::new(0u8);
+    let _cell = cell.as_ptr(); // lint: clippy::disallowed_methods
+    let _non_null = std::ptr::NonNull::<u8>::dangling().as_ptr(); // lint: clippy::disallowed_methods
+    let _from_ref = std::ptr::from_ref(x); // lint: clippy::disallowed_methods
+    let _from_mut = std::ptr::from_mut(x); // lint: clippy::disallowed_methods
+    v.len()
+}
+
+/// A reference cast to a raw pointer is an address too.
+#[expect(
+    clippy::as_conversions,
+    reason = "the planted line must draw `ref_as_ptr` alone"
+)]
+pub fn address_of(x: &u64) -> *const u64 {
+    x as *const u64 // lint: clippy::ref_as_ptr
+}
+
 /// Libraries render strings; binaries print them.
 pub fn prints() {
     println!("planted"); // lint: clippy::print_stdout

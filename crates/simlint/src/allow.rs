@@ -1,9 +1,9 @@
 //! The burn-down allowlist (`simlint.allow`).
 //!
 //! Format: one entry per line, `<rule> <path> <count>`, `#` comments.
-//! Only `hotpath_alloc` is allowlistable: a nondeterministic result, a
-//! cross-unit sum or a lock-order cycle is a bug, not debt, so an entry
-//! for any other rule is a parse error. The tool requires the file to
+//! Only `hotpath_alloc` is allowlistable: a cross-unit sum or a
+//! lock-order cycle is a bug, not debt, so an entry for any other rule
+//! is a parse error, and so is one naming a retired rule. The tool requires the file to
 //! track reality *exactly*: more findings than allowed is a violation;
 //! fewer is a stale entry that must be ratcheted down. Counts therefore
 //! only ever decrease over time, and the self-test suite pins the total
@@ -164,7 +164,8 @@ mod tests {
     }
 
     /// The correctness passes carry no budget, and the rules that moved
-    /// to clippy are not rules here any more.
+    /// to clippy (`nondet_taint` became its API bans) are not rules here
+    /// any more.
     #[test]
     fn only_hotpath_alloc_is_allowlistable() {
         for rule in ["nondet_taint", "unit_mismatch", "lock_order", "bare_cast"] {

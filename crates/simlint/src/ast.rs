@@ -121,8 +121,6 @@ pub struct TyInfo {
     /// taking the last segment: `&'a nvmtypes::Nanos` → `Nanos`,
     /// `Vec<Nanos>` → `Vec`. Empty for tuple/slice/fn types.
     pub base: String,
-    /// Rendered source-ish text, for diagnostics.
-    pub text: String,
 }
 
 /// A `{ .. }` block of statements.
@@ -215,12 +213,10 @@ pub enum ExprKind {
         /// Operand.
         operand: Box<Expr>,
     },
-    /// `operand as Ty`.
+    /// `operand as Ty` (the target type is skipped).
     Cast {
         /// Value being cast.
         operand: Box<Expr>,
-        /// Target type.
-        ty: TyInfo,
     },
     /// `path!(args)` (args parsed best-effort).
     Macro {
@@ -893,14 +889,6 @@ fn split_top<'a>(trees: &'a [Tree], sep: &str) -> Vec<Vec<&'a Tree>> {
 
 /// Reduces a type's trees to [`TyInfo`].
 fn ty_from_trees<T: AsTree>(trees: &[T]) -> TyInfo {
-    let mut text = String::new();
-    for t in trees {
-        let t = t.as_tree();
-        if !text.is_empty() {
-            text.push(' ');
-        }
-        render_tree(t, &mut text);
-    }
     // Base: last segment of the leading path, skipping refs/qualifiers.
     let mut base = String::new();
     let mut angle = 0i64;
@@ -934,7 +922,7 @@ fn ty_from_trees<T: AsTree>(trees: &[T]) -> TyInfo {
             }
         }
     }
-    TyInfo { base, text }
+    TyInfo { base }
 }
 
 /// Both `&Tree` and `&&Tree` slices feed [`ty_from_trees`].
@@ -951,35 +939,6 @@ impl AsTree for Tree {
 impl AsTree for &Tree {
     fn as_tree(&self) -> &Tree {
         self
-    }
-}
-
-fn render_tree(t: &Tree, out: &mut String) {
-    match t {
-        Tree::Leaf(tok) => match &tok.tok {
-            Tok::Ident(s) | Tok::Num(s) => out.push_str(s),
-            Tok::Lifetime(l) => {
-                out.push('\'');
-                out.push_str(l);
-            }
-            Tok::Str => out.push_str("\"..\""),
-            Tok::Char => out.push_str("'..'"),
-            Tok::Punct(p) => out.push_str(p),
-        },
-        Tree::Group(g) => {
-            out.push(g.delim);
-            for (i, c) in g.children.iter().enumerate() {
-                if i > 0 {
-                    out.push(' ');
-                }
-                render_tree(c, out);
-            }
-            out.push(match g.delim {
-                '(' => ')',
-                '[' => ']',
-                _ => '}',
-            });
-        }
     }
 }
 
@@ -1933,12 +1892,11 @@ fn parse_postfix(cur: &mut Cursor, mut lhs: Expr, _no_struct: bool) -> Expr {
         // `as Type`.
         if cur.peek().is_some_and(|t| t.ident() == Some("as")) {
             cur.bump();
-            let ty_trees = collect_cast_type(cur);
+            skip_cast_type(cur);
             let span = lhs.span;
             lhs = Expr {
                 kind: ExprKind::Cast {
                     operand: Box::new(lhs),
-                    ty: ty_from_trees(&ty_trees),
                 },
                 span,
             };
@@ -1950,45 +1908,30 @@ fn parse_postfix(cur: &mut Cursor, mut lhs: Expr, _no_struct: bool) -> Expr {
     lhs
 }
 
-/// Collects the type after `as`: a path with optional generics,
-/// refs, or pointer sigils. Stops at any operator/terminator.
-fn collect_cast_type<'a>(cur: &mut Cursor<'a>) -> Vec<&'a Tree> {
-    let mut out = Vec::new();
+/// Skips the type after `as`: a path with optional generics, refs, or
+/// pointer sigils. Stops at any operator/terminator.
+fn skip_cast_type(cur: &mut Cursor) {
     // Leading sigils.
-    while let Some(t) = cur.peek() {
-        if t.is_punct("*") || t.is_punct("&") {
-            out.push(t);
-            cur.bump();
-            cur.eat_ident("mut");
-            cur.eat_ident("const");
-        } else {
-            break;
-        }
+    while cur
+        .peek()
+        .is_some_and(|t| t.is_punct("*") || t.is_punct("&"))
+    {
+        cur.bump();
+        cur.eat_ident("mut");
+        cur.eat_ident("const");
     }
     // Path segments.
-    loop {
-        match cur.peek() {
-            Some(t) if t.ident().is_some() => {
-                out.push(t);
-                cur.bump();
-            }
-            _ => break,
-        }
-        if let Some(t) = cur.peek() {
-            if t.is_punct("::") {
-                out.push(t);
-                cur.bump();
-                continue;
-            }
+    while cur.peek().is_some_and(|t| t.ident().is_some()) {
+        cur.bump();
+        if cur.peek().is_some_and(|t| t.is_punct("::")) {
+            cur.bump();
+            continue;
         }
         if cur.peek().is_some_and(|t| t.is_punct("<")) {
-            let start = cur.pos;
             cur.skip_angles();
-            out.extend(&cur.trees[start..cur.pos]);
         }
         break;
     }
-    out
 }
 
 /// Harvests conservative sub-expressions (paths and calls) from an
@@ -2095,32 +2038,28 @@ fn expand_use(trees: &[&Tree], prefix: &[String], entries: &mut Vec<UseEntry>) {
     }
 }
 
-/// Walks every expression in a block, depth-first, nested `fn` items
-/// included.
+/// Walks every expression in a block, depth-first. Nested items are
+/// skipped: code in a nested `fn` runs only when called, not where it
+/// is written.
 pub fn visit_exprs<'a>(block: &'a Block, f: &mut impl FnMut(&'a Expr)) {
-    block_exprs(block, true, &mut |e| visit_expr(e, f));
+    block_exprs(block, &mut |e| visit_expr(e, f));
 }
 
 /// Walks one expression tree, depth-first, calling `f` on every node
-/// (nested `fn` items included).
+/// (nested items skipped, as in [`visit_exprs`]).
 pub fn visit_expr<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
     f(expr);
-    expr_children(expr, true, &mut |child| visit_expr(child, f));
+    expr_children(expr, &mut |child| visit_expr(child, f));
 }
 
 /// Calls `f` on the top-level expression of each statement in `block`:
-/// `let` initialisers and expression statements. With `into_fns`, a
-/// nested `fn` item's body counts as part of the block; without it,
-/// nested items are skipped.
-pub fn block_exprs<'a>(block: &'a Block, into_fns: bool, f: &mut impl FnMut(&'a Expr)) {
+/// `let` initialisers and expression statements. Nested items are
+/// skipped.
+pub fn block_exprs<'a>(block: &'a Block, f: &mut impl FnMut(&'a Expr)) {
     for stmt in &block.stmts {
         match stmt {
             Stmt::Let { init: Some(e), .. } => f(e),
             Stmt::Expr { expr, .. } => f(expr),
-            Stmt::Item(Item {
-                kind: ItemKind::Fn(FnDef { body: Some(b), .. }),
-                ..
-            }) if into_fns => block_exprs(b, into_fns, f),
             Stmt::Let { init: None, .. } | Stmt::Item(_) => {}
         }
     }
@@ -2130,7 +2069,7 @@ pub fn block_exprs<'a>(block: &'a Block, into_fns: bool, f: &mut impl FnMut(&'a 
 /// children are its statements' expressions (see [`block_exprs`]).
 /// This is the one definition of an expression's children; every
 /// recursive walk builds on it.
-pub fn expr_children<'a>(expr: &'a Expr, into_fns: bool, f: &mut impl FnMut(&'a Expr)) {
+pub fn expr_children<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
     match &expr.kind {
         ExprKind::Path(_) | ExprKind::Lit(_) => {}
         ExprKind::Call {
@@ -2172,7 +2111,7 @@ pub fn expr_children<'a>(expr: &'a Expr, into_fns: bool, f: &mut impl FnMut(&'a 
         }
         ExprKind::If { cond, then, els } => {
             f(cond);
-            block_exprs(then, into_fns, f);
+            block_exprs(then, f);
             if let Some(e) = els {
                 f(e);
             }
@@ -2182,9 +2121,9 @@ pub fn expr_children<'a>(expr: &'a Expr, into_fns: bool, f: &mut impl FnMut(&'a 
             iter: head, body, ..
         } => {
             f(head);
-            block_exprs(body, into_fns, f);
+            block_exprs(body, f);
         }
-        ExprKind::Loop { body } | ExprKind::Block(body) => block_exprs(body, into_fns, f),
+        ExprKind::Loop { body } | ExprKind::Block(body) => block_exprs(body, f),
         ExprKind::StructLit { fields, .. } => {
             for (_, e) in fields {
                 f(e);
@@ -2276,10 +2215,9 @@ mod tests {
             unreachable!("trailing expr expected")
         };
         assert!(!has_semi);
-        let ExprKind::Cast { operand, ty } = &expr.kind else {
+        let ExprKind::Cast { operand } = &expr.kind else {
             unreachable!("cast expected, got {:?}", expr.kind)
         };
-        assert_eq!(ty.base, "u64");
         let ExprKind::MethodCall { method, .. } = &operand.kind else {
             unreachable!("method chain expected")
         };

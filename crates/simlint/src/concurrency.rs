@@ -61,20 +61,6 @@ fn lock_name(expr: &Expr, self_ty: Option<&str>) -> Option<String> {
     })
 }
 
-/// Applies `f` to `expr` and every descendant expression. Unlike
-/// [`ast::visit_expr`], the walk does not enter nested `fn` items: code
-/// in them runs only when called, not where it is written.
-fn walk_exprs(expr: &Expr, f: &mut impl FnMut(&Expr)) {
-    f(expr);
-    ast::expr_children(expr, false, &mut |child| walk_exprs(child, f));
-}
-
-/// Applies `f` to every expression of `block`'s statements, nested
-/// `fn` items excluded (see [`walk_exprs`]).
-fn walk_block(block: &Block, f: &mut impl FnMut(&Expr)) {
-    ast::block_exprs(block, false, &mut |e| walk_exprs(e, f));
-}
-
 /// One `a → b` acquisition-order edge with its recorded sites.
 type EdgeMap = BTreeMap<(String, String), BTreeSet<(String, usize, usize)>>;
 
@@ -223,7 +209,7 @@ fn collect_lock_summary(
             }
         }
     };
-    walk_block(block, &mut visit);
+    ast::visit_exprs(block, &mut visit);
 }
 
 /// Resolves a call expression to its canonical target path, if the
@@ -340,7 +326,7 @@ impl LockWalker<'_> {
             ExprKind::Loop { body } => self.block(body),
             ExprKind::Block(b) => self.block(b),
             _ => {
-                ast::expr_children(expr, false, &mut |child| self.expr(child));
+                ast::expr_children(expr, &mut |child| self.expr(child));
                 if let Some(path) = callee_path(expr, self.file, self.index) {
                     if let Some(locks) = self.summaries.get(&path) {
                         for lock in locks.clone() {
@@ -393,13 +379,12 @@ mod tests {
         run(&files, &index, &|_| true)
     }
 
-    /// A nested `fn` item runs only when called: the lock walks skip
-    /// its body, while `ast::visit_exprs` (the taint and hot-path
-    /// walks) enters it. Each nested fn would otherwise take `b` under
-    /// `a` and close the cycle `inverse` opens, at a block's top level
-    /// and inside a nested block alike.
+    /// A nested `fn` item runs only when called, so the lock walks skip
+    /// its body. Each nested fn would otherwise take `b` under `a` and
+    /// close the cycle `inverse` opens, at a block's top level and
+    /// inside a nested block alike.
     #[test]
-    fn nested_fn_bodies_are_skipped_here_and_entered_by_visit_exprs() {
+    fn nested_fn_bodies_are_skipped() {
         let src = "pub fn outer(a: &Mutex<u32>) {\n\
              let ga = a.lock();\n\
              fn take(b: &Mutex<u32>) { let gb = b.lock(); drop(gb); }\n\
@@ -417,23 +402,37 @@ mod tests {
              }\n";
         let found = scan(src);
         assert!(found.is_empty(), "{found:?}");
+        // Both nested fns are in the AST: the walks skip them rather
+        // than never seeing them.
         let file = FileAst::parse("crates/ssd/src/lib.rs", "ssd", src);
-        let mut seen = Vec::new();
-        visit_fns_with_path(
-            &file.ast.items,
-            &file.module,
-            &file,
-            &mut |fd, _, _, _, _| {
-                if let Some(body) = &fd.body {
-                    ast::visit_exprs(body, &mut |e| {
-                        if let ExprKind::MethodCall { method, .. } = &e.kind {
-                            seen.push(method.clone());
-                        }
-                    });
-                }
-            },
-        );
-        assert_eq!(seen, ["lock", "lock", "lock", "lock", "lock"]);
+        let Some(ast::ItemKind::Fn(ast::FnDef {
+            body: Some(body), ..
+        })) = file.ast.items.first().map(|i| &i.kind)
+        else {
+            unreachable!("`outer` parses as a fn with a body")
+        };
+        let Some(Stmt::Expr { expr, .. }) = body.stmts.get(2) else {
+            unreachable!("the third statement of `outer` is its loop")
+        };
+        let ExprKind::Loop { body: inner } = &expr.kind else {
+            unreachable!("loop expected, got {:?}", expr.kind)
+        };
+        let nested_fns = |block: &Block| {
+            block
+                .stmts
+                .iter()
+                .filter(|s| {
+                    matches!(
+                        s,
+                        Stmt::Item(ast::Item {
+                            kind: ast::ItemKind::Fn(_),
+                            ..
+                        })
+                    )
+                })
+                .count()
+        };
+        assert_eq!((nested_fns(body), nested_fns(inner)), (1, 1));
     }
 
     #[test]

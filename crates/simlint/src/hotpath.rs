@@ -105,6 +105,10 @@ pub struct Analysis {
     pub sites: Vec<Site>,
     /// Number of hot-reachable functions.
     pub hot_fns: usize,
+    /// Roots that name no function of the scanned tree, in root order.
+    /// A renamed root function would otherwise shrink the hot region
+    /// without a word, so the gate fails on any (see [`crate::check`]).
+    pub unresolved_roots: Vec<String>,
 }
 
 /// Runs the pass with the default [`HOT_ROOTS`]. `in_scope` filters
@@ -150,9 +154,12 @@ pub fn run_with_roots(
     // hot-reachable but only once per run. Loop context only upgrades
     // (false -> true), so the iteration is monotone and terminates.
     let mut hot: BTreeMap<String, bool> = BTreeMap::new();
+    let mut unresolved_roots = Vec::new();
     for root in roots {
         if summaries.contains_key(*root) {
             hot.insert((*root).to_string(), false);
+        } else {
+            unresolved_roots.push((*root).to_string());
         }
     }
     loop {
@@ -189,6 +196,7 @@ pub fn run_with_roots(
     // findings; everything hot-reachable lands in the inventory.
     let mut out = Analysis {
         hot_fns: hot.len(),
+        unresolved_roots,
         ..Analysis::default()
     };
     for file in files {
@@ -752,6 +760,23 @@ mod tests {
             .collect();
         let index = Index::build(&parsed);
         run_with_roots(&parsed, &index, &|_| true, roots)
+    }
+
+    /// A root whose function was renamed (here, misspelt) resolves to
+    /// nothing: it is reported, not dropped, and the spelled-right root
+    /// beside it still drives the pass.
+    #[test]
+    fn a_root_naming_no_function_is_reported() {
+        let src = include_str!("../fixtures/hotpath/per_event_loop.rs");
+        let a = analyse(
+            &[("crates/ssd/src/device.rs", "ssd", src)],
+            &[
+                "ssd::device::SsdDevice::run_observed",
+                "ssd::device::SsdDevice::run_observd",
+            ],
+        );
+        assert_eq!(a.unresolved_roots, ["ssd::device::SsdDevice::run_observd"]);
+        assert_eq!(a.findings.len(), 2, "{:#?}", a.findings);
     }
 
     #[test]

@@ -4,16 +4,15 @@
 //! The paper's headline comparisons (CNL vs ION bandwidth, ~10.3x
 //! end-to-end speedup) rest on a cycle-accurate simulator whose runs must
 //! be *bit-identical* given the same inputs. The syntactic invariants
-//! that keep them so — no panics, no hash-ordered collections, no wall
-//! clock, no bare `as` casts, exhaustive matches, no `let _ =`, no
-//! library printing, no ad-hoc threads or atomics — are clippy lints,
-//! set in each crate's `[lints]` table and in `crates/clippy.toml`
-//! (docs/INVARIANTS.md). simlint keeps the four checks clippy cannot
-//! express, each a pass over the parsed sources of the whole workspace:
+//! that keep them so — no panics, no bare `as` casts, exhaustive
+//! matches, no `let _ =`, no library printing, no ad-hoc threads or
+//! atomics, and no source of a value that differs between two runs
+//! (wall clock, hash order, OS entropy, environment reads, addresses)
+//! — are clippy lints, set in each crate's `[lints]` table and in
+//! `crates/clippy.toml` (docs/INVARIANTS.md). simlint keeps the three
+//! checks clippy cannot express, each a pass over the parsed sources of
+//! the whole workspace:
 //!
-//! * **`nondet_taint`** — no nondeterministic value (wall clock, OS
-//!   entropy, hash order, env read) flows into a public return or an
-//!   observability sink ([`taint`]);
 //! * **`unit_mismatch`** — ns, bytes and lanes never meet in one sum,
 //!   comparison or argument ([`units`]);
 //! * **`lock_order`** — the workspace lock-acquisition graph has no
@@ -21,7 +20,7 @@
 //! * **`hotpath_alloc`** — no fresh allocation runs once per simulated
 //!   event (docs/STATIC_ANALYSIS.md, [`hotpath`]).
 //!
-//! The first three carry no budget. Audited `hotpath_alloc` sites are
+//! The first two carry no budget. Audited `hotpath_alloc` sites are
 //! enumerated in `simlint.allow` and may only ratchet down (see
 //! [`allow`]). Run via `cargo run -p simlint`.
 
@@ -36,7 +35,6 @@ pub mod lexer;
 pub mod parser;
 pub mod resolve;
 pub mod rules;
-pub mod taint;
 pub mod units;
 
 use allow::Allowlist;
@@ -44,10 +42,9 @@ use rules::{Finding, Rule};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// Crates whose output feeds results or traces: the scope of the taint,
-/// unit and hot-path passes. `bench`, `simlint` and the root package's
-/// CLI are the harness: env knobs and wall-clock stamps are sanctioned
-/// there.
+/// Crates whose output feeds results or traces: the scope of the unit
+/// and hot-path passes. `bench`, `simlint` and the root package's
+/// CLI are the harness around them.
 const SIM_CRATES: [&str; 11] = [
     "flashsim",
     "ssd",
@@ -85,6 +82,9 @@ pub struct Report {
     pub hot_sites: Vec<hotpath::Site>,
     /// Number of hot-reachable functions in the call graph.
     pub hot_fns: usize,
+    /// Declared hot roots ([`hotpath::HOT_ROOTS`]) that name no function
+    /// of the scanned tree.
+    pub unresolved_roots: Vec<String>,
 }
 
 impl Report {
@@ -105,12 +105,15 @@ pub struct Verdict {
     pub violations: Vec<String>,
     /// Allowlist entries exceeding reality (must ratchet down).
     pub stale: Vec<String>,
+    /// Hot roots that name no function: the hot-path pass would
+    /// silently cover less than it declares.
+    pub unresolved_roots: Vec<String>,
 }
 
 impl Verdict {
     /// `true` when the workspace is clean.
     pub fn ok(&self) -> bool {
-        self.violations.is_empty() && self.stale.is_empty()
+        self.violations.is_empty() && self.stale.is_empty() && self.unresolved_roots.is_empty()
     }
 }
 
@@ -162,9 +165,9 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Report> {
     let hot = hotpath::run(&file_asts, &index, &scope(Rule::HotPathAlloc));
     report.hot_sites = hot.sites;
     report.hot_fns = hot.hot_fns;
-    for located in taint::run(&file_asts, &index, &scope(Rule::NondetTaint))
+    report.unresolved_roots = hot.unresolved_roots;
+    for located in units::run(&file_asts, &index, &scope(Rule::UnitMismatch))
         .into_iter()
-        .chain(units::run(&file_asts, &index, &scope(Rule::UnitMismatch)))
         .chain(concurrency::run(
             &file_asts,
             &index,
@@ -208,7 +211,18 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::
 
 /// Checks a report against the allowlist.
 pub fn check(report: &Report, allow: &Allowlist) -> Verdict {
-    let mut verdict = Verdict::default();
+    let mut verdict = Verdict {
+        unresolved_roots: report
+            .unresolved_roots
+            .iter()
+            .map(|root| {
+                format!(
+                    "hot root `{root}` names no function in the scanned tree — update `hotpath::HOT_ROOTS` to the function's current path"
+                )
+            })
+            .collect(),
+        ..Verdict::default()
+    };
     for (rule, path, count) in allow.iter() {
         // Stale: allowance exceeds reality (including files now clean).
         let actual = report
@@ -284,6 +298,18 @@ mod tests {
                 assert_eq!(in_scope(rule, harness), rule == Rule::LockOrder);
             }
         }
+    }
+
+    #[test]
+    fn an_unresolved_hot_root_fails_the_check() {
+        let report = Report {
+            unresolved_roots: vec![String::from("ssd::qos::SsdDevice::serv")],
+            ..Report::default()
+        };
+        let v = check(&report, &Allowlist::default());
+        assert!(!v.ok());
+        assert_eq!(v.unresolved_roots.len(), 1, "{:?}", v.unresolved_roots);
+        assert!(v.unresolved_roots[0].contains("`ssd::qos::SsdDevice::serv`"));
     }
 
     #[test]

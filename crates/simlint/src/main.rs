@@ -483,11 +483,15 @@ fn main() -> ExitCode {
     for s in &verdict.stale {
         eprintln!("simlint: stale allowlist entry: {s}");
     }
+    for r in &verdict.unresolved_roots {
+        eprintln!("simlint: unresolved hot root: {r}");
+    }
     if !verdict.ok() {
         eprintln!(
-            "simlint: FAILED — {} violation(s), {} stale",
+            "simlint: FAILED — {} violation(s), {} stale, {} unresolved hot root(s)",
             verdict.violations.len(),
-            verdict.stale.len()
+            verdict.stale.len(),
+            verdict.unresolved_roots.len()
         );
     }
     ExitCode::FAILURE
@@ -559,11 +563,11 @@ mod tests {
             let mut planted = report.clone();
             *planted
                 .counts
-                .entry((Rule::NondetTaint, "crates/ssd/src/device.rs".into()))
+                .entry((Rule::UnitMismatch, "crates/ssd/src/device.rs".into()))
                 .or_insert(0) += 1;
             let diff = diff_baseline(&doc, &planted, &allow).expect("parses as a baseline");
             assert_eq!(diff.regressions.len(), 1, "{:?}", diff.regressions);
-            assert!(diff.regressions[0].contains("`nondet_taint`"));
+            assert!(diff.regressions[0].contains("`unit_mismatch`"));
 
             let mut planted = report.clone();
             let mut extra = planted.hot_sites[0].clone();

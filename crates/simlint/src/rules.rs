@@ -1,19 +1,14 @@
 //! The rule catalogue every pass shares: rule identifiers and the
 //! finding record. Rules are scoped by crate (see [`crate::in_scope`]);
 //! each is computed by its own semantic pass over the whole workspace.
-//! The syntactic invariants (no panics, no hash-ordered collections, no
-//! wall clock, no bare casts, exhaustive matches, no `let _ =`, no
-//! library printing, no ad-hoc threads or atomics) are clippy lints
+//! The syntactic invariants (no panics, no bare casts, exhaustive
+//! matches, no `let _ =`, no library printing, no ad-hoc threads or
+//! atomics, no source of run-to-run nondeterminism) are clippy lints
 //! (docs/INVARIANTS.md).
 
 /// Rule identifiers — stable strings used in reports and `simlint.allow`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// Semantic taint pass: a nondeterministic value (wall clock, OS
-    /// entropy, hash-order iteration, pointer address, env read) flows
-    /// into a public return value or an observability sink. Never
-    /// allowlistable.
-    NondetTaint,
     /// Semantic unit pass: values carrying different units of measure
     /// (ns vs bytes vs lanes) meet in arithmetic, comparison, or a
     /// call-site argument. Never allowlistable.
@@ -37,7 +32,6 @@ impl Rule {
     /// The identifier used in reports and the allowlist file.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::NondetTaint => "nondet_taint",
             Rule::UnitMismatch => "unit_mismatch",
             Rule::LockOrder => "lock_order",
             Rule::HotPathAlloc => "hotpath_alloc",
@@ -50,12 +44,7 @@ impl Rule {
     }
 
     /// Every rule, in report order.
-    pub const ALL: [Rule; 4] = [
-        Rule::NondetTaint,
-        Rule::UnitMismatch,
-        Rule::LockOrder,
-        Rule::HotPathAlloc,
-    ];
+    pub const ALL: [Rule; 3] = [Rule::UnitMismatch, Rule::LockOrder, Rule::HotPathAlloc];
 }
 
 /// One rule violation at a source location.

@@ -11,7 +11,8 @@
 #                       unsafe_code; then panics, `let _ =`, wildcard enum
 #                       arms, `as` casts and library printing per crate)
 #                       and the API bans of crates/clippy.toml (hash
-#                       collections, wall clock, `thread::spawn`,
+#                       collections, wall clock, `RandomState`, env
+#                       reads, pointer addresses, `thread::spawn`,
 #                       atomics), then the standalone benchmark package,
 #                       whose manifest mirrors the workspace base; any
 #                       other clippy warning fails the stage too
@@ -20,9 +21,10 @@
 #                       plants one violation per lint and API ban above:
 #                       it must report exactly the lint each planted
 #                       line's `// lint:` comment names, and nothing else
-#   4. simlint        — `simlint --baseline`: the semantic passes clippy
-#                       cannot express (nondet_taint, unit_mismatch,
-#                       lock_order, hotpath_alloc) checked against the
+#   4. simlint        — `simlint --baseline`: the three semantic passes
+#                       clippy cannot express (unit_mismatch, lock_order,
+#                       hotpath_alloc; every hot root must name a
+#                       function) checked against the
 #                       burn-down allowlist, then the findings diffed
 #                       against the committed results/simlint.baseline.json:
 #                       any new (rule, path) finding, allowlist growth or
