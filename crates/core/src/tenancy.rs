@@ -369,14 +369,22 @@ impl<'t> TenancySpec<'t> {
 /// tenancy is an independent pure function of its spec (the same
 /// contract as [`crate::experiment::run_batch`]).
 ///
+/// The pool claims work in the order it is handed it, and a tenancy's
+/// cost grows with its tenant count, so the specs go to the pool
+/// heaviest first (most tenants first, ties in input order): the
+/// largest run starts at once instead of last. Which worker ran a spec
+/// is invisible in its report.
+///
 /// Specs must be `'static` (untraced): a tracer is a single mutable
 /// observation stream and cannot be shared across workers.
 pub fn run_tenancy_batch(specs: Vec<TenancySpec<'static>>) -> Vec<TenancyReport> {
     use rayon::prelude::*;
-    let plain: Vec<_> = specs
+    let mut plain: Vec<_> = specs
         .into_iter()
-        .map(|s| {
+        .enumerate()
+        .map(|(i, s)| {
             (
+                i,
                 s.config,
                 s.kind,
                 s.journaled_ufs,
@@ -386,21 +394,25 @@ pub fn run_tenancy_batch(specs: Vec<TenancySpec<'static>>) -> Vec<TenancyReport>
             )
         })
         .collect();
-    plain
+    plain.sort_by_key(|(i, _, _, _, tenants, _, _)| (std::cmp::Reverse(tenants.len()), *i));
+    let mut done: Vec<(usize, TenancyReport)> = plain
         .into_par_iter()
-        .map(|(config, kind, journaled, tenants, policy, arrivals)| {
-            ExperimentSpec::new(&config, kind)
+        .map(|(i, config, kind, journaled, tenants, policy, arrivals)| {
+            let report = ExperimentSpec::new(&config, kind)
                 .journaled_ufs(journaled)
                 .tenants(tenants)
                 .policy(policy)
                 .arrivals(arrivals)
-                .run()
+                .run();
+            (i, report)
         })
-        .collect()
+        .collect();
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, report)| report).collect()
 }
 
 /// Per-tenant results of a [`TenancySpec::run`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantReport {
     /// Tenant index in the spec's input order.
     pub tenant: u32,
@@ -438,7 +450,7 @@ pub struct TenantReport {
 /// Results of a multi-tenant run: the fleet-level rollup (same shape as
 /// a single-job [`ExperimentReport`], over the union of the traffic)
 /// plus the per-tenant blocks.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct TenancyReport {
     /// Fleet-level report over all tenants' traffic.
     pub fleet: ExperimentReport,

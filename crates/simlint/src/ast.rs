@@ -888,12 +888,11 @@ fn split_top<'a>(trees: &'a [Tree], sep: &str) -> Vec<Vec<&'a Tree>> {
 }
 
 /// Reduces a type's trees to [`TyInfo`].
-fn ty_from_trees<T: AsTree>(trees: &[T]) -> TyInfo {
+fn ty_from_trees(trees: &[&Tree]) -> TyInfo {
     // Base: last segment of the leading path, skipping refs/qualifiers.
     let mut base = String::new();
     let mut angle = 0i64;
     for t in trees {
-        let t = t.as_tree();
         if t.is_punct("<") {
             angle += 1;
             continue;
@@ -923,23 +922,6 @@ fn ty_from_trees<T: AsTree>(trees: &[T]) -> TyInfo {
         }
     }
     TyInfo { base }
-}
-
-/// Both `&Tree` and `&&Tree` slices feed [`ty_from_trees`].
-trait AsTree {
-    fn as_tree(&self) -> &Tree;
-}
-
-impl AsTree for Tree {
-    fn as_tree(&self) -> &Tree {
-        self
-    }
-}
-
-impl AsTree for &Tree {
-    fn as_tree(&self) -> &Tree {
-        self
-    }
 }
 
 /// Parses a `{..}` group as a statement block.

@@ -23,8 +23,10 @@
 //! line, a new file) don't churn the committed file; any `--json`
 //! export is a valid baseline too.
 //!
-//! `--json --baseline F` composes: the export goes to stdout, the diff
-//! to stderr, and regressions still fail the exit code.
+//! `--json` changes only where output goes: the export owns stdout,
+//! the summary and the diff go to stderr, and violations, stale
+//! entries, unresolved hot roots and baseline regressions fail the exit
+//! code exactly as in a plain run.
 //!
 //! Without `--root` the scan covers the workspace the binary was built
 //! from, wherever it is run.
@@ -342,23 +344,26 @@ fn run_baseline_diff(
     for r in &diff.regressions {
         eprintln!("simlint: baseline regression: {r}");
     }
-    let say = |msg: String| {
-        if quiet_stdout {
-            eprintln!("{msg}");
-        } else {
-            println!("{msg}");
-        }
-    };
     for i in &diff.improvements {
-        say(format!("simlint: baseline improvement: {i}"));
+        say(quiet_stdout, &format!("simlint: baseline improvement: {i}"));
     }
     if diff.regressions.is_empty() {
-        say(format!(
-            "simlint: no regressions against {}",
-            baseline.display()
-        ));
+        say(
+            quiet_stdout,
+            &format!("simlint: no regressions against {}", baseline.display()),
+        );
     }
     Ok(!diff.regressions.is_empty())
+}
+
+/// Prints a status line to stdout, or to stderr when a `--json` export
+/// owns stdout.
+fn say(quiet_stdout: bool, msg: &str) {
+    if quiet_stdout {
+        eprintln!("{msg}");
+    } else {
+        println!("{msg}");
+    }
 }
 
 fn main() -> ExitCode {
@@ -428,17 +433,7 @@ fn main() -> ExitCode {
 
     if opts.json {
         println!("{}", export(&report, &allow));
-        if let Some(baseline) = &opts.baseline {
-            match run_baseline_diff(baseline, &report, &allow, true) {
-                Ok(true) => return ExitCode::FAILURE,
-                Ok(false) => {}
-                Err(code) => return code,
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    if opts.list {
+    } else if opts.list {
         for l in &report.findings {
             println!(
                 "{}:{}:{}: [{}] {}",
@@ -452,29 +447,38 @@ fn main() -> ExitCode {
     }
 
     let verdict = simlint::check(&report, &allow);
-    println!(
-        "simlint: scanned {} files; findings by rule:",
-        report.files_scanned
+    say(
+        opts.json,
+        &format!(
+            "simlint: scanned {} files; findings by rule:",
+            report.files_scanned
+        ),
     );
     for rule in Rule::ALL {
-        println!(
-            "  {:<28} {:>4} found / {:>4} allowed",
-            rule.id(),
-            report.total(rule),
-            allow.total(rule)
+        say(
+            opts.json,
+            &format!(
+                "  {:<28} {:>4} found / {:>4} allowed",
+                rule.id(),
+                report.total(rule),
+                allow.total(rule)
+            ),
         );
     }
 
     let mut failed = false;
     if let Some(baseline) = &opts.baseline {
-        match run_baseline_diff(baseline, &report, &allow, false) {
+        match run_baseline_diff(baseline, &report, &allow, opts.json) {
             Ok(regressed) => failed = regressed,
             Err(code) => return code,
         }
     }
 
     if verdict.ok() && !failed {
-        println!("simlint: clean (all findings within the burn-down allowlist)");
+        say(
+            opts.json,
+            "simlint: clean (all findings within the burn-down allowlist)",
+        );
         return ExitCode::SUCCESS;
     }
     for v in &verdict.violations {

@@ -21,6 +21,7 @@ use simlint::allow::Allowlist;
 use simlint::hotpath::HOT_ROOTS;
 use simlint::rules::Rule;
 use simlint::{check, scan_workspace};
+use simobs::json::Json;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -92,6 +93,29 @@ fn fixture_corpus_fails_the_gate() {
         .status()
         .expect("run simlint binary");
     assert_eq!(status.code(), Some(1), "gate must fail on the fixtures");
+}
+
+/// `--json` moves the summary off stdout but keeps the verdict: the
+/// fixture corpus still fails, and stdout is one parseable export.
+#[test]
+fn json_export_fails_the_gate_like_a_plain_run() {
+    let out = Command::new(env!("CARGO_BIN_EXE_simlint"))
+        .args(["--json", "--root"])
+        .arg(fixture_root())
+        .output()
+        .expect("run simlint binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let doc = simobs::json::parse(&stdout).expect("stdout is one JSON document");
+    assert!(
+        matches!(doc.get("format"), Some(Json::Str(tag)) if tag == "oocnvm.simlint/4"),
+        "{stdout}"
+    );
+    assert!(
+        stderr.contains("simlint: FAILED — 4 violation(s)"),
+        "{stderr}"
+    );
 }
 
 /// A declared hot root that names no function fails the gate by name,

@@ -20,7 +20,10 @@
 //! [`StripeMap::decompose_into`] walks a run of consecutive positions as a
 //! counter: it locates the first slot once, then each step adds one
 //! digit's stride and each carry takes back what that digit had added.
-//! The walk divides once per request, not once per page.
+//! A request costs a fixed handful of divisions, the pages it walks and
+//! the dies it touches: a 4 KiB request visits one or two of the
+//! device's dies, not all of them. Only a request of at least one whole
+//! stripe, which credits every die, scans them all.
 
 use nvmtypes::convert::{u32_from, u64_from_usize, usize_from_u32};
 use nvmtypes::{DieIndex, SsdGeometry};
@@ -62,12 +65,19 @@ pub struct DieRun {
 /// accumulators plus the output run list, sized once and reused across
 /// every request of a run so the per-event service loop allocates
 /// nothing.
+///
+/// Between calls `pages`, `plane_mask` and `touched` are all zero: each
+/// call re-zeroes the dies it credited as it emits them, so the next one
+/// starts clean without clearing every die.
 #[derive(Debug, Default, Clone)]
 pub struct DecomposeScratch {
     /// Pages accumulated per die (dense, indexed by flat die index).
     pages: Vec<u64>,
     /// Distinct-plane bitmask per die.
     plane_mask: Vec<u32>,
+    /// During a call, bit `d % 64` of word `d / 64` is set once the
+    /// walk has credited die `d`.
+    touched: Vec<u64>,
     /// The decomposed runs — the output of the last `decompose_into`.
     pub runs: Vec<DieRun>,
 }
@@ -78,13 +88,29 @@ impl DecomposeScratch {
         DecomposeScratch::default()
     }
 
-    /// Resets the accumulators for `n_dies` dies without shrinking.
-    fn reset(&mut self, n_dies: usize) {
-        self.pages.clear();
-        self.pages.resize(n_dies, 0);
-        self.plane_mask.clear();
-        self.plane_mask.resize(n_dies, 0);
+    /// Readies the scratch for a device of `n_dies` dies. The
+    /// accumulators are already zero, so they are resized (and zeroed)
+    /// only when the die count changes.
+    fn prepare(&mut self, n_dies: usize) {
+        if self.pages.len() != n_dies {
+            self.pages.clear();
+            self.pages.resize(n_dies, 0);
+            self.plane_mask.clear();
+            self.plane_mask.resize(n_dies, 0);
+            self.touched.clear();
+            self.touched.resize(n_dies.div_ceil(64), 0);
+        }
         self.runs.clear();
+    }
+}
+
+/// Die `d`'s run from its accumulators, which are left zero.
+fn take_run(d: usize, pages: &mut u64, plane_mask: &mut u32, start_row: u64) -> DieRun {
+    DieRun {
+        die: DieIndex(u32_from(u64_from_usize(d))),
+        planes: std::mem::take(plane_mask).count_ones().max(1),
+        pages: std::mem::take(pages),
+        start_row,
     }
 }
 
@@ -227,9 +253,17 @@ impl StripeMap {
     /// stride, and a digit that wraps to 0 carries into the next one. A
     /// walk past the last slot of the stripe wraps to slot 0, exactly as
     /// `(start_lpn + i) % stripe_width` would.
+    ///
+    /// Cost: the pages walked plus the dies touched. A request of at
+    /// least one whole stripe stays dense: it credits, emits and re-zeroes
+    /// every die. The walk marks each die it credits in the `touched`
+    /// bitset, so a request shorter than a stripe emits and re-zeroes
+    /// only those dies, in ascending order, by scanning the set bits (one
+    /// word per 64 dies). Either way the scratch's `pages`, `plane_mask`
+    /// and `touched` are all zero again when the call returns.
     pub fn decompose_into(&self, start_lpn: u64, count: u64, scratch: &mut DecomposeScratch) {
         let n_dies = usize_from_u32(self.geometry.total_dies());
-        scratch.reset(n_dies);
+        scratch.prepare(n_dies);
         if count == 0 {
             return;
         }
@@ -242,8 +276,8 @@ impl StripeMap {
             // Every slot is hit `full_rows` times: each die gets
             // planes_per_die slots per stripe.
             for d in 0..n_dies {
-                scratch.pages[d] += full_rows * u64::from(planes_per_die);
-                scratch.plane_mask[d] |= (1u32 << planes_per_die) - 1;
+                scratch.pages[d] = full_rows * u64::from(planes_per_die);
+                scratch.plane_mask[d] = (1u32 << planes_per_die) - 1;
             }
         }
         if rem > 0 {
@@ -253,8 +287,10 @@ impl StripeMap {
             let (first_die, first_plane) = self.place(digits);
             let (mut die, mut plane) = (first_die.0, first_plane);
             for _ in 0..rem {
-                scratch.pages[usize_from_u32(die)] += 1;
-                scratch.plane_mask[usize_from_u32(die)] |= 1 << plane;
+                let d = usize_from_u32(die);
+                scratch.touched[d / 64] |= 1 << (d % 64);
+                scratch.pages[d] += 1;
+                scratch.plane_mask[d] |= 1 << plane;
                 for (i, digit) in digits.iter_mut().enumerate() {
                     if *digit + 1 < self.sizes[i] {
                         *digit += 1;
@@ -272,14 +308,24 @@ impl StripeMap {
         }
 
         let start_row = start_lpn / w;
-        for d in 0..n_dies {
-            if scratch.pages[d] > 0 {
-                scratch.runs.push(DieRun {
-                    die: DieIndex(u32_from(u64_from_usize(d))),
-                    planes: scratch.plane_mask[d].count_ones().max(1),
-                    pages: scratch.pages[d],
-                    start_row,
-                });
+        let DecomposeScratch {
+            pages,
+            plane_mask,
+            touched,
+            runs,
+        } = scratch;
+        if full_rows > 0 {
+            touched.fill(0);
+            let per_die = pages.iter_mut().zip(plane_mask.iter_mut()).enumerate();
+            runs.extend(per_die.map(|(d, (p, m))| take_run(d, p, m, start_row)));
+        } else {
+            for (i, word) in touched.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    let d = 64 * i + usize_from_u32(bits.trailing_zeros());
+                    bits &= bits - 1;
+                    runs.push(take_run(d, &mut pages[d], &mut plane_mask[d], start_row));
+                }
             }
         }
     }

@@ -126,28 +126,44 @@ proptest! {
     }
 }
 
-/// Counts of exactly `k` whole stripes (`k·w`), which the random draws
-/// above pair with a nonzero start only rarely: every walk geometry,
-/// every stripe order, k = 1..=3, and starts at, just after, just before
-/// and far past a stripe boundary.
+/// Deterministic boundary cases through one reused scratch, on every
+/// walk geometry and stripe order. First, counts of exactly `k` whole
+/// stripes (`k·w`, k = 1..=3), which the random draws above pair with a
+/// nonzero start only rarely, starting at, just after, just before and
+/// far past a stripe boundary. Then three rounds that alternate whole
+/// stripes plus a remainder walk, a single page, and walks that straddle
+/// a stripe boundary, two pages long and a third of a stripe long. Each
+/// single page lands on slot 0, which both straddling walks cross and
+/// the whole stripes cover, so a die that one call left credited shows
+/// up wrong in the next.
 #[test]
-fn stripe_walk_matches_at_exact_multiples_of_the_width() {
+fn stripe_walk_matches_at_and_across_stripe_boundaries() {
     for geometry in walk_geometries() {
         for perm in 0..24 {
             let map = StripeMap::new(geometry, order_of(perm));
             let w = map.stripe_width();
+            let multiples = (1..=3).flat_map(|k| {
+                [0, 1, w / 2 + 1, w - 1, w + 1, (1 << 40) - 3].map(move |start| (start, k * w))
+            });
+            let alternations = (0..3).flat_map(|round| {
+                let row = 7 * round + 1;
+                [
+                    (row * w + round, (round + 1) * w + round),
+                    (row * w, 1),
+                    ((row + 1) * w - 1, 2),
+                    ((row + 2) * w - 1, 2 + w / 3),
+                    ((row + 3) * w, 1),
+                ]
+            });
             let mut scratch = DecomposeScratch::new();
-            for k in 1..=3 {
-                let count = k * w;
-                for start in [0, 1, w / 2 + 1, w - 1, w + 1, (1 << 40) - 3] {
-                    map.decompose_into(start, count, &mut scratch);
-                    assert_eq!(
-                        scratch.runs,
-                        reference_decompose(&map, start, count),
-                        "geometry {geometry:?}, order {:?}, start {start}, count {count}",
-                        order_of(perm)
-                    );
-                }
+            for (start, count) in multiples.chain(alternations) {
+                map.decompose_into(start, count, &mut scratch);
+                assert_eq!(
+                    scratch.runs,
+                    reference_decompose(&map, start, count),
+                    "geometry {geometry:?}, order {:?}, start {start}, count {count}",
+                    order_of(perm)
+                );
             }
         }
     }

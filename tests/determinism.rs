@@ -312,6 +312,46 @@ fn run_batch_equals_each_specs_own_run() {
     }
 }
 
+#[test]
+fn run_tenancy_batch_equals_each_specs_own_run() {
+    // `run_tenancy_batch` hands the pool the heaviest tenancy first and
+    // puts the reports back in input order. Tenant counts here are out
+    // of order and tied, over two configs, so that order differs from
+    // the input's; every report must equal the spec run on its own,
+    // whole, at 1 and 2 workers.
+    use oocnvm_core::config::SystemConfig;
+    use oocnvm_core::experiment::ExperimentSpec;
+    use oocnvm_core::tenancy::{run_tenancy_batch, TenancySpec, TenantProfile, TenantSpec};
+    let _guard = ENV_LOCK.lock().unwrap();
+    let cells = [
+        (SystemConfig::cnl_ufs(), 3u64),
+        (SystemConfig::ion_gpfs(), 12),
+        (SystemConfig::cnl_ufs(), 1),
+        (SystemConfig::cnl_ufs(), 12),
+        (SystemConfig::ion_gpfs(), 6),
+    ];
+    let spec = |&(config, n): &(SystemConfig, u64)| -> TenancySpec<'static> {
+        let tenants = (0..n)
+            .map(|t| {
+                TenantSpec::new(TenantProfile::KvLookup {
+                    total_bytes: 64 * KIB,
+                    value_size: 4 * KIB,
+                })
+                .seed(n * 100 + t)
+            })
+            .collect();
+        ExperimentSpec::new(&config, NvmKind::Tlc).tenants(tenants)
+    };
+    let alone: Vec<_> = cells.iter().map(|c| spec(c).run()).collect();
+    for n in [1usize, 2] {
+        let batch = with_threads(n, || run_tenancy_batch(cells.iter().map(spec).collect()));
+        assert_eq!(batch.len(), alone.len());
+        for (i, (b, a)) in batch.iter().zip(&alone).enumerate() {
+            assert_eq!(b, a, "spec {i} diverged from its own run at {n} threads");
+        }
+    }
+}
+
 /// FNV-1a over the little-endian bytes of every value.
 fn fnv1a(values: &[f64]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
