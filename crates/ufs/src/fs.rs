@@ -158,10 +158,11 @@ pub struct Ufs<D: BlockDevice> {
 }
 
 impl<D: BlockDevice> Ufs<D> {
-    /// Formats `dev` and mounts the fresh filesystem. The device must be
-    /// zero-filled (a new [`ssd::SimBlockDevice`] is); format writes only
-    /// the superblock, because all-zero table and journal sectors already
-    /// mean "vacant".
+    /// Formats `dev` and mounts the fresh filesystem. The device must
+    /// read as zeros (a new [`ssd::SimBlockDevice`] does, and so does
+    /// the journaled replay's device, which stores nothing); format
+    /// writes only the superblock, because all-zero table and journal
+    /// sectors already mean "vacant".
     pub fn format(dev: D, params: UfsParams) -> Result<Ufs<D>, SimError> {
         let total = dev.sectors();
         params.validate(total)?;

@@ -2,8 +2,9 @@
 //!
 //! [`JournaledUfs`] implements [`oocfs::FileSystemModel`] by actually
 //! executing the application's POSIX trace against a mounted [`Ufs`]
-//! over an in-memory block device, capturing every sector request the
-//! filesystem issues and returning that as the device-level block trace.
+//! over a block device that stores no bytes, capturing every sector
+//! request the filesystem issues and returning that as the device-level
+//! block trace.
 //! Unlike the parameterised models in `oocfs`, the journal commits,
 //! metadata applies and copy-on-write data placement in the output are
 //! not modelled — they are the writes a real journaled UFS performed.
@@ -21,8 +22,7 @@ use nvmtypes::SimError;
 use oocfs::FileSystemModel;
 use ooctrace::{BlockTrace, PosixTrace};
 use simobs::Metric;
-use ssd::{SimBlockDevice, SECTOR_USIZE};
-use std::cell::Cell;
+use ssd::{BlockDevice, SECTOR_USIZE};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -44,16 +44,10 @@ use std::fmt::Write as _;
 /// materialise-then-fsync cycle of a growing file copies one partial
 /// sector per write, not the whole file. The emitted block trace is
 /// unchanged by this: the first write after each fsync still surfaces
-/// as a read of every sector of the file. Copy-on-write moves a file's
-/// clean prefix with [`ssd::BlockDevice::copy_sector`], one copy inside
-/// the device image per sector. Each thread keeps one zeroed device
-/// image and formats every replay on it
-/// ([`ssd::SimBlockDevice::zeroed_in`]); a replay that succeeds hands
-/// it back with only the bytes it wrote zeroed again, so after a
-/// thread's first replay a replay neither page-faults a fresh image in
-/// nor fills a whole one. The price is memory kept between replays: one
-/// image per thread that has replayed, as large as the biggest replay
-/// that thread ran.
+/// as a read of every sector of the file. The replay formats on a
+/// device that checks and counts every sector operation but stores no
+/// byte, so a commit's copy-on-write sectors copy nothing, and a replay
+/// allocates no device image and keeps no memory between calls.
 #[derive(Debug, Clone, Copy)]
 pub struct JournaledUfs {
     /// Filesystem geometry used for the replay mount.
@@ -107,7 +101,10 @@ impl JournaledUfs {
         let data_sectors: u64 = high.values().map(|b| b.div_ceil(sector) + 1).sum();
         let meta = 1 + u64::from(params.max_files) + u64::from(params.journal_sectors);
         let total = meta + data_sectors * 2 + 8;
-        let dev = SimBlockDevice::zeroed_in(SPARE_IMAGE.take(), total);
+        let dev = ReplayDevice {
+            sectors: total,
+            writes: 0,
+        };
         let mut fs = Ufs::format(dev, params)?;
         fs.enable_request_log();
 
@@ -171,17 +168,68 @@ impl JournaledUfs {
         fs.sync_all()?;
         let wa = fs.write_amp();
         let block = BlockTrace::from_requests(fs.take_request_log(), self.queue_depth);
-        SPARE_IMAGE.set(fs.into_device().into_zeroed_media());
         Ok((block, wa))
     }
 }
 
-std::thread_local! {
-    /// This thread's all-zero device image, kept between replays so the
-    /// next one formats on it instead of on a fresh allocation. Empty
-    /// until a replay on this thread succeeds; a failed replay drops its
-    /// image.
-    static SPARE_IMAGE: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+/// The replay's device: it checks every sector operation as
+/// [`ssd::SimBlockDevice`] does and counts the writes, but stores no
+/// byte and reads every sector as zeros. That is sound because [`Ufs`]
+/// never branches on data bytes and a replay never mounts (the one
+/// reader of metadata), so no stored byte could reach the block trace
+/// or the [`crate::fs::WriteAmp`]. A [`Ufs`] change that branches on
+/// data must replay on a [`ssd::SimBlockDevice`] again;
+/// `tests/replay_reference.rs` holds the two to the same output.
+struct ReplayDevice {
+    sectors: u64,
+    writes: u64,
+}
+
+impl ReplayDevice {
+    /// `SimBlockDevice`'s checks: a whole-sector buffer at an `lba` on
+    /// the device.
+    fn check(&self, lba: u64, len: usize, what: &str) -> Result<(), SimError> {
+        if len == SECTOR_USIZE && lba < self.sectors {
+            return Ok(());
+        }
+        Err(SimError::invalid_config(
+            format!("blockdev.{what}"),
+            format!(
+                "{len}-byte sector I/O at lba {lba} of a {}-sector device",
+                self.sectors
+            ),
+        ))
+    }
+}
+
+impl BlockDevice for ReplayDevice {
+    fn sectors(&self) -> u64 {
+        self.sectors
+    }
+
+    fn read_sector(&self, lba: u64, out: &mut [u8]) -> Result<(), SimError> {
+        self.check(lba, out.len(), "read")?;
+        out.fill(0);
+        Ok(())
+    }
+
+    fn write_sector(&mut self, lba: u64, data: &[u8]) -> Result<(), SimError> {
+        self.check(lba, data.len(), "write")?;
+        self.writes += 1;
+        Ok(())
+    }
+
+    fn writes_persisted(&self) -> u64 {
+        self.writes
+    }
+
+    /// The default's checks and count, without its sector buffer.
+    fn copy_sector(&mut self, from: u64, to: u64) -> Result<(), SimError> {
+        self.check(from, SECTOR_USIZE, "read")?;
+        self.check(to, SECTOR_USIZE, "write")?;
+        self.writes += 1;
+        Ok(())
+    }
 }
 
 impl FileSystemModel for JournaledUfs {
@@ -338,28 +386,6 @@ mod tests {
         );
     }
 
-    /// A checkpoint-shaped trace over `files` files of `bytes` bytes:
-    /// write each file, read it back (an fsync), then rewrite its tail
-    /// past EOF and read again, so the second commit copies the clean
-    /// prefix inside the device.
-    fn ckpt(files: u32, bytes: u64) -> PosixTrace {
-        let mut posix = PosixTrace::new();
-        let mut t = 0;
-        let mut push = |op, file, offset, len| {
-            posix.push(rec(t, op, file, offset, len));
-            t += 1;
-        };
-        for f in 0..files {
-            push(IoOp::Write, f, 0, bytes);
-            push(IoOp::Read, f, 0, 100);
-        }
-        for f in 0..files {
-            push(IoOp::Write, f, bytes - 100, 5000);
-            push(IoOp::Read, f, 0, bytes);
-        }
-        posix
-    }
-
     /// A replay's block trace and write amplification.
     fn replay(posix: &PosixTrace) -> (BlockTrace, crate::fs::WriteAmp) {
         JournaledUfs::default()
@@ -368,34 +394,32 @@ mod tests {
     }
 
     #[test]
-    fn a_recycled_image_replays_like_a_fresh_one() {
-        // Device sizes: B above A (the image grows), C below A (it is cut,
-        // and A then reuses bytes C never touched).
-        let a = ckpt(3, 40_000);
-        let b = ckpt(5, 300_000);
-        let c = ckpt(2, 9_000);
-        let fresh = |posix: &PosixTrace| std::thread::scope(|s| s.spawn(|| replay(posix)).join());
-        let want: Vec<_> = [&a, &b, &c, &a]
-            .map(|posix| fresh(posix).expect("fresh replay"))
-            .into();
-        // After each recycled replay the thread's spare image is all
-        // zero again: no replay reads bytes, so the traces alone would
-        // not show a stale image.
-        let recycled = |posix: &PosixTrace| {
-            let out = replay(posix);
-            let image = SPARE_IMAGE.take();
-            assert!(!image.is_empty() && image.iter().all(|&b| b == 0));
-            SPARE_IMAGE.set(image);
-            out
+    fn the_replay_device_checks_and_counts_like_a_sim_device() {
+        // Each operation's outcome: Ok, or the error's kind.
+        let run = |dev: &mut dyn BlockDevice| {
+            let sector = [0u8; SECTOR_USIZE];
+            let mut out = [7u8; SECTOR_USIZE];
+            let results = [
+                dev.write_sector(3, &sector),
+                dev.write_sector(4, &sector),
+                dev.write_sector(0, &sector[..100]),
+                dev.copy_sector(3, 0),
+                dev.copy_sector(4, 0),
+                dev.copy_sector(0, 4),
+                dev.read_sector(4, &mut out),
+                dev.read_sector(1, &mut out[..9]),
+                dev.read_sector(0, &mut out),
+            ];
+            let kinds = results.map(|r| r.map_err(|e| matches!(e, SimError::InvalidConfig { .. })));
+            (kinds, dev.writes_persisted(), out)
         };
-        let got =
-            std::thread::scope(|s| s.spawn(|| [&a, &b, &c, &a].map(recycled).to_vec()).join())
-                .expect("recycled replays");
+        let want = run(&mut ssd::SimBlockDevice::new(4));
+        assert_eq!(want.1, 2, "one write and one copy persisted");
+        let got = run(&mut ReplayDevice {
+            sectors: 4,
+            writes: 0,
+        });
         assert_eq!(got, want);
-        assert!(
-            want[0].1.cow_bytes > want[0].1.user_bytes,
-            "the rewrite copies"
-        );
     }
 
     #[test]

@@ -2,15 +2,20 @@
 //!
 //! [`reference_replay`] is the earlier replay loop, kept verbatim apart
 //! from its device: it reads every POSIX read record into a full
-//! `r.len`-byte window and builds a fresh device per replay. The
-//! replay under test reads an empty window at the record's offset and
-//! formats on a recycled image. The block trace takes only the
-//! whole-file walk a durable read logs, so both must emit the same
-//! requests and the same write amplification on every trace.
+//! `r.len`-byte window and formats a fresh [`SimBlockDevice`], which
+//! stores every byte written. The replay under test reads an empty
+//! window at the record's offset and formats a private device that
+//! stores no byte and reads every sector as zeros. The block trace
+//! takes only the whole-file walk a durable read logs, and `Ufs` never
+//! branches on data bytes, so both must emit the same requests and the
+//! same write amplification on every trace. A `Ufs` change that makes
+//! the output depend on data bytes fails here, and then the replay must
+//! go back onto a content device.
 
 use nvmtypes::convert::{u32_from, u64_from_usize, usize_from};
 use nvmtypes::{IoOp, SimError};
 use ooctrace::{BlockTrace, PosixTrace, TraceRecord};
+use proptest::prelude::*;
 use ssd::blockdev::SECTOR_BYTES as SECTOR;
 use ssd::SimBlockDevice;
 use std::collections::{BTreeMap, BTreeSet};
@@ -273,4 +278,47 @@ fn a_65_file_trace_replays_like_the_reference() {
     }
     b.read(slots, 4000, 5000);
     assert_replays_like_reference(&b.0);
+}
+
+/// A byte offset near the start, middle or end of one of a file's first
+/// eight sectors: sector-aligned, sub-sector and straddling records
+/// all come out of it.
+fn offset() -> impl Strategy<Value = u64> {
+    (
+        0u64..8,
+        prop_oneof![Just(0u64), 1u64..SECTOR - 1, Just(SECTOR - 1)],
+    )
+        .prop_map(|(sector, within)| sector * SECTOR + within)
+}
+
+/// A record length: a few bytes, up to three sectors, or one sector.
+fn len() -> impl Strategy<Value = u64> {
+    prop_oneof![1u64..64, 1u64..3 * SECTOR, Just(SECTOR)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random traces over one to five files: writes and reads at any
+    /// offset, reads past EOF that materialise the file, and writes into
+    /// sectors an earlier read made durable, whose staged windows then
+    /// carry durable bytes the replay's device does not hold.
+    #[test]
+    fn random_traces_replay_like_the_reference(
+        files in 1u32..=5,
+        ops in prop::collection::vec(
+            (prop::bool::ANY, 0u32..5, offset(), len()),
+            1..40,
+        ),
+    ) {
+        let mut b = Builder::default();
+        for (read, file, offset, len) in ops {
+            let op = if read { IoOp::Read } else { IoOp::Write };
+            b.push(op, file % files, offset, len);
+        }
+        let model = JournaledUfs::default();
+        let got = model.transform_with_stats(&b.0);
+        prop_assert!(got.is_ok(), "replays: {got:?}");
+        prop_assert_eq!(got, reference_replay(&model, &b.0));
+    }
 }
