@@ -2,10 +2,11 @@
 //!
 //! The simulator mixes `u32` geometry counts, `u64` byte/nanosecond
 //! quantities, and `f64` bandwidth/energy figures. A bare `as` cast at
-//! each mixing point hides where precision can be lost; `simlint`'s
-//! `bare_cast` rule steers every such conversion through this module (or
-//! through std's lossless `From`/`TryFrom`), so the lossy spots are
-//! named, documented, and auditable in one place.
+//! each mixing point hides where precision can be lost; clippy's
+//! `as_conversions` lint, denied in every unit-math crate, steers every
+//! such conversion through this module (or through std's lossless
+//! `From`/`TryFrom`), so the lossy spots are named, documented, and
+//! auditable in one place.
 //!
 //! Conventions:
 //!
@@ -20,8 +21,8 @@
 //! * [`trunc_u64`] / [`try_u32`] — the two narrowing directions, with
 //!   saturation and `Option` respectively.
 //!
-//! The handful of `as` casts implementing these helpers are the
-//! allowlisted remainder for this file in `simlint.allow`.
+//! The handful of `as` casts implementing these helpers each carry an
+//! `#[expect(clippy::as_conversions, reason = ...)]`.
 
 /// Converts a `u64` quantity to a `usize` index.
 ///

@@ -1,7 +1,7 @@
 //! Property tests for the `nvmtypes::convert` checked-conversion helpers.
 //!
-//! These helpers are the single audited choke point `simlint` steers all
-//! unit arithmetic through (its `bare_cast` rule); the properties here
+//! These helpers are the single audited choke point clippy steers all
+//! unit arithmetic through (its `as_conversions` lint); the properties here
 //! pin the contract that makes that steering safe: in-range round trips
 //! are exact, narrowings reject or saturate instead of wrapping, and the
 //! explicitly-approximate path is exact below 2^53.

@@ -27,7 +27,7 @@ use nvmtypes::{IoOp, SimError};
 use ooctrace::TraceSink;
 use rayon::prelude::*;
 use ssd::SimBlockDevice;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{MutexGuard, PoisonError};
 use ufs::{FileId, Ufs, UfsParams};
 
 /// Name of the panel file inside the filesystem.
@@ -228,7 +228,7 @@ pub struct UfsMatrix {
     pub panels: Vec<PanelMeta>,
     /// Trace file id panel reads are recorded under.
     pub file_id: u32,
-    fs: Mutex<Ufs<SimBlockDevice>>,
+    fs: FsLock,
     file: FileId,
     bytes: u64,
 }
@@ -277,7 +277,7 @@ impl UfsMatrix {
             n: matrix.n,
             panels,
             file_id,
-            fs: Mutex::new(fs),
+            fs: FsLock::new(fs),
             file,
             bytes: data.len() as u64,
         })
@@ -328,7 +328,7 @@ impl UfsMatrix {
         let x_rows = x.to_row_major();
         let mut y_rows = vec![0.0; x_rows.len()];
         let mut fs = self.lock_fs();
-        let sweep = Mutex::new(Sweep {
+        let sweep = SweepLock::new(Sweep {
             fs: &mut fs,
             next: 0,
             rest: &mut y_rows,
@@ -354,7 +354,7 @@ impl UfsMatrix {
     /// directory is exhausted or a read has failed.
     fn sweep_worker(
         &self,
-        sweep: &Mutex<Sweep<'_, '_>>,
+        sweep: &SweepLock<'_, '_>,
         x_rows: &[f64],
         m: usize,
         sink: &dyn TraceSink,
@@ -403,6 +403,23 @@ impl UfsMatrix {
             .into_media()
     }
 }
+
+/// The store's filesystem lock, the first in the workspace lock order
+/// (docs/CONCURRENCY.md): a sweep locks its [`SweepLock`] under it.
+#[expect(
+    clippy::disallowed_types,
+    reason = "first in the lock order of docs/CONCURRENCY.md"
+)]
+type FsLock = std::sync::Mutex<Ufs<SimBlockDevice>>;
+
+/// A sweep's claim lock, second in the workspace lock order
+/// (docs/CONCURRENCY.md): taken only under [`FsLock`], whose guard the
+/// [`Sweep`] holds, and under it only a sink's leaf lock is taken.
+#[expect(
+    clippy::disallowed_types,
+    reason = "second in the lock order of docs/CONCURRENCY.md"
+)]
+type SweepLock<'f, 'y> = std::sync::Mutex<Sweep<'f, 'y>>;
 
 /// The shared state of one [`UfsMatrix::spmm_traced`] sweep, behind the
 /// one lock its workers claim panels under: the filesystem, the next

@@ -136,6 +136,13 @@ pub struct Atomics {
     pub usize: std::sync::atomic::AtomicUsize, // lint: clippy::disallowed_types
 }
 
+/// A lock nesting must fit the audited order, so a new lock is a
+/// decision, not a default.
+pub struct Locks {
+    pub mutex: std::sync::Mutex<u64>, // lint: clippy::disallowed_types
+    pub rw: std::sync::RwLock<u64>, // lint: clippy::disallowed_types
+}
+
 /// Test code is exempt: clippy lints the library alone.
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,7 @@
 //! A lightweight Rust AST parsed from token trees.
 //!
 //! This is not a full Rust parser: it recognises the item structure
-//! (functions, impls, use trees, structs, mods), function signatures,
+//! (functions, impls, traits, use trees, mods, consts), function signatures,
 //! and a practical expression grammar (calls, method chains, casts,
 //! binary operators, `match` arms, closures, blocks). Anything it does
 //! not understand degrades to [`ExprKind::Unknown`] carrying harvested
@@ -25,8 +25,6 @@ pub struct Item {
     pub kind: ItemKind,
     /// Where it starts (the keyword token).
     pub span: Span,
-    /// `pub` (any form: `pub`, `pub(crate)`, ...).
-    pub is_pub: bool,
     /// Carried a `#[cfg(test)]` attribute.
     pub cfg_test: bool,
 }
@@ -52,18 +50,6 @@ pub enum ItemKind {
         /// Associated items.
         items: Vec<Item>,
     },
-    /// `struct` with any named fields captured.
-    Struct {
-        /// Type name.
-        name: String,
-        /// Named fields (tuple structs yield none).
-        fields: Vec<Param>,
-    },
-    /// `enum` declaration (variants are not modelled).
-    Enum {
-        /// Type name.
-        name: String,
-    },
     /// `trait` with its associated items.
     Trait {
         /// Trait name.
@@ -78,7 +64,7 @@ pub enum ItemKind {
         /// Declared type.
         ty: TyInfo,
     },
-    /// Anything else (`type`, `extern`, macros, ...).
+    /// Anything else (`struct`, `enum`, `type`, `extern`, macros, ...).
     Other,
 }
 
@@ -124,12 +110,10 @@ pub struct TyInfo {
 }
 
 /// A `{ .. }` block of statements.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Block {
     /// Statements in order.
     pub stmts: Vec<Stmt>,
-    /// Span of the opening brace.
-    pub span: Span,
 }
 
 /// One statement.
@@ -265,10 +249,8 @@ pub enum ExprKind {
     },
     /// Block expression (incl. `unsafe`/labelled blocks).
     Block(Block),
-    /// Closure.
+    /// Closure (its parameters are skipped).
     Closure {
-        /// Parameter names.
-        params: Vec<String>,
         /// Body expression.
         body: Box<Expr>,
     },
@@ -320,16 +302,10 @@ pub enum ExprKind {
 /// One `match` arm.
 #[derive(Debug)]
 pub struct Arm {
-    /// `true` when the pattern is exactly `_`.
-    pub is_wild: bool,
-    /// Paths named in the pattern (`IoOp::Read` → `[IoOp, Read]`).
-    pub pat_paths: Vec<Vec<String>>,
     /// Guard expression (`pat if guard =>`).
     pub guard: Option<Expr>,
     /// Arm body.
     pub body: Expr,
-    /// Span of the pattern start.
-    pub span: Span,
 }
 
 /// Parses a file's token trees into items.
@@ -496,9 +472,7 @@ fn parse_items(cur: &mut Cursor) -> Vec<Item> {
 fn parse_item(cur: &mut Cursor) -> Option<Item> {
     let cfg_test = eat_attrs(cur);
     let span = cur.span();
-    let mut is_pub = false;
     if cur.eat_ident("pub") {
-        is_pub = true;
         // `pub(crate)` / `pub(in path)`.
         if cur.peek().is_some_and(|t| t.group_of('(').is_some()) {
             cur.bump();
@@ -599,47 +573,21 @@ fn parse_item(cur: &mut Cursor) -> Option<Item> {
                 items: parse_items(&mut inner),
             }
         }
-        "struct" => {
+        "struct" | "enum" => {
+            // Skip to the end of the body: a `{..}` group, or the `;`
+            // after a tuple or unit struct.
             cur.bump();
-            let name = cur.bump().and_then(Tree::ident)?.to_string();
-            if cur.peek().is_some_and(|t| t.is_punct("<")) {
-                cur.skip_angles();
-            }
-            if cur.peek().is_some_and(|t| t.ident() == Some("where")) {
-                skip_where(cur);
-            }
-            let fields = match cur.peek() {
-                Some(t) if t.group_of('{').is_some() => {
-                    let g = cur.bump().and_then(|t| t.group_of('{'))?;
-                    parse_fields(g)
-                }
-                Some(t) if t.group_of('(').is_some() => {
-                    cur.bump();
-                    cur.eat_punct(";");
-                    Vec::new()
-                }
-                _ => {
-                    cur.eat_punct(";");
-                    Vec::new()
-                }
-            };
-            ItemKind::Struct { name, fields }
-        }
-        "enum" => {
-            cur.bump();
-            let name = cur.bump().and_then(Tree::ident)?.to_string();
             while let Some(t) = cur.peek() {
-                if t.group_of('{').is_some() {
-                    cur.bump();
-                    break;
-                }
                 if t.is_punct("<") {
                     cur.skip_angles();
-                } else {
-                    cur.bump();
+                    continue;
+                }
+                cur.bump();
+                if t.group_of('{').is_some() || t.is_punct(";") {
+                    break;
                 }
             }
-            ItemKind::Enum { name }
+            ItemKind::Other
         }
         "trait" => {
             cur.bump();
@@ -693,7 +641,6 @@ fn parse_item(cur: &mut Cursor) -> Option<Item> {
     Some(Item {
         kind,
         span,
-        is_pub,
         cfg_test,
     })
 }
@@ -835,38 +782,6 @@ fn parse_param(trees: &[&Tree]) -> Option<Param> {
     Some(Param { name, ty })
 }
 
-fn parse_fields(group: &Group) -> Vec<Param> {
-    split_top(&group.children, ",")
-        .into_iter()
-        .filter_map(|part| {
-            // Strip attributes and `pub`.
-            let mut idx = 0;
-            while idx < part.len() {
-                if part[idx].is_punct("#") {
-                    idx += 1;
-                    if part.get(idx).is_some_and(|t| t.group_of('[').is_some()) {
-                        idx += 1;
-                    }
-                } else if part[idx].ident() == Some("pub") {
-                    idx += 1;
-                    if part.get(idx).is_some_and(|t| t.group_of('(').is_some()) {
-                        idx += 1;
-                    }
-                } else {
-                    break;
-                }
-            }
-            let rest = &part[idx..];
-            let colon = rest.iter().position(|t| t.is_punct(":"))?;
-            let name = rest.first().and_then(|t| t.ident())?.to_string();
-            Some(Param {
-                name,
-                ty: ty_from_trees(&rest[colon + 1..]),
-            })
-        })
-        .collect()
-}
-
 /// Splits a sibling slice at top-level occurrences of `sep`.
 fn split_top<'a>(trees: &'a [Tree], sep: &str) -> Vec<Vec<&'a Tree>> {
     let mut parts = vec![Vec::new()];
@@ -943,10 +858,7 @@ pub fn parse_block(group: &Group) -> Block {
             cur.bump(); // safety: always advance
         }
     }
-    Block {
-        stmts,
-        span: group.open,
-    }
+    Block { stmts }
 }
 
 fn parse_stmt(cur: &mut Cursor) -> Option<Stmt> {
@@ -1214,68 +1126,25 @@ fn parse_prefix(cur: &mut Cursor, no_struct: bool) -> Expr {
     if moved {
         cur.bump();
     }
-    if cur.peek().is_some_and(|t| t.is_punct("||")) {
-        cur.bump();
+    let closure = if cur.eat_punct("|") {
+        drop(collect_until(cur, &["|"], &[])); // the parameters
+        true
+    } else {
+        cur.eat_punct("||")
+    };
+    if closure {
         if cur.eat_punct("->") {
             drop(collect_until(cur, &[], &["{"]));
         }
         let body = parse_bp(cur, 3, false);
         return Expr {
             kind: ExprKind::Closure {
-                params: Vec::new(),
-                body: Box::new(body),
-            },
-            span,
-        };
-    }
-    if cur.peek().is_some_and(|t| t.is_punct("|")) {
-        cur.bump();
-        let param_trees = collect_until(cur, &["|"], &[]);
-        let params = split_top_refs(&param_trees, ",")
-            .into_iter()
-            .filter_map(|p| simple_pat_name(&p).or_else(|| pat_first_ident(&p)))
-            .collect();
-        if cur.eat_punct("->") {
-            drop(collect_until(cur, &[], &["{"]));
-        }
-        let body = parse_bp(cur, 3, false);
-        return Expr {
-            kind: ExprKind::Closure {
-                params,
                 body: Box::new(body),
             },
             span,
         };
     }
     parse_atom(cur, no_struct)
-}
-
-fn pat_first_ident(trees: &[&Tree]) -> Option<String> {
-    trees
-        .iter()
-        .filter_map(|t| t.ident())
-        .find(|n| !matches!(*n, "mut" | "ref"))
-        .map(str::to_string)
-}
-
-fn split_top_refs<'a>(trees: &[&'a Tree], sep: &str) -> Vec<Vec<&'a Tree>> {
-    let mut parts = vec![Vec::new()];
-    let mut angle = 0i64;
-    for t in trees {
-        if t.is_punct("<") {
-            angle += 1;
-        } else if t.is_punct(">") {
-            angle = (angle - 1).max(0);
-        } else if angle == 0 && t.is_punct(sep) {
-            parts.push(Vec::new());
-            continue;
-        }
-        if let Some(last) = parts.last_mut() {
-            last.push(*t);
-        }
-    }
-    parts.retain(|p| !p.is_empty());
-    parts
 }
 
 fn parse_atom(cur: &mut Cursor, no_struct: bool) -> Expr {
@@ -1410,16 +1279,7 @@ fn parse_ident_atom(cur: &mut Cursor, name: String, span: Span, no_struct: bool)
             } else {
                 parse_bp(cur, 3, true)
             };
-            let then = match cur.peek().and_then(|t| t.group_of('{')) {
-                Some(g) => {
-                    cur.bump();
-                    parse_block(g)
-                }
-                None => Block {
-                    stmts: Vec::new(),
-                    span,
-                },
-            };
+            let then = eat_block(cur);
             let els = if cur.eat_ident("else") {
                 Some(Box::new(parse_atom(cur, no_struct)))
             } else {
@@ -1460,7 +1320,7 @@ fn parse_ident_atom(cur: &mut Cursor, name: String, span: Span, no_struct: bool)
             } else {
                 parse_bp(cur, 3, true)
             };
-            let body = eat_block(cur, span);
+            let body = eat_block(cur);
             Expr {
                 kind: ExprKind::While {
                     cond: Box::new(cond),
@@ -1489,7 +1349,7 @@ fn parse_ident_atom(cur: &mut Cursor, name: String, span: Span, no_struct: bool)
                     },
                 ),
             };
-            let body = eat_block(cur, span);
+            let body = eat_block(cur);
             Expr {
                 kind: ExprKind::For {
                     pat,
@@ -1501,7 +1361,7 @@ fn parse_ident_atom(cur: &mut Cursor, name: String, span: Span, no_struct: bool)
         }
         "loop" => {
             cur.bump();
-            let body = eat_block(cur, span);
+            let body = eat_block(cur);
             Expr {
                 kind: ExprKind::Loop { body },
                 span,
@@ -1509,7 +1369,7 @@ fn parse_ident_atom(cur: &mut Cursor, name: String, span: Span, no_struct: bool)
         }
         "unsafe" => {
             cur.bump();
-            let body = eat_block(cur, span);
+            let body = eat_block(cur);
             Expr {
                 kind: ExprKind::Block(body),
                 span,
@@ -1614,16 +1474,13 @@ fn parse_ident_atom(cur: &mut Cursor, name: String, span: Span, no_struct: bool)
     }
 }
 
-fn eat_block(cur: &mut Cursor, fallback: Span) -> Block {
+fn eat_block(cur: &mut Cursor) -> Block {
     match cur.peek().and_then(|t| t.group_of('{')) {
         Some(g) => {
             cur.bump();
             parse_block(g)
         }
-        None => Block {
-            stmts: Vec::new(),
-            span: fallback,
-        },
+        None => Block::default(),
     }
 }
 
@@ -1692,67 +1549,22 @@ fn parse_arms(g: &Group) -> Vec<Arm> {
         if cur.eat_punct(",") {
             continue;
         }
-        let span = cur.span();
         let pat_trees = collect_until(&mut cur, &["=>"], &[]);
         if pat_trees.is_empty() && cur.at_end() {
             break;
         }
         // Split off a guard: top-level `if` in the pattern region.
         let guard_pos = pat_trees.iter().position(|t| t.ident() == Some("if"));
-        let (pat, guard) = match guard_pos {
-            Some(i) => (&pat_trees[..i], Some(parse_subtrees(&pat_trees[i + 1..]))),
-            None => (&pat_trees[..], None),
-        };
-        let is_wild = matches!(pat, [one] if one.ident() == Some("_"));
-        let pat_paths = collect_pat_paths(pat);
+        let guard = guard_pos.map(|i| parse_subtrees(&pat_trees[i + 1..]));
         let before = cur.pos;
         let body = parse_expr(&mut cur, false);
         if cur.pos == before {
             cur.bump();
         }
         cur.eat_punct(",");
-        arms.push(Arm {
-            is_wild,
-            pat_paths,
-            guard,
-            body,
-            span,
-        });
+        arms.push(Arm { guard, body });
     }
     arms
-}
-
-/// Collects `A::B`-style paths appearing anywhere in a pattern.
-fn collect_pat_paths(trees: &[&Tree]) -> Vec<Vec<String>> {
-    let mut out = Vec::new();
-    collect_paths_rec(trees.iter().copied(), &mut out);
-    out
-}
-
-fn collect_paths_rec<'a>(trees: impl Iterator<Item = &'a Tree>, out: &mut Vec<Vec<String>>) {
-    let trees: Vec<&Tree> = trees.collect();
-    let mut i = 0;
-    while i < trees.len() {
-        if let Some(name) = trees[i].ident() {
-            let mut segs = vec![name.to_string()];
-            let mut j = i + 1;
-            while j + 1 < trees.len() && trees[j].is_punct("::") && trees[j + 1].ident().is_some() {
-                if let Some(seg) = trees[j + 1].ident() {
-                    segs.push(seg.to_string());
-                }
-                j += 2;
-            }
-            if segs.len() > 1 {
-                out.push(segs);
-            }
-            i = j;
-        } else {
-            if let Some(g) = trees[i].group() {
-                collect_paths_rec(g.children.iter(), out);
-            }
-            i += 1;
-        }
-    }
 }
 
 fn parse_postfix(cur: &mut Cursor, mut lhs: Expr, _no_struct: bool) -> Expr {
@@ -2020,110 +1832,6 @@ fn expand_use(trees: &[&Tree], prefix: &[String], entries: &mut Vec<UseEntry>) {
     }
 }
 
-/// Walks every expression in a block, depth-first. Nested items are
-/// skipped: code in a nested `fn` runs only when called, not where it
-/// is written.
-pub fn visit_exprs<'a>(block: &'a Block, f: &mut impl FnMut(&'a Expr)) {
-    block_exprs(block, &mut |e| visit_expr(e, f));
-}
-
-/// Walks one expression tree, depth-first, calling `f` on every node
-/// (nested items skipped, as in [`visit_exprs`]).
-pub fn visit_expr<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
-    f(expr);
-    expr_children(expr, &mut |child| visit_expr(child, f));
-}
-
-/// Calls `f` on the top-level expression of each statement in `block`:
-/// `let` initialisers and expression statements. Nested items are
-/// skipped.
-pub fn block_exprs<'a>(block: &'a Block, f: &mut impl FnMut(&'a Expr)) {
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::Let { init: Some(e), .. } => f(e),
-            Stmt::Expr { expr, .. } => f(expr),
-            Stmt::Let { init: None, .. } | Stmt::Item(_) => {}
-        }
-    }
-}
-
-/// Calls `f` on each direct child of `expr`, in source order. A block's
-/// children are its statements' expressions (see [`block_exprs`]).
-/// This is the one definition of an expression's children; every
-/// recursive walk builds on it.
-pub fn expr_children<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
-    match &expr.kind {
-        ExprKind::Path(_) | ExprKind::Lit(_) => {}
-        ExprKind::Call {
-            callee: first,
-            args,
-        }
-        | ExprKind::MethodCall {
-            recv: first, args, ..
-        } => {
-            f(first);
-            args.iter().for_each(f);
-        }
-        ExprKind::Field { base: e, .. }
-        | ExprKind::Unary { operand: e, .. }
-        | ExprKind::Cast { operand: e, .. }
-        | ExprKind::Closure { body: e, .. }
-        | ExprKind::Try(e) => f(e),
-        ExprKind::Binary { lhs, rhs, .. }
-        | ExprKind::Assign { lhs, rhs, .. }
-        | ExprKind::Index {
-            base: lhs,
-            index: rhs,
-        } => {
-            f(lhs);
-            f(rhs);
-        }
-        ExprKind::Macro { args: es, .. }
-        | ExprKind::Tuple(es)
-        | ExprKind::Array(es)
-        | ExprKind::Unknown(es) => es.iter().for_each(f),
-        ExprKind::Match { scrutinee, arms } => {
-            f(scrutinee);
-            for arm in arms {
-                if let Some(g) = &arm.guard {
-                    f(g);
-                }
-                f(&arm.body);
-            }
-        }
-        ExprKind::If { cond, then, els } => {
-            f(cond);
-            block_exprs(then, f);
-            if let Some(e) = els {
-                f(e);
-            }
-        }
-        ExprKind::While { cond: head, body }
-        | ExprKind::For {
-            iter: head, body, ..
-        } => {
-            f(head);
-            block_exprs(body, f);
-        }
-        ExprKind::Loop { body } | ExprKind::Block(body) => block_exprs(body, f),
-        ExprKind::StructLit { fields, .. } => {
-            for (_, e) in fields {
-                f(e);
-            }
-        }
-        ExprKind::Return(e) | ExprKind::Break(e) => {
-            if let Some(e) = e {
-                f(e);
-            }
-        }
-        ExprKind::Range { lo, hi } => {
-            for e in [lo, hi].into_iter().flatten() {
-                f(e);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2207,7 +1915,7 @@ mod tests {
     }
 
     #[test]
-    fn match_arms_with_guards_and_paths() {
+    fn match_arms_with_guards() {
         let f = file(
             "fn f(k: IoOp, n: u8) -> u32 {\n match (k, n) {\n  (IoOp::Read, x) if x > 3 => 1,\n  (IoOp::Write, _) => 2,\n  _ => 3,\n }\n}\n",
         );
@@ -2220,13 +1928,8 @@ mod tests {
         };
         assert_eq!(arms.len(), 3);
         assert!(arms[0].guard.is_some());
-        assert!(!arms[0].is_wild);
-        assert_eq!(
-            arms[0].pat_paths,
-            vec![vec!["IoOp".to_string(), "Read".to_string()]]
-        );
-        assert!(arms[2].is_wild);
-        assert_eq!(arms[2].span.line, 5);
+        assert!(arms[1].guard.is_none() && arms[2].guard.is_none());
+        assert!(matches!(&arms[2].body.kind, ExprKind::Lit(n) if n == "3"));
     }
 
     #[test]
@@ -2269,10 +1972,10 @@ mod tests {
         let Stmt::Let { init: Some(e), .. } = stmts[0] else {
             unreachable!("closure let")
         };
-        let ExprKind::Closure { params, .. } = &e.kind else {
+        let ExprKind::Closure { body } = &e.kind else {
             unreachable!("closure expected, got {:?}", e.kind)
         };
-        assert_eq!(params, &["a".to_string(), "b".to_string()]);
+        assert!(matches!(&body.kind, ExprKind::Binary { op, .. } if op == "+"));
         let Stmt::Expr { expr, .. } = stmts[2] else {
             unreachable!("struct lit")
         };
@@ -2292,11 +1995,8 @@ mod tests {
         let ItemKind::Mod { items, .. } = &f.items[0].kind else {
             unreachable!("mod expected")
         };
-        let ItemKind::Struct { name, fields } = &items[0].kind else {
-            unreachable!("struct expected")
-        };
-        assert_eq!(name, "S");
-        assert_eq!(fields[0].name, "t_ns");
+        // The struct is skipped whole, and the impl after it parses.
+        assert!(matches!(items[0].kind, ItemKind::Other));
         let ItemKind::Impl { self_ty, items } = &items[1].kind else {
             unreachable!("impl expected")
         };
@@ -2334,18 +2034,8 @@ mod tests {
         // pattern binding in expression position) must still surface
         // the paths it mentions.
         let f = file("fn f() { let q = yield_thing spooky::path(arg); }");
-        let fd = first_fn(&f);
-        let mut paths = Vec::new();
-        if let Some(b) = &fd.body {
-            visit_exprs(b, &mut |e| {
-                if let ExprKind::Path(p) = &e.kind {
-                    paths.push(p.join("::"));
-                }
-            });
-        }
-        assert!(paths
-            .iter()
-            .any(|p| p.contains("spooky::path") || p == "arg"));
+        let parsed = format!("{:?}", first_fn(&f).body);
+        assert!(parsed.contains("[\"spooky\", \"path\"]"), "{parsed}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! Design notes:
 //! * Spans are 1-based `(line, col)` into the cleaned text. Columns are
 //!   best-effort (the cleaner can shift bytes within a line); lines are
-//!   exact, which is what the allowlist and diagnostics key on.
+//!   exact, which is what diagnostics and the `#[cfg(test)]` map key on.
 //! * Only unambiguous multi-char operators are fused at the token level
 //!   (`::`, `->`, `=>`, `..`, `..=`, `...`, `&&`, `||`, `==`, `!=`).
 //!   `<`/`>` always stay single so `Vec<Vec<u8>>` never lexes a shift;

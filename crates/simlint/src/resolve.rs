@@ -9,7 +9,7 @@
 
 use crate::ast::{self, File, FnDef, Item, ItemKind, Param, TyInfo, UseEntry};
 use crate::lexer;
-use crate::parser::{self, Span};
+use crate::parser;
 use std::collections::BTreeMap;
 
 /// Maps a crate's import name (as written in `use` paths) to its
@@ -166,12 +166,6 @@ pub struct FnSig {
     pub params: Vec<Param>,
     /// Return type.
     pub ret: Option<TyInfo>,
-    /// Declared `pub`.
-    pub is_pub: bool,
-    /// Defining file (workspace-relative) and span, for diagnostics.
-    pub file: String,
-    /// Where the `fn` keyword sits.
-    pub span: Span,
 }
 
 /// Workspace-wide symbol index of function signatures.
@@ -206,7 +200,7 @@ impl Index {
                 continue;
             }
             match &item.kind {
-                ItemKind::Fn(fd) => self.add_fn(fd, module, self_ty, item.is_pub, file, item.span),
+                ItemKind::Fn(fd) => self.add_fn(fd, module, self_ty),
                 ItemKind::Mod { name, items } => {
                     let mut sub = module.to_vec();
                     sub.push(name.clone());
@@ -223,15 +217,7 @@ impl Index {
         }
     }
 
-    fn add_fn(
-        &mut self,
-        fd: &FnDef,
-        module: &[String],
-        self_ty: Option<&str>,
-        is_pub: bool,
-        file: &FileAst,
-        span: Span,
-    ) {
+    fn add_fn(&mut self, fd: &FnDef, module: &[String], self_ty: Option<&str>) {
         let mut segs = module.to_vec();
         if let Some(ty) = self_ty {
             if !ty.is_empty() {
@@ -245,9 +231,6 @@ impl Index {
             name: fd.name.clone(),
             params: fd.params.clone(),
             ret: fd.ret.clone(),
-            is_pub,
-            file: file.path.clone(),
-            span,
         };
         self.by_name
             .entry(fd.name.clone())
@@ -301,54 +284,6 @@ impl Index {
         match self.by_name.get(name).map(Vec::as_slice) {
             Some([only]) => self.fns.get(only),
             _ => None,
-        }
-    }
-}
-
-/// Walks function definitions with their canonical path (the same
-/// path construction as [`Index::build`]), skipping test-gated items.
-/// The callback receives `(fn, canonical_path, is_pub, span, self_ty)`,
-/// where `self_ty` names the enclosing `impl`'s type.
-pub fn visit_fns_with_path(
-    items: &[Item],
-    module: &[String],
-    file: &FileAst,
-    f: &mut impl FnMut(&FnDef, &String, bool, Span, Option<&str>),
-) {
-    visit_items(items, module, None, file, f);
-}
-
-fn visit_items(
-    items: &[Item],
-    module: &[String],
-    self_ty: Option<&str>,
-    file: &FileAst,
-    f: &mut impl FnMut(&FnDef, &String, bool, Span, Option<&str>),
-) {
-    for item in items {
-        if item.cfg_test || file.line_in_test(item.span.line) {
-            continue;
-        }
-        match &item.kind {
-            ItemKind::Fn(fd) => {
-                let mut segs = module.to_vec();
-                segs.push(fd.name.clone());
-                f(fd, &segs.join("::"), item.is_pub, item.span, self_ty);
-            }
-            ItemKind::Mod { name, items } => {
-                let mut sub = module.to_vec();
-                sub.push(name.clone());
-                visit_items(items, &sub, None, file, f);
-            }
-            ItemKind::Impl { self_ty, items } => {
-                let mut sub = module.to_vec();
-                if !self_ty.is_empty() {
-                    sub.push(self_ty.clone());
-                }
-                visit_items(items, &sub, Some(self_ty), file, f);
-            }
-            ItemKind::Trait { items, .. } => visit_items(items, module, None, file, f),
-            _ => {}
         }
     }
 }
@@ -417,7 +352,6 @@ mod tests {
         let sig = idx
             .lookup(&["fs".into(), "transform".into(), "T".into(), "run".into()])
             .expect("impl fn indexed");
-        assert!(sig.is_pub);
         assert_eq!(sig.params.len(), 2);
         assert_eq!(sig.params[1].name, "n_bytes");
         assert_eq!(sig.ret.as_ref().map(|t| t.base.as_str()), Some("Nanos"));

@@ -18,8 +18,7 @@
 
 use crate::ast::{Block, Expr, ExprKind, FnDef, Item, ItemKind, Param, Stmt, TyInfo};
 use crate::resolve::{FileAst, Index};
-use crate::rules::{Finding, Rule};
-use crate::Located;
+use crate::{Finding, Located};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -201,7 +200,6 @@ impl Ctx<'_> {
                     if let (Some(a), Some(b)) = (ann, init_unit) {
                         if a != b {
                             self.findings.push(Finding {
-                                rule: Rule::UnitMismatch,
                                 line: span.line,
                                 col: span.col,
                                 message: format!(
@@ -235,7 +233,6 @@ impl Ctx<'_> {
                     if let (Some(a), Some(b)) = (a, b) {
                         if a != b {
                             self.findings.push(Finding {
-                                rule: Rule::UnitMismatch,
                                 line: expr.span.line,
                                 col: expr.span.col,
                                 message: format!(
@@ -260,7 +257,6 @@ impl Ctx<'_> {
                     if let (Some(a), Some(b)) = (a, b) {
                         if a != b {
                             self.findings.push(Finding {
-                                rule: Rule::UnitMismatch,
                                 line: expr.span.line,
                                 col: expr.span.col,
                                 message: format!(
@@ -349,7 +345,6 @@ impl Ctx<'_> {
                     {
                         if want != got {
                             self.findings.push(Finding {
-                                rule: Rule::UnitMismatch,
                                 line: e.span.line,
                                 col: e.span.col,
                                 message: format!(
@@ -403,7 +398,6 @@ impl Ctx<'_> {
             if let (Some(want), Some(got)) = (param_unit(p), self.expr_unit(a, env, file)) {
                 if want != got {
                     self.findings.push(Finding {
-                        rule: Rule::UnitMismatch,
                         line: a.span.line,
                         col: a.span.col,
                         message: format!(
@@ -434,7 +428,6 @@ impl Ctx<'_> {
             ) {
                 if a != b {
                     self.findings.push(Finding {
-                        rule: Rule::UnitMismatch,
                         line: args[0].span.line,
                         col: args[0].span.col,
                         message: format!(
@@ -456,7 +449,6 @@ impl Ctx<'_> {
                 if let (Some(want), Some(got)) = (param_unit(p), self.expr_unit(a, env, file)) {
                     if want != got {
                         self.findings.push(Finding {
-                            rule: Rule::UnitMismatch,
                             line: a.span.line,
                             col: a.span.col,
                             message: format!(

@@ -110,11 +110,10 @@ impl Default for HdrHistogram {
 impl HdrHistogram {
     /// New empty histogram.
     ///
-    /// Hot-path audit (`hotpath_alloc`, allowlisted): the bucket vector
-    /// is the histogram. `ssd::qos::SsdDevice::serve` builds one per
-    /// tenant in its setup, inside the closure that maps tenants to
-    /// their run state, which the pass counts as a hot loop; it runs once
-    /// per tenant per run and is returned in `TenantRunStats`.
+    /// Allocates the bucket vector, which is the histogram.
+    /// `ssd::qos::SsdDevice::serve` builds one per tenant in its setup,
+    /// once per run, and returns it in `TenantRunStats`; the request
+    /// loop itself allocates nothing per request (`tests/alloc_budget.rs`).
     pub fn new() -> HdrHistogram {
         HdrHistogram {
             counts: vec![0; BUCKETS],

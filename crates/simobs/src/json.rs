@@ -122,8 +122,8 @@ fn render_string(s: &str, out: &mut String) {
 /// payload's fields (object payloads merge; anything else nests under
 /// `"payload"`), rendered canonically so equal reports are
 /// byte-identical. Every `--json` emitter in the workspace — the bench
-/// bins via `oocnvm_bench::json_report`, `obsreport`, `reliability`,
-/// and `simlint --json` — goes through this one helper.
+/// bins via `oocnvm_bench::json_report`, `obsreport` and `reliability`
+/// — goes through this one helper.
 #[must_use]
 pub fn report(schema: &str, payload: Json) -> String {
     let mut fields = vec![("format".to_string(), Json::str(schema))];

@@ -168,7 +168,7 @@ pub(crate) struct EngineState {
     makespan: Nanos,
     // Reused per-request working memory for stripe decomposition: the
     // service loop runs per event, so its buffers are hoisted here
-    // (simlint `hotpath_alloc` keeps this path allocation-free).
+    // (`tests/alloc_budget.rs` holds it to no allocation per request).
     dmap: DecomposeScratch,
 }
 

@@ -126,7 +126,7 @@ pub struct Ftl {
     spare_blocks: u64,
     /// Reused survivor-key buffer for GC migration: collection runs on
     /// the per-event write path, so its scratch is hoisted here
-    /// (simlint `hotpath_alloc`).
+    /// (`tests/alloc_budget.rs`).
     gc_keys: Vec<u64>,
 }
 

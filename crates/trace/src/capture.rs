@@ -7,7 +7,7 @@
 
 use crate::record::{PosixTrace, TraceRecord};
 use nvmtypes::{IoOp, Nanos};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{MutexGuard, PoisonError};
 
 /// Anything that can observe POSIX-level I/O calls.
 pub trait TraceSink: Send + Sync {
@@ -35,9 +35,17 @@ impl TraceSink for NullSink {
 /// shape of requests matter.
 #[derive(Debug)]
 pub struct TraceCapture {
-    state: Mutex<Captured>,
+    state: StateLock,
     ns_per_call: u64,
 }
+
+/// The capture's one lock, the last in the workspace lock order
+/// (docs/CONCURRENCY.md): nothing is locked while it is held.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a leaf of the lock order in docs/CONCURRENCY.md"
+)]
+type StateLock = std::sync::Mutex<Captured>;
 
 /// The records and the logical clock, behind one lock.
 #[derive(Debug, Default)]
@@ -61,7 +69,7 @@ impl TraceCapture {
     /// New capture advancing the logical clock by `ns_per_call` per call.
     pub fn with_tick(ns_per_call: u64) -> TraceCapture {
         TraceCapture {
-            state: Mutex::new(Captured::default()),
+            state: StateLock::new(Captured::default()),
             ns_per_call,
         }
     }

@@ -71,8 +71,8 @@ impl ExtentAllocator {
     /// only a fragmented region falls back to gathering several runs in
     /// address order, capped at [`MAX_EXTENTS`] pieces.
     ///
-    /// Hot-path audit (`hotpath_alloc`, allowlisted): the owned extent
-    /// list is the API — it is moved into the committed [`FileEntry`] —
+    /// Allocation budget (`tests/alloc_budget.rs`, the journaled replay's
+    /// per-record budget counts it): the owned extent list is the API — it is moved into the committed [`FileEntry`] —
     /// and holds at most [`MAX_EXTENTS`] (8) elements.
     pub fn allocate(&mut self, sectors: u64) -> Result<Vec<Extent>, SimError> {
         if sectors == 0 {

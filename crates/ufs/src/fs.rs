@@ -364,7 +364,7 @@ impl<D: BlockDevice> Ufs<D> {
                 .ok_or(SimError::ResourceExhausted {
                     resource: "ufs file-table slots".into(),
                 })?;
-        // Hot-path audit (`hotpath_alloc`, allowlisted): the table entry
+        // Allocation budget (`tests/alloc_budget.rs`): the table entry
         // owns its name, and the two `Vec::new`s are zero-capacity (no
         // heap touch until first write) — once per file creation.
         self.table[slot] = Some(FileEntry {
@@ -430,7 +430,7 @@ impl<D: BlockDevice> Ufs<D> {
                 // are copied.
                 self.log.record_walk(entry);
                 let start = sector_floor(offset.min(entry.size));
-                // Hot-path audit (`hotpath_alloc`, allowlisted): one
+                // Allocation budget (`tests/alloc_budget.rs`): one
                 // window buffer per fsync cycle, sized to the durable
                 // bytes from `start` (at most one partial sector for an
                 // append); later writes grow it in place.
@@ -506,7 +506,7 @@ impl<D: BlockDevice> Ufs<D> {
     /// The five-phase journaled commit of `window` for slot `id`; the
     /// caller ([`Ufs::fsync`]) owns the staged-map bookkeeping.
     fn commit_staged(&mut self, id: FileId, window: &Window) -> Result<(), SimError> {
-        // Hot-path audit (`hotpath_alloc`, allowlisted): the three entry
+        // Allocation budget (`tests/alloc_budget.rs`): the three entry
         // clones in this function (old entry, its name, the journal copy
         // of the new entry) are metadata-small — a <=64-byte name and
         // <=8 extents — while the content itself moves without copying.

@@ -13,7 +13,7 @@
 #                       and the API bans of crates/clippy.toml (hash
 #                       collections, wall clock, `RandomState`, env
 #                       reads, pointer addresses, `thread::spawn`,
-#                       atomics), then the standalone benchmark package,
+#                       atomics, locks), then the standalone benchmark package,
 #                       whose manifest mirrors the workspace base; any
 #                       other clippy warning fails the stage too
 #                       (`-D warnings`; docs/INVARIANTS.md)
@@ -21,19 +21,14 @@
 #                       plants one violation per lint and API ban above:
 #                       it must report exactly the lint each planted
 #                       line's `// lint:` comment names, and nothing else
-#   4. simlint        — `simlint --baseline`: the three semantic passes
-#                       clippy cannot express (unit_mismatch, lock_order,
-#                       hotpath_alloc; every hot root must name a
-#                       function) checked against the
-#                       burn-down allowlist, then the findings diffed
-#                       against the committed results/simlint.baseline.json:
-#                       any new (rule, path) finding, allowlist growth or
-#                       new hot-path allocation site fails the gate
-#                       (docs/STATIC_ANALYSIS.md, docs/CONCURRENCY.md)
+#   4. simlint        — the one check clippy cannot express,
+#                       unit_mismatch: any finding fails the gate
+#                       (docs/STATIC_ANALYSIS.md)
 #   5. tests          — the whole workspace test suite, among them the
 #                       pinned simulated results of one small sweep,
 #                       traced run and solve (crates/bench/tests/
-#                       pinned_scenario.rs)
+#                       pinned_scenario.rs) and the per-event allocation
+#                       budgets of tests/alloc_budget.rs
 #   6. release build  — tier-1 artifact (skipped with --fast)
 #   7. figures        — the thirteen figure and table bins are re-run
 #                       with OOCNVM_TRACE_MIB unset and each output is
@@ -135,8 +130,8 @@ for what, diff in (("missing", want - got), ("unexpected", got - want)):
 sys.exit(1 if want != got or not want else 0)
 EOF
 
-step "simlint --baseline (semantic passes, allowlist, findings + hot-path ratchet)"
-cargo run --quiet -p simlint -- --baseline results/simlint.baseline.json
+step "simlint (unit_mismatch)"
+cargo run --quiet -p simlint
 
 step "cargo test --workspace"
 cargo test --workspace --quiet

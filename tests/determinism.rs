@@ -4,9 +4,10 @@
 //! The paper's figures are ratios between simulated configurations
 //! (e.g. the ~10.3x CNL speedup); if iteration order or wall-clock state
 //! leaked into the pipeline, those ratios would wobble run-to-run and
-//! the reproduction would be unfalsifiable. `simlint` forbids the usual
+//! the reproduction would be unfalsifiable. Clippy bans the usual
 //! sources (`HashMap`/`HashSet` state, `Instant::now`, OS entropy) at
-//! the source level; this test pins the end-to-end behaviour.
+//! the source level (`crates/clippy.toml`); this test pins the
+//! end-to-end behaviour.
 
 use flashsim::MediaConfig;
 use interconnect::{ddr800, pcie, LinkChain, PcieGen};
