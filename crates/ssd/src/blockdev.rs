@@ -30,11 +30,13 @@
 //! back, which is every [`SimBlockDevice`]: the crash harness, the
 //! panel store, every mount. The one exception is the journaled
 //! replay's private device (`ufs::replay`): it checks and counts sector
-//! operations as [`SimBlockDevice`] does, but stores no byte and reads
-//! as zeros. That is sound because UFS never branches on data bytes and
-//! a replay never mounts. A UFS change that does branch on them must
-//! move the replay back onto a content device;
-//! `crates/ufs/tests/replay_reference.rs` exists to catch that case.
+//! operations as [`SimBlockDevice`] does, but stores no byte, reads as
+//! zeros and says so through [`BlockDevice::stores_data`], so UFS
+//! stages lengths rather than bytes on it. That is sound because UFS
+//! never branches on data bytes and a replay never mounts. A UFS change
+//! that does branch on them must move the replay back onto a content
+//! device; `crates/ufs/tests/replay_reference.rs` exists to catch that
+//! case.
 
 use nvmtypes::convert::{u64_from_usize, usize_from};
 use nvmtypes::{CrashPoint, CrashVerdict, SimError};
@@ -70,6 +72,18 @@ pub trait BlockDevice {
 
     /// Sector writes fully persisted so far.
     fn writes_persisted(&self) -> u64;
+
+    /// Whether the device keeps the data bytes written to it. `false`
+    /// tells a file system that no data byte it writes is read back for
+    /// its content, so it may write zero sectors in place of data and
+    /// serve zeros for data not yet written, holding none of it in
+    /// memory. Only a device that reads data as zeros anyway may return
+    /// `false`, such as the journaled replay's device, which stores
+    /// nothing. Checks, write counts and power-loss semantics are the
+    /// same either way.
+    fn stores_data(&self) -> bool {
+        true
+    }
 
     /// Copies sector `from` onto sector `to`: one sector write, with
     /// [`BlockDevice::write_sector`]'s durability and power-loss

@@ -844,6 +844,6 @@ mod tests {
         let rep = dev.run(&trace);
         // Media moved at least the payload (page-aligned over-read allowed).
         assert!(rep.media.bytes >= rep.total_bytes);
-        assert_eq!(rep.requests, trace.len() as u64);
+        assert_eq!(rep.requests, u64_from_usize(trace.len()));
     }
 }

@@ -400,9 +400,9 @@ mod tests {
         let before = f.wear().gc_units_written;
         // Now overwrite every other extent repeatedly: victims keep ~half
         // their data valid, so GC must migrate.
-        for round in 0..4u64 {
+        for _ in 0..4 {
             for i in (0..fill).step_by(2) {
-                f.translate_write(i * 4 + round % 1, 4);
+                f.translate_write(i * 4, 4);
             }
         }
         assert!(f.wear().gc_runs > 0, "GC never ran");
@@ -436,11 +436,15 @@ mod tests {
 
     #[test]
     fn wear_pressure_tracks_imbalance() {
-        let mut even = WearStats::default();
-        even.per_row = vec![3, 3, 3];
+        let even = WearStats {
+            per_row: vec![3, 3, 3],
+            ..WearStats::default()
+        };
         assert!((even.pressure() - 1.0).abs() < 1e-12);
-        let mut hot = WearStats::default();
-        hot.per_row = vec![9, 1, 0, 2];
+        let hot = WearStats {
+            per_row: vec![9, 1, 0, 2],
+            ..WearStats::default()
+        };
         assert!(hot.pressure() > 2.0);
         assert!((WearStats::default().pressure() - 1.0).abs() < 1e-12);
     }

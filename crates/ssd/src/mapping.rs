@@ -348,12 +348,12 @@ mod tests {
     #[test]
     fn locate_covers_every_slot_once() {
         let m = StripeMap::default_order(SsdGeometry::tiny());
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for pos in 0..m.stripe_width() {
             let (die, plane) = m.locate(pos);
             assert!(seen.insert((die, plane)), "slot repeated at pos {pos}");
         }
-        assert_eq!(seen.len() as u64, m.stripe_width());
+        assert_eq!(u64_from_usize(seen.len()), m.stripe_width());
     }
 
     #[test]
@@ -363,7 +363,7 @@ mod tests {
         // Positions 0..8 land on distinct channels, same plane/die/package.
         for pos in 0..8 {
             let (die, plane) = m.locate(pos);
-            assert_eq!(die.channel(&g), pos as u32);
+            assert_eq!(u64::from(die.channel(&g)), pos);
             assert_eq!(plane, 0);
         }
         // Position 8 wraps to plane 1 of channel 0.
@@ -400,7 +400,7 @@ mod tests {
         let runs = paper_map().decompose(0, 32);
         assert_eq!(runs.len(), 16);
         let g = *paper_map().geometry();
-        let mut per_channel = std::collections::HashMap::new();
+        let mut per_channel = std::collections::BTreeMap::new();
         for r in &runs {
             *per_channel.entry(r.die.channel(&g)).or_insert(0u32) += 1;
         }
@@ -440,7 +440,7 @@ mod tests {
         assert_eq!(runs.len(), 4);
         assert!(runs.iter().all(|r| r.planes == 1));
         let g = *m.geometry();
-        let chans: std::collections::HashSet<u32> =
+        let chans: std::collections::BTreeSet<u32> =
             runs.iter().map(|r| r.die.channel(&g)).collect();
         assert_eq!(chans.len(), 4);
     }

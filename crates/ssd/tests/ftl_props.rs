@@ -1,6 +1,7 @@
 //! Property tests on the FTL's allocator, garbage collector and the
 //! stripe map.
 
+use nvmtypes::convert::{u32_from, u64_from_usize, usize_from_u32};
 use nvmtypes::{DieIndex, NvmKind, SsdGeometry};
 use proptest::prelude::*;
 use ssd::mapping::{DecomposeScratch, DieRun, Dim, StripeMap};
@@ -57,7 +58,7 @@ fn walk_geometries() -> Vec<SsdGeometry> {
 /// replaced, kept verbatim apart from its own accumulators. Every page
 /// of the partial stripe is placed by `locate`.
 fn reference_decompose(map: &StripeMap, start_lpn: u64, count: u64) -> Vec<DieRun> {
-    let n_dies = map.geometry().total_dies() as usize;
+    let n_dies = usize_from_u32(map.geometry().total_dies());
     let mut pages = vec![0u64; n_dies];
     let mut plane_mask = vec![0u32; n_dies];
     let mut runs = Vec::new();
@@ -78,15 +79,15 @@ fn reference_decompose(map: &StripeMap, start_lpn: u64, count: u64) -> Vec<DieRu
     for i in 0..rem {
         let pos = (start_lpn + full_rows * w + i) % w;
         let (die, plane) = map.locate(pos);
-        pages[die.0 as usize] += 1;
-        plane_mask[die.0 as usize] |= 1 << plane;
+        pages[usize_from_u32(die.0)] += 1;
+        plane_mask[usize_from_u32(die.0)] |= 1 << plane;
     }
 
     let start_row = start_lpn / w;
     for d in 0..n_dies {
         if pages[d] > 0 {
             runs.push(DieRun {
-                die: DieIndex(d as u32),
+                die: DieIndex(u32_from(u64_from_usize(d))),
                 planes: plane_mask[d].count_ones().max(1),
                 pages: pages[d],
                 start_row,
@@ -186,7 +187,7 @@ proptest! {
         // Every slot of a full stripe is hit exactly once.
         let full = map.decompose(0, map.stripe_width());
         let g = *map.geometry();
-        prop_assert_eq!(full.len() as u32, g.total_dies());
+        prop_assert_eq!(u64_from_usize(full.len()), u64::from(g.total_dies()));
     }
 
     #[test]

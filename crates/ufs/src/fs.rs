@@ -33,6 +33,13 @@
 //! write below `start` reads the device without logging. At fsync the
 //! clean prefix sectors are copied from the old extents and the window's
 //! sectors written after them, in file order.
+//!
+//! On a device that stores no data ([`BlockDevice::stores_data`] is
+//! `false`, the journaled replay's) a window stages its length alone:
+//! writes copy no byte, staged reads read zeros, as that device's reads
+//! do, and fsync writes the window's sectors as zero sectors. The
+//! device requests, their order and the [`WriteAmp`] are the same as
+//! when the bytes are staged.
 
 use crate::alloc::ExtentAllocator;
 use crate::journal::{plan_recovery, RecoveryReport};
@@ -377,6 +384,7 @@ impl<D: BlockDevice> Ufs<D> {
             id.0,
             Window {
                 start: 0,
+                len: 0,
                 bytes: Vec::new(),
             },
         );
@@ -399,8 +407,11 @@ impl<D: BlockDevice> Ufs<D> {
 
     /// Writes `data` at byte `offset`, extending the file as needed (a
     /// hole past EOF reads as zeros). The write is staged in memory until
-    /// [`Ufs::fsync`]; see the module docs for the staged window.
+    /// [`Ufs::fsync`]; see the module docs for the staged window. On a
+    /// device that stores no data only the window's length is staged,
+    /// and no byte of `data` is copied.
     pub fn write(&mut self, id: FileId, offset: u64, data: &[u8]) -> Result<(), SimError> {
+        let stores = self.dev.stores_data();
         // Field-level borrows: the durable entry stays in the table while
         // the window, the device and the log are used.
         let entry = entry_in(&self.table, id)?;
@@ -411,14 +422,17 @@ impl<D: BlockDevice> Ufs<D> {
                     // Extend the window down to the write's sector; the
                     // bytes in between are clean, so the device has them.
                     let start = sector_floor(offset);
-                    let gap = usize_from(w.start - start);
-                    let len = w.bytes.len();
-                    w.bytes.resize(len + gap, 0);
-                    w.bytes.copy_within(..len, gap);
-                    if let Err(e) = copy_durable(&self.dev, entry, start, &mut w.bytes[..gap]) {
-                        w.bytes.drain(..gap);
-                        return Err(e);
+                    if stores {
+                        let gap = usize_from(w.start - start);
+                        let len = w.bytes.len();
+                        w.bytes.resize(len + gap, 0);
+                        w.bytes.copy_within(..len, gap);
+                        if let Err(e) = copy_durable(&self.dev, entry, start, &mut w.bytes[..gap]) {
+                            w.bytes.drain(..gap);
+                            return Err(e);
+                        }
                     }
+                    w.len += w.start - start;
                     w.start = start;
                 }
                 w
@@ -430,16 +444,26 @@ impl<D: BlockDevice> Ufs<D> {
                 // are copied.
                 self.log.record_walk(entry);
                 let start = sector_floor(offset.min(entry.size));
+                let len = entry.size - start;
                 // Allocation budget (`tests/alloc_budget.rs`): one
-                // window buffer per fsync cycle, sized to the durable
-                // bytes from `start` (at most one partial sector for an
-                // append); later writes grow it in place.
-                let mut bytes = vec![0u8; usize_from(entry.size - start)];
+                // window buffer per fsync cycle on a device that stores
+                // data, sized to the durable bytes from `start` (at most
+                // one partial sector for an append); later writes grow
+                // it in place.
+                let mut bytes = if stores {
+                    vec![0u8; usize_from(len)]
+                } else {
+                    Vec::new()
+                };
                 copy_durable(&self.dev, entry, start, &mut bytes)?;
-                v.insert(Window { start, bytes })
+                v.insert(Window { start, len, bytes })
             }
         };
         self.wa.user_bytes += u64_from_usize(data.len());
+        w.len = w.len.max(offset + u64_from_usize(data.len()) - w.start);
+        if !stores {
+            return Ok(());
+        }
         let at = usize_from(offset - w.start);
         if at == w.bytes.len() {
             // Pure append (the replay's steady state): one copy, no
@@ -459,7 +483,9 @@ impl<D: BlockDevice> Ufs<D> {
     /// visible (read-your-writes); reading past EOF is an error. Only the
     /// sectors the range covers are copied. A staged read takes the
     /// clean prefix from the device and the rest from the staged window,
-    /// and logs nothing.
+    /// and logs nothing; on a device that stores no data the window
+    /// holds no bytes, and its part reads as zeros, as the device's
+    /// reads do.
     ///
     /// A durable read still logs a read of *every* sector of the file,
     /// in extent order, whatever the range: the journaled replay's block
@@ -475,7 +501,11 @@ impl<D: BlockDevice> Ufs<D> {
             let (clean, staged) = out.split_at_mut(split);
             copy_durable(&self.dev, entry_in(&self.table, id)?, offset, clean)?;
             let from = usize_from(offset.max(w.start) - w.start);
-            staged.copy_from_slice(&w.bytes[from..from + staged.len()]);
+            if self.dev.stores_data() {
+                staged.copy_from_slice(&w.bytes[from..from + staged.len()]);
+            } else {
+                staged.fill(0);
+            }
             return Ok(());
         }
         let entry = entry_in(&self.table, id)?;
@@ -529,6 +559,8 @@ impl<D: BlockDevice> Ufs<D> {
         // durable size, so the old extents hold every prefix sector in
         // full. Full window sectors write straight from the window; only
         // its final partial chunk is zero-padded through a stack image.
+        // A device that stores no data gets every window sector from the
+        // zeroed image.
         let mut image = [0u8; SECTOR_USIZE];
         let mut dst = new_extents.iter().flat_map(|e| e.start..e.end());
         let clean = usize_from(window.start / SECTOR_BYTES);
@@ -536,12 +568,18 @@ impl<D: BlockDevice> Ufs<D> {
         for (from, to) in old.take(clean).zip(dst.by_ref()) {
             self.copy_data(from, to)?;
         }
-        for (chunk, to) in window.bytes.chunks(SECTOR_USIZE).zip(dst) {
-            if chunk.len() == SECTOR_USIZE {
-                self.write_data(to, chunk)?;
-            } else {
-                image[..chunk.len()].copy_from_slice(chunk);
-                image[chunk.len()..].fill(0);
+        if self.dev.stores_data() {
+            for (chunk, to) in window.bytes.chunks(SECTOR_USIZE).zip(dst) {
+                if chunk.len() == SECTOR_USIZE {
+                    self.write_data(to, chunk)?;
+                } else {
+                    image[..chunk.len()].copy_from_slice(chunk);
+                    image[chunk.len()..].fill(0);
+                    self.write_data(to, &image)?;
+                }
+            }
+        } else {
+            for to in dst.take(usize_from(window.len.div_ceil(SECTOR_BYTES))) {
                 self.write_data(to, &image)?;
             }
         }
@@ -700,17 +738,21 @@ impl RequestLog {
 /// its content, holding every byte written since the last fsync.
 #[derive(Debug)]
 struct Window {
-    /// Sector-aligned file offset of `bytes[0]`. Never above the durable
-    /// size, so the durable extents hold every byte below it.
+    /// Sector-aligned file offset of the window's first byte. Never
+    /// above the durable size, so the durable extents hold every byte
+    /// below it.
     start: u64,
-    /// File bytes `[start, EOF)`.
+    /// Bytes in the window, `EOF - start`.
+    len: u64,
+    /// File bytes `[start, EOF)`, `len` of them, on a device that stores
+    /// data; empty on one that does not.
     bytes: Vec<u8>,
 }
 
 impl Window {
     /// The staged file size.
     fn end(&self) -> u64 {
-        self.start + u64_from_usize(self.bytes.len())
+        self.start + self.len
     }
 }
 

@@ -39,15 +39,17 @@ use std::fmt::Write as _;
 /// bytes (152 of 216 MiB over the four seed-42 traces of the
 /// benchmark's journaled_ckpt workload).
 ///
-/// Host cost: the filesystem stages only the bytes written since a
-/// file's last fsync (the staged window of [`crate::fs`]), so the
-/// materialise-then-fsync cycle of a growing file copies one partial
-/// sector per write, not the whole file. The emitted block trace is
+/// Host cost: the replay formats on a device that checks and counts
+/// every sector operation but stores no byte, and says so
+/// ([`BlockDevice::stores_data`]). So a commit's copy-on-write sectors
+/// copy nothing, and the filesystem stages only the length of what a
+/// file's writes and materialisations add since its last fsync (the
+/// staged window of [`crate::fs`]), not their bytes: a write costs a
+/// few integer updates whatever its size. The emitted block trace is
 /// unchanged by this: the first write after each fsync still surfaces
-/// as a read of every sector of the file. The replay formats on a
-/// device that checks and counts every sector operation but stores no
-/// byte, so a commit's copy-on-write sectors copy nothing, and a replay
-/// allocates no device image and keeps no memory between calls.
+/// as a read of every sector of the file, and each commit writes every
+/// sector of it. A replay allocates no device image, no window buffer,
+/// and keeps no memory between calls.
 #[derive(Debug, Clone, Copy)]
 pub struct JournaledUfs {
     /// Filesystem geometry used for the replay mount.
@@ -174,7 +176,9 @@ impl JournaledUfs {
 
 /// The replay's device: it checks every sector operation as
 /// [`ssd::SimBlockDevice`] does and counts the writes, but stores no
-/// byte and reads every sector as zeros. That is sound because [`Ufs`]
+/// byte and reads every sector as zeros. It answers `false` to
+/// [`BlockDevice::stores_data`], so [`Ufs`] stages window lengths, not
+/// bytes, on it and commits zero sectors. That is sound because [`Ufs`]
 /// never branches on data bytes and a replay never mounts (the one
 /// reader of metadata), so no stored byte could reach the block trace
 /// or the [`crate::fs::WriteAmp`]. A [`Ufs`] change that branches on
@@ -221,6 +225,10 @@ impl BlockDevice for ReplayDevice {
 
     fn writes_persisted(&self) -> u64 {
         self.writes
+    }
+
+    fn stores_data(&self) -> bool {
+        false
     }
 
     /// The default's checks and count, without its sector buffer.

@@ -5,7 +5,8 @@
 //! `r.len`-byte window and formats a fresh [`SimBlockDevice`], which
 //! stores every byte written. The replay under test reads an empty
 //! window at the record's offset and formats a private device that
-//! stores no byte and reads every sector as zeros. The block trace
+//! stores no byte and reads every sector as zeros, on which `Ufs`
+//! stages window lengths instead of bytes. The block trace
 //! takes only the whole-file walk a durable read logs, and `Ufs` never
 //! branches on data bytes, so both must emit the same requests and the
 //! same write amplification on every trace. A `Ufs` change that makes
@@ -94,17 +95,17 @@ fn reference_replay(
 
 /// Asserts that the replay and the reference agree on `posix`, and
 /// returns the replay's block trace.
-fn assert_replays_like_reference(posix: &PosixTrace) -> BlockTrace {
+fn assert_replays_like_reference(posix: &PosixTrace) -> Result<BlockTrace, SimError> {
     let model = JournaledUfs::default();
-    let (block, wa) = model.transform_with_stats(posix).expect("replays");
-    let (want_block, want_wa) = reference_replay(&model, posix).expect("reference replays");
+    let (block, wa) = model.transform_with_stats(posix)?;
+    let (want_block, want_wa) = reference_replay(&model, posix)?;
     assert_eq!(block.requests, want_block.requests, "block-trace requests");
     assert_eq!(wa, want_wa, "write amplification");
     assert!(
         block.requests.iter().any(|r| r.op.is_read()),
         "the trace's reads surface on the device"
     );
-    block
+    Ok(block)
 }
 
 /// Appends records to a trace with consecutive timestamps.
@@ -187,10 +188,11 @@ fn checkpoint_shaped_traces_replay_like_the_reference() {
         (96, 4096, 16 * 4096, 8, 1),
         (24, 1000, 3000, 2, 9),
     ] {
-        assert_replays_like_reference(&checkpoint_shaped(reads, record, interval, burst, seed));
+        assert_replays_like_reference(&checkpoint_shaped(reads, record, interval, burst, seed))
+            .expect("replays");
     }
     for (files, bytes) in [(1, 9_000), (3, 40_000), (5, 300_000)] {
-        assert_replays_like_reference(&write_read_rewrite(files, bytes));
+        assert_replays_like_reference(&write_read_rewrite(files, bytes)).expect("replays");
     }
 }
 
@@ -241,7 +243,7 @@ fn partial_reads_of_a_fragmented_file_replay_like_the_reference() {
     for (offset, len) in windows {
         b.read(1, offset, len);
     }
-    let block = assert_replays_like_reference(&b.0);
+    let block = assert_replays_like_reference(&b.0).expect("replays");
     // The trace ends with the walks of the last step's read and of the
     // windows, one request per extent (consecutive walks do not merge:
     // the last extent does not end where the first begins).
@@ -277,7 +279,7 @@ fn a_65_file_trace_replays_like_the_reference() {
         b.read(f, 5, 30);
     }
     b.read(slots, 4000, 5000);
-    assert_replays_like_reference(&b.0);
+    assert_replays_like_reference(&b.0).expect("replays");
 }
 
 /// A byte offset near the start, middle or end of one of a file's first

@@ -9,14 +9,22 @@
 //! captured while `write` still staged a copy of the whole file, so any
 //! cheaper staging must reproduce that file system's device traffic and
 //! contents exactly.
+//!
+//! The same sequences then hold the two staging paths to each other: a
+//! device that says it stores no data ([`BlockDevice::stores_data`])
+//! makes `Ufs` stage window lengths instead of bytes, and must see the
+//! request log and `WriteAmp` of the byte path, with every read
+//! returning zeros.
 
-use ssd::{SimBlockDevice, SECTOR_USIZE};
+use nvmtypes::convert::usize_from;
+use nvmtypes::SimError;
+use ssd::{BlockDevice, SimBlockDevice, SECTOR_BYTES};
 use ufs::{Ufs, UfsParams, WriteAmp};
 
 /// Files the sequences touch.
 const FILES: u64 = 3;
 /// Ops per sequence.
-const OPS: usize = 160;
+const OPS: u64 = 160;
 /// Device size in sectors.
 const SECTORS: u64 = 2048;
 
@@ -67,6 +75,22 @@ struct Outcome {
     reads: u64,
 }
 
+/// One sequence's run on a device of type `D`.
+struct Run<D: BlockDevice> {
+    /// The file system as the sequence left it.
+    fs: Ufs<D>,
+    /// FNV-1a over the captured request log.
+    log: u64,
+    /// Requests in the captured log.
+    requests: usize,
+    /// `WriteAmp` fields, summed over the mounts.
+    wa: [u64; 6],
+    /// FNV-1a over every read's offset and bytes.
+    reads: u64,
+    /// Every byte read back was zero.
+    zero_reads: bool,
+}
+
 fn wa_fields(wa: WriteAmp) -> [u64; 6] {
     [
         wa.user_bytes,
@@ -80,7 +104,7 @@ fn wa_fields(wa: WriteAmp) -> [u64; 6] {
 
 /// A write length: mostly sub-sector or a few sectors plus a partial one.
 fn write_len(rng: &mut Rng) -> u64 {
-    let sector = SECTOR_USIZE as u64;
+    let sector = SECTOR_BYTES;
     match rng.below(4) {
         0 => 1 + rng.below(200),
         1 => 1 + rng.below(sector),
@@ -91,7 +115,7 @@ fn write_len(rng: &mut Rng) -> u64 {
 
 /// Where a write of a file of `size` bytes lands.
 fn write_offset(rng: &mut Rng, size: u64) -> u64 {
-    let sector = SECTOR_USIZE as u64;
+    let sector = SECTOR_BYTES;
     match rng.below(5) {
         // Append.
         0 | 1 => size,
@@ -104,25 +128,27 @@ fn write_offset(rng: &mut Rng, size: u64) -> u64 {
     }
 }
 
-fn run(seed: u64) -> Outcome {
+/// Runs the sequence of `seed` on a file system formatted on `dev`.
+fn run<D: BlockDevice>(seed: u64, dev: D) -> Result<Run<D>, SimError> {
     let mut rng = Rng(seed);
     let params = UfsParams {
         max_files: 8,
         journal_sectors: 16,
     };
-    let mut fs = Ufs::format(SimBlockDevice::new(SECTORS), params).expect("formats");
+    let mut fs = Ufs::format(dev, params)?;
     fs.enable_request_log();
     let mut log = Fnv::new();
     let mut requests = 0;
     let mut reads = Fnv::new();
+    let mut zero_reads = true;
     // `WriteAmp` restarts at every mount; sum it over the mounts.
     let mut wa = [0u64; 6];
-    let add = |wa: &mut [u64; 6], fs: &Ufs<SimBlockDevice>| {
+    let add = |wa: &mut [u64; 6], fs: &Ufs<D>| {
         for (acc, v) in wa.iter_mut().zip(wa_fields(fs.write_amp())) {
             *acc += v;
         }
     };
-    let mut drain = |fs: &mut Ufs<SimBlockDevice>, log: &mut Fnv| {
+    let mut drain = |fs: &mut Ufs<D>, log: &mut Fnv| {
         for r in fs.take_request_log() {
             log.eat(&[u8::from(r.op.is_read()), u8::from(r.sync)]);
             log.u64(r.offset);
@@ -135,56 +161,71 @@ fn run(seed: u64) -> Outcome {
         let name = format!("f{}", rng.below(FILES));
         let id = match fs.open(&name) {
             Ok(id) => id,
-            Err(_) => fs.create(&name).expect("creates"),
+            Err(_) => fs.create(&name)?,
         };
-        let size = fs.size(id).expect("sized");
+        let size = fs.size(id)?;
         match rng.below(16) {
             0..=7 => {
                 let offset = write_offset(&mut rng, size);
                 let len = write_len(&mut rng);
                 let data: Vec<u8> = (0..len)
-                    .map(|b| ((b * 7 + i as u64 * 131 + seed) % 251) as u8)
+                    .map(|b| ((b * 7 + i * 131 + seed) % 251) as u8)
                     .collect();
-                fs.write(id, offset, &data).expect("writes");
+                fs.write(id, offset, &data)?;
             }
             8..=11 => {
                 let offset = rng.below(size + 1);
                 let len = rng.below(size - offset + 1);
-                out.resize(len as usize, 0xEE);
-                fs.read(id, offset, &mut out).expect("reads");
+                out.resize(usize_from(len), 0xEE);
+                fs.read(id, offset, &mut out)?;
                 reads.u64(offset);
                 reads.eat(&out);
+                zero_reads &= out.iter().all(|&b| b == 0);
             }
-            12 | 13 => fs.fsync(id).expect("syncs"),
-            14 => fs.sync_all().expect("syncs"),
+            12 | 13 => fs.fsync(id)?,
+            14 => fs.sync_all()?,
             _ => {
                 drain(&mut fs, &mut log);
                 add(&mut wa, &fs);
-                let (again, _report) = Ufs::mount(fs.into_device()).expect("mounts");
+                let (again, _report) = Ufs::mount(fs.into_device())?;
                 fs = again;
                 fs.enable_request_log();
             }
         }
     }
-    fs.sync_all().expect("syncs");
+    fs.sync_all()?;
     for f in 0..FILES {
         if let Ok(id) = fs.open(&format!("f{f}")) {
-            out.resize(fs.size(id).expect("sized") as usize, 0xEE);
-            fs.read(id, 0, &mut out).expect("reads");
+            out.resize(usize_from(fs.size(id)?), 0xEE);
+            fs.read(id, 0, &mut out)?;
             reads.eat(&out);
+            zero_reads &= out.iter().all(|&b| b == 0);
         }
     }
     drain(&mut fs, &mut log);
     add(&mut wa, &fs);
-    let mut media = Fnv::new();
-    media.eat(&fs.into_device().into_media());
-    Outcome {
+    Ok(Run {
+        fs,
         log: log.0,
         requests,
         wa,
-        media: media.0,
         reads: reads.0,
-    }
+        zero_reads,
+    })
+}
+
+/// What the sequence of `seed` leaves on a [`SimBlockDevice`].
+fn outcome(seed: u64) -> Result<Outcome, SimError> {
+    let run = run(seed, SimBlockDevice::new(SECTORS))?;
+    let mut media = Fnv::new();
+    media.eat(run.fs.device().media());
+    Ok(Outcome {
+        log: run.log,
+        requests: run.requests,
+        wa: run.wa,
+        media: media.0,
+        reads: run.reads,
+    })
 }
 
 #[test]
@@ -252,6 +293,49 @@ fn staging_is_pinned_across_seeded_op_sequences() {
         ),
     ];
     for (seed, want) in pins {
-        assert_eq!(run(seed), want, "seed {seed}");
+        assert_eq!(outcome(seed).expect("runs"), want, "seed {seed}");
+    }
+}
+
+/// A [`SimBlockDevice`] that says it stores no data, so `Ufs` stages
+/// lengths on it and commits zero sectors. It still stores what it is
+/// given, metadata included, so it remounts like the device it wraps.
+struct StoresNoData(SimBlockDevice);
+
+impl BlockDevice for StoresNoData {
+    fn sectors(&self) -> u64 {
+        self.0.sectors()
+    }
+
+    fn read_sector(&self, lba: u64, out: &mut [u8]) -> Result<(), SimError> {
+        self.0.read_sector(lba, out)
+    }
+
+    fn write_sector(&mut self, lba: u64, data: &[u8]) -> Result<(), SimError> {
+        self.0.write_sector(lba, data)
+    }
+
+    fn writes_persisted(&self) -> u64 {
+        self.0.writes_persisted()
+    }
+
+    fn stores_data(&self) -> bool {
+        false
+    }
+}
+
+#[test]
+fn staging_lengths_issues_the_requests_of_staging_bytes() {
+    for seed in [1, 7, 42, 1234, 9001, 31337] {
+        let bytes = run(seed, SimBlockDevice::new(SECTORS)).expect("runs");
+        let lengths = run(seed, StoresNoData(SimBlockDevice::new(SECTORS))).expect("runs");
+        assert_eq!(lengths.log, bytes.log, "seed {seed}: request log");
+        assert_eq!(lengths.requests, bytes.requests, "seed {seed}: requests");
+        assert_eq!(lengths.wa, bytes.wa, "seed {seed}: write amplification");
+        assert!(lengths.zero_reads, "seed {seed}: a read without bytes");
+        assert!(
+            !bytes.zero_reads,
+            "seed {seed}: the byte path read only zeros"
+        );
     }
 }

@@ -14,9 +14,11 @@
 #                       collections, wall clock, `RandomState`, env
 #                       reads, pointer addresses, `thread::spawn`,
 #                       atomics, locks), then the standalone benchmark package,
-#                       whose manifest mirrors the workspace base; any
-#                       other clippy warning fails the stage too
-#                       (`-D warnings`; docs/INVARIANTS.md)
+#                       whose manifest mirrors the workspace base, then
+#                       the test code of `ufs` and `ssd` (`--all-targets`;
+#                       tests may `expect`, `unwrap` and `panic!`, their
+#                       helpers may not); any other clippy warning fails
+#                       the stage too (`-D warnings`; docs/INVARIANTS.md)
 #   3. clippy fixture — clippy over crates/simlint/fixtures/clippy, which
 #                       plants one violation per lint and API ban above:
 #                       it must report exactly the lint each planted
@@ -98,9 +100,10 @@ step() {
 step "cargo fmt --check"
 cargo fmt --check
 
-step "cargo clippy --workspace, then the benchmark package (warnings denied)"
+step "cargo clippy --workspace, the benchmark package, ufs and ssd tests (warnings denied)"
 cargo clippy --workspace --quiet -- -D warnings
 cargo clippy --quiet --manifest-path benchmark/Cargo.toml -- -D warnings
+cargo clippy -p ufs -p ssd --all-targets --quiet -- -D warnings
 
 step "clippy fixture (exactly the planted lints, at exactly their lines)"
 fixture=crates/simlint/fixtures/clippy

@@ -4,8 +4,8 @@
 //! every event of every replay. This binary counts the allocations each
 //! hot root really makes, through `dyn`, generics and re-exports alike,
 //! by running it single-threaded at [`N`] and at about 2N events: the
-//! larger run may allocate at most `budget` more per extra event, plus
-//! [`SLACK`], than the smaller. Whatever a run allocates once (device
+//! larger run may allocate at most a budget per thousand extra events,
+//! plus [`SLACK`], more than the smaller. Whatever a run allocates once (device
 //! state, per-tenant histograms, the fs setup) cancels in that
 //! difference; a per-event allocation does not.
 //!
@@ -34,15 +34,17 @@ const N: u64 = 2048;
 /// measured on every root).
 const SLACK: u64 = 512;
 
-/// Per-event budget of the device request loop, the media engine, the
-/// file-system models and the shared QoS loop: they reuse hoisted
-/// buffers.
+/// Budget, per thousand events, of the device request loop, the media
+/// engine, the file-system models and the shared QoS loop: they reuse
+/// hoisted buffers.
 const NO_ALLOCATION: u64 = 0;
 
-/// Per-record budget of the journaled UFS replay: each fsync cycle's
-/// window buffer, extent list and file-entry clones (1.55 to 1.62 per
-/// record measured on the checkpoint trace).
-const JOURNALED_PER_RECORD: u64 = 2;
+/// Budget, per thousand records, of the journaled UFS replay: each
+/// fsync cycle's extent list and file-entry clones (1 176 per thousand
+/// measured on the checkpoint trace; its device stores no data, so no
+/// window buffer). One more allocation per record would reach about
+/// 2 176, well above it.
+const JOURNALED_PER_THOUSAND_RECORDS: u64 = 1250;
 
 thread_local! {
     /// Allocations made on this thread, `realloc` counted as one.
@@ -104,9 +106,9 @@ fn allocations<T>(run: impl FnOnce() -> T) -> u64 {
 
 /// Runs `root` at scale [`N`] and 2N, where `root(n)` returns the
 /// events it ran and the allocations it made, and asserts that the
-/// larger run allocates at most `budget` more per extra event, plus
-/// [`SLACK`].
-fn assert_within_budget(name: &str, budget: u64, root: impl Fn(u64) -> (u64, u64)) {
+/// larger run allocates at most `per_thousand` more per thousand extra
+/// events, plus [`SLACK`].
+fn assert_within_budget(name: &str, per_thousand: u64, root: impl Fn(u64) -> (u64, u64)) {
     let (events, allocs) = root(N);
     let (events2, allocs2) = root(2 * N);
     assert!(
@@ -114,11 +116,11 @@ fn assert_within_budget(name: &str, budget: u64, root: impl Fn(u64) -> (u64, u64
         "{name}: {events} then {events2} events do not double from {N}"
     );
     let grown = allocs2.saturating_sub(allocs);
-    let bound = budget * (events2 - events) + SLACK;
+    let bound = per_thousand * (events2 - events) / 1000 + SLACK;
     assert!(
         grown <= bound,
         "{name}: {allocs} allocations at {events} events, {allocs2} at {events2}: \
-         +{grown} exceeds {budget} per event + {SLACK}"
+         +{grown} exceeds {per_thousand} per thousand events + {SLACK}"
     );
 }
 
@@ -175,7 +177,7 @@ fn the_file_system_models_allocate_nothing_per_record() {
 #[test]
 fn the_journaled_replay_stays_within_its_per_record_budget() {
     let config = SystemConfig::cnl_ufs();
-    assert_within_budget("journaled UFS", JOURNALED_PER_RECORD, |n| {
+    assert_within_budget("journaled UFS", JOURNALED_PER_THOUSAND_RECORDS, |n| {
         let posix = checkpoint_trace(n * 48 * KIB, 1536 * KIB, 512 * KIB, 64 * KIB, 7);
         let spec = ExperimentSpec::new(&config, NvmKind::Tlc).journaled_ufs(true);
         (posix.len() as u64, allocations(|| spec.run(&posix)))
